@@ -14,7 +14,13 @@ import sys
 from pathlib import Path
 
 from .errors import EngineError, Unsupported
-from .invariants import aspinwall_morrison, n_numbers, serre_dual_pair, solve_serre_factor
+from .invariants import (
+    _require_nonneg,
+    aspinwall_morrison,
+    n_numbers,
+    serre_dual_pair,
+    solve_serre_factor,
+)
 from .localization import enumerate_graphs, oracle_n_value
 from .mirror import solve_mirror_map
 from .ring import euler_class, format_fraction
@@ -137,6 +143,7 @@ def _run(args) -> int:
         series = i_function(g, args.max_degree)
         return _emit(args, _dump_json(qseries_to_obj(series)), 0)
     if args.cmd == "mirror-map":
+        _require_nonneg(g)
         I = i_function(g, args.max_degree)
         m = solve_mirror_map(I, euler_class(g.space, g.bundle))
         return _emit(args, _dump_json(m.to_obj()), 0)

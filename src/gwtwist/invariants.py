@@ -74,14 +74,19 @@ def extract_descendants(Jn: QSeries) -> DescendantTable:
     return DescendantTable(space=space, max_degree=Jn.max_degree, entries=entries)
 
 
-def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Run the pipeline: twisted series, solve the transform, apply it."""
+def _require_nonneg(g: GeometrySpec) -> None:
+    """Refuse a geometry that fails the per-factor positivity condition."""
     report = check_conditions(g)
     if not report.all_nonneg:
         raise Unsupported(
             "geometry fails the per-factor positivity condition",
             nonneg=list(report.nonneg),
         )
+
+
+def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
+    """Run the pipeline: twisted series, solve the transform, apply it."""
+    _require_nonneg(g)
     I = i_function(g, max_degree)
     ctop = euler_class(g.space, g.bundle)
     m = solve_mirror_map(I, ctop)

@@ -7,9 +7,18 @@ its normalized shape by a change of variables
 
 with f0 and the f1^i scalar q-series vanishing at q = 0.  Normalized means
 the hbar^0 part of every q-coefficient is exactly the Euler class and the
-hbar^{-1} part carries no divisor component against it.  The solver finds the
-unique such change of variables order by order in q; for geometries in the
-trivial-transform cases it comes out identically zero.
+hbar^{-1} part carries no divisor component against it.
+
+One normal form of S gives the scalar factor g and the divisor parts div.
+Provided S has no positive hbar powers (``normal_form`` refuses any),
+e^{(p . f1)/hbar} leaves hbar^0 alone and adds (p . f1) g(q e^{f1}) ctop at
+hbar^{-1}.  So the transformed series is normalized exactly when
+
+    e^{f0} g(q e^{f1}) = 1   and   f1 + (div/g)(q e^{f1}) = 0,
+
+the classical mirror-map shape: f1 inverts one substitution and
+f0 = -log g(q e^{f1}).  For geometries in the trivial-transform cases the
+solution is identically zero.
 
 The module also houses the ordered-decomposition combinatorics used to show
 the transformed series stays within the allowed shape: a brute-force
@@ -29,6 +38,8 @@ from .series import (
     HbarLaurent,
     QSeries,
     ScalarQSeries,
+    compose_substitute,
+    invert_substitution,
     promote,
     qs_exp,
     qs_exp_full,
@@ -134,8 +145,9 @@ def _solve_linear(space: AmbientSpace, columns, target: CohClass):
 def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
     """Extract the scalar and divisor structure of S against the Euler class.
 
-    Requires the q = 0 term of S to be exactly ctop at hbar^0.  For each
-    other q-coefficient the hbar^0 part must be a scalar multiple of ctop and
+    Requires the q = 0 term of S to be exactly ctop at hbar^0 and no
+    q-coefficient to carry a positive hbar power.  For each other
+    q-coefficient the hbar^0 part must be a scalar multiple of ctop and
     the hbar^{-1} part must decompose as ctop times a divisor plus something
     the Euler class annihilates; otherwise StructureViolation identifies the
     offending curve class.
@@ -157,6 +169,11 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
     for beta, hl in S.terms.items():
         if sum(beta) == 0:
             continue
+        top = max(hl.terms)
+        if top > 0:
+            raise StructureViolation(
+                "series carries a positive hbar power", beta=list(beta), power=top
+            )
         a0 = hl.coefficient(0)
         a1 = hl.coefficient(-1)
         if ctop_zero:
@@ -227,31 +244,22 @@ def apply_transform(
 
 
 def solve_mirror_map(S: QSeries, ctop: CohClass) -> MirrorMap:
-    """Find the change of variables normalizing S, order by order in q.
+    """Find the change of variables normalizing S, in closed form.
 
-    At each total degree the new dial coefficients act on the series exactly
-    once (through the constant term), so the linear system per curve class is
-    triangular with unit pivots: b kills the scalar excess, a^i the divisor
-    components.  The gauge f0(0) = f1(0) = 0 makes the solution unique.
+    With g and div read off one normal form of S, the transform leaves the
+    hbar^0 part of S(q e^{f1}) alone and adds (p . f1) g(q e^{f1}) ctop at
+    hbar^{-1}, because S has no positive hbar powers.  So normalized means
+
+        e^{f0} g(q e^{f1}) = 1   and   f1 + (div/g)(q e^{f1}) = 0,
+
+    solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}).  The
+    gauge f0(0) = f1(0) = 0 makes the solution unique.
     """
-    space, D = S.space, S.max_degree
-    m = MirrorMap.zero(space, D)
-    for level in range(1, D + 1):
-        nf = normal_form(apply_transform(S, m), ctop)
-        f0 = m.f0
-        f1 = list(m.f1)
-        changed = False
-        for beta, g_beta in nf.g.terms.items():
-            if sum(beta) == level and g_beta != 0:
-                f0 = f0.set_coeff(beta, -g_beta)
-                changed = True
-        for i, part in enumerate(nf.divisor_part):
-            for beta, c in part.terms.items():
-                if sum(beta) == level and c != 0:
-                    f1[i] = f1[i].set_coeff(beta, -c)
-                    changed = True
-        if changed:
-            m = MirrorMap(f0=f0, f1=tuple(f1))
+    nf = normal_form(S, ctop)
+    inv_g = qs_exp(qs_log(nf.g).scale(-1))
+    f1 = invert_substitution([d * inv_g for d in nf.divisor_part])
+    f0 = qs_log(compose_substitute(nf.g, f1)).scale(-1)
+    m = MirrorMap(f0=f0, f1=tuple(f1))
     final = normal_form(apply_transform(S, m), ctop)
     if not final.is_normalized:
         raise StructureViolation("solver failed to normalize the series")

@@ -503,13 +503,28 @@ def qs_log(a: ScalarQSeries) -> ScalarQSeries:
     return out
 
 
-def _pairing_exp(beta, f1: list[ScalarQSeries], space, max_degree) -> ScalarQSeries:
-    """exp(sum_i beta_i f1^i), the substitution factor picked up by q^beta."""
-    acc = ScalarQSeries.zero(space, max_degree)
-    for b_i, f in zip(beta, f1):
-        if b_i:
-            acc = acc + f.scale(b_i)
-    return qs_exp(acc)
+def _pairing_factors(f1: list[ScalarQSeries], space, max_degree):
+    """Return beta -> exp(sum_i beta_i f1^i), the factor picked up by q^beta.
+
+    The factor is the product of powers E_i^{beta_i} with E_i = exp(f1^i);
+    each E_i is computed once and its powers are cached, so the cost per
+    curve class is at most one series product per ambient factor.
+    """
+    one = ScalarQSeries.one(space, max_degree)
+    exps = [qs_exp(f) for f in f1]
+    powers = [[one] for _ in f1]
+
+    def factor(beta) -> ScalarQSeries:
+        out = None
+        for b, e, pw in zip(beta, exps, powers):
+            if not b:
+                continue
+            while len(pw) <= b:
+                pw.append(pw[-1] * e)
+            out = pw[b] if out is None else out * pw[b]
+        return one if out is None else out
+
+    return factor
 
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
@@ -526,12 +541,12 @@ def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
             raise TruncationMismatch("substitution data must match the series")
         if f.constant_term != 0:
             raise ValueError("substitution series must have zero constant term")
+    pairing = _pairing_factors(f1, space, D)
     out: dict[tuple[int, ...], HbarLaurent] = {}
     for beta, hl in S.terms.items():
         if hl.is_zero:
             continue
-        factor = _pairing_exp(beta, f1, space, D)
-        for gamma, c in factor.terms.items():
+        for gamma, c in pairing(beta).terms.items():
             total = tuple(x + y for x, y in zip(beta, gamma))
             if _degree(total) > D:
                 continue
@@ -543,10 +558,10 @@ def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
 def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeries:
     """Evaluate f(q * exp(g1)) as a truncated scalar series."""
     space, D = f.space, f.max_degree
+    pairing = _pairing_factors(g1, space, D)
     out: dict[tuple[int, ...], Fraction] = {}
     for beta, c in f.terms.items():
-        factor = _pairing_exp(beta, g1, space, D)
-        for gamma, e in factor.terms.items():
+        for gamma, e in pairing(beta).terms.items():
             total = tuple(x + y for x, y in zip(beta, gamma))
             if _degree(total) > D:
                 continue

@@ -95,6 +95,21 @@ def test_mirror_map_trivial_case(capsys):
     assert json.loads(out) == {"f0": [], "f1": [[]]}
 
 
+def test_mirror_map_refuses_failed_positivity(tmp_path, capsys):
+    path = tmp_path / "p1-o3.json"
+    path.write_text(
+        json.dumps({"ambient": [1], "bundle": [{"l": [3]}], "external_j": None})
+    )
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "mirror-map", "--max-degree", "3"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "Unsupported"
+    assert payload["nonneg"] == [False]
+
+
 def test_oracle_local_values(capsys):
     rc, out, _ = _run(
         capsys, ["--geometry", LOCAL, "--cmd", "oracle", "--max-degree", "2"]

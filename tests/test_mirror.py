@@ -66,6 +66,17 @@ def test_normal_form_rejects_bad_divisor_residual():
         normal_form(S, euler_class(sp, g.bundle))
 
 
+def test_normal_form_rejects_positive_hbar_power():
+    # P1 with O(3) fails positivity: the degree-1 term reaches hbar^1
+    g = GeometrySpec(P1, BundleSpec(((3,),)))
+    S = i_function(g, 2)
+    with pytest.raises(StructureViolation) as info:
+        normal_form(S, euler_class(P1, g.bundle))
+    assert info.value.context["beta"] == [1]
+    with pytest.raises(StructureViolation):
+        solve_mirror_map(S, euler_class(P1, g.bundle))
+
+
 def test_normal_form_allows_annihilated_residual():
     # with a (1,0) section the residual p2 component is killed by ctop = p1
     sp = AmbientSpace((1, 1))
@@ -101,6 +112,52 @@ def test_solve_mirror_map_zero_for_trivial_cases():
         S = i_function(g, 3)
         m = solve_mirror_map(S, euler_class(sp, g.bundle))
         assert m.is_zero, (factors, lines)
+
+
+def _reference_solve_mirror_map(S, ctop):
+    """The order-by-order solver: one full transform per degree."""
+    space, D = S.space, S.max_degree
+    m = MirrorMap.zero(space, D)
+    for level in range(1, D + 1):
+        nf = normal_form(apply_transform(S, m), ctop)
+        f0 = m.f0
+        f1 = list(m.f1)
+        changed = False
+        for beta, g_beta in nf.g.terms.items():
+            if sum(beta) == level and g_beta != 0:
+                f0 = f0.set_coeff(beta, -g_beta)
+                changed = True
+        for i, part in enumerate(nf.divisor_part):
+            for beta, c in part.terms.items():
+                if sum(beta) == level and c != 0:
+                    f1[i] = f1[i].set_coeff(beta, -c)
+                    changed = True
+        if changed:
+            m = MirrorMap(f0=f0, f1=tuple(f1))
+    final = normal_form(apply_transform(S, m), ctop)
+    if not final.is_normalized:
+        raise StructureViolation("solver failed to normalize the series")
+    return m
+
+
+@pytest.mark.parametrize(
+    "factors,lines,max_degree",
+    [
+        ((4,), ((5,),), 8),
+        ((2, 2), ((3, 3),), 3),
+        ((5,), ((3,), (3,)), 5),
+        ((1, 1), ((2, 2),), 4),
+        ((1,), ((-1,), (-1,)), 6),
+        ((4,), ((1,),), 6),
+        ((3,), ((1,), (1,)), 6),
+    ],
+)
+def test_closed_form_matches_order_by_order_solver(factors, lines, max_degree):
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    S = i_function(g, max_degree)
+    ctop = euler_class(sp, g.bundle)
+    assert solve_mirror_map(S, ctop) == _reference_solve_mirror_map(S, ctop)
 
 
 def test_solved_transform_is_stable():

@@ -159,7 +159,7 @@ def test_substitute_keeps_origin_term():
 def test_substitute_inverse_round_trip_randomized():
     # 20 seeded cases of criterion: substitution followed by its inverse is the identity
     rng = random.Random(23)
-    spaces = [P1, AmbientSpace((1, 1))]
+    spaces = [P1, AmbientSpace((1, 1)), AmbientSpace((2, 1))]
     for case in range(20):
         sp = spaces[case % len(spaces)]
         D = rng.choice((3, 4))
