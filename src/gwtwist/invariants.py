@@ -22,7 +22,17 @@ from .series import (
     qseries_to_obj,
     scalar_to_obj,
 )
-from .twist import CONVEX, GeometrySpec, check_conditions, classify, i_function, j_ambient
+from .twist import (
+    CONVEX,
+    GeometrySpec,
+    _combined_degrees,
+    _linear_products,
+    _pairing,
+    check_conditions,
+    classify,
+    i_function,
+    j_ambient,
+)
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,7 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
             "multiple-cover inversion needs expected dimension 3", dimension=dim
         )
     report = check_conditions(g)
-    combined_zero = all(
-        v == 0 for v in _combined_values(g)
-    )
+    combined_zero = all(v == 0 for v in _combined_degrees(g))
     if not (report.all_nonneg and combined_zero):
         raise Unsupported("multiple-cover inversion needs vanishing combined degree")
     counts = {beta[0]: value for beta, value in N.items()}
@@ -144,19 +152,6 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
                 total -= out[d // k] * Fraction(1, k**3)
         out[d] = total
     return out
-
-
-def _combined_values(g: GeometrySpec):
-    vals = []
-    for i, r in enumerate(g.space.factors):
-        v = r + 1
-        for l in g.bundle.lines:
-            if classify(l) == CONVEX:
-                v -= l[i]
-            else:
-                v += l[i]
-        vals.append(v)
-    return vals
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,11 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     That is multiplication by e(E), which is nilpotent for a nonzero bundle
     and so not invertible, followed by an operator of order rk E; neither is
     a change of the dials of ``solve_serre_factor``.
+
+    Both products are read from per-summand tables indexed by d_j.  A
+    geometry that fails the positivity condition is refused first.
     """
+    _require_nonneg(g)
     space = g.space
     if any(classify(l) != CONVEX for l in g.bundle.lines):
         raise Unsupported("dual pair construction needs a convex bundle")
@@ -199,6 +198,14 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     else:
         J = j_ambient(space, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
+    # row d of each table: prod_{k=1}^{d} (c1 + k hbar), and
+    # prod_{k=-d+1}^{0} (-c1 + k hbar) for the dual
+    tables = []
+    for l in g.bundle.lines:
+        c1 = space.divisor(l)
+        tables.append(
+            (l, _linear_products(space, c1, 1, 1), _linear_products(space, -c1, 0, -1))
+        )
     prime: dict = {}
     dual: dict = {}
     for beta in J.curve_classes():
@@ -208,13 +215,10 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
             continue
         hp = J.term(beta)
         hd = J.term(beta).scale(sign)
-        for l in g.bundle.lines:
-            pairing = sum(li * di for li, di in zip(l, beta))
-            c1 = space.divisor(l)
-            for k in range(1, pairing + 1):
-                hp = hp * HbarLaurent.linear(space, c1, k)
-            for k in range(-pairing + 1, 1):
-                hd = hd * HbarLaurent.linear(space, -c1, k)
+        for l, prime_row, dual_row in tables:
+            pairing = _pairing(l, beta)
+            hp = hp * prime_row(pairing)
+            hd = hd * dual_row(pairing)
         prime[beta] = hp
         dual[beta] = hd
     return SerrePair(

@@ -33,6 +33,13 @@ omega = (w_i - w_j)/delta the tangent weight of an edge at its i-end:
 
 A vanishing factor in any denominator means the drawn weights are too
 special; WeightCollision asks the caller to redraw.
+
+The sum is weight-independent only when the integrand's degree is at most
+the virtual dimension r + (r+1)d - 2 of the one-pointed moduli space.  The
+integrand degree is the rank of the bundle's contribution, l*d + 1 per
+convex summand and -l*d - 1 per concave one, plus the evaluation power b
+and the psi power a.  A larger degree leaves a polynomial in the weights,
+so Unsupported is raised instead.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import DegreeOutOfScope, Unclassifiable, WeightCollision
+from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision
 
 MAX_DEGREE = 2
 WEIGHT_POOL = range(1, 98)
@@ -216,6 +223,22 @@ def _bundle_weight(g: FixedGraph, lines, w: TorusWeights) -> Fraction:
     return total
 
 
+def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int):
+    """Refuse an integrand of degree above the virtual dimension."""
+    degree = ev_power + psi_power
+    for l in lines:
+        l = int(l)
+        degree += l * d + 1 if l > 0 else -l * d - 1
+    dimension = r + (r + 1) * d - 2
+    if degree > dimension:
+        raise Unsupported(
+            "integrand degree exceeds the virtual dimension; the graph sum "
+            "would depend on the weights",
+            integrand_degree=degree,
+            virtual_dimension=dimension,
+        )
+
+
 def localized_invariant(
     r: int,
     d: int,
@@ -230,6 +253,7 @@ def localized_invariant(
     """
     if len(weights) != r + 1:
         raise WeightCollision(f"need {r + 1} weights for P^{r}", got=len(weights))
+    _require_top_degree(r, d, lines, psi_power, ev_power)
     total = Fraction(0)
     for g in enumerate_graphs(r, d):
         contribution = g.auto * _bundle_weight(g, lines, weights)

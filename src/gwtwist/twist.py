@@ -10,6 +10,12 @@ the downstream solver relies on, and assembles the hypergeometric series
 
 where J is the closed-form ambient series and each H factor is the finite
 product of linear terms attached to a summand.
+
+Both are built by degree recursion, since consecutive terms differ by a few
+linear factors: each ambient factor gets a table A_i[d] of inverse products,
+with J(beta) = prod_i A_i[beta_i], and each summand a table of H indexed by
+the pairing <L, beta>, grown one factor at a time (``_linear_products``).
+The tables live for one call only.
 """
 
 from __future__ import annotations
@@ -170,23 +176,67 @@ def _fano_index_ok(g: GeometrySpec, convex_lines) -> bool:
     return True
 
 
+def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
+    """Return m -> prod_{j=0}^{m-1} (c + (first + j*step) hbar); row 0 is 1.
+
+    Row m is row m-1 times one linear factor.  Rows are tabulated on first
+    use, so reading rows 0..M costs M Laurent products in all; the table
+    lives as long as the returned function.
+    """
+    rows = [HbarLaurent.unit(space)]
+
+    def row(m: int) -> HbarLaurent:
+        while len(rows) <= m:
+            k = first + (len(rows) - 1) * step
+            rows.append(rows[-1] * HbarLaurent.linear(space, c, k))
+        return rows[m]
+
+    return row
+
+
+def _twist_table(space: AmbientSpace, l):
+    """Return n -> H(L) at pairing n = <L, beta> for one classified summand.
+
+    Convex: H[n] = prod_{k=0}^{n} (c1 + k hbar), so H[0] = c1 and
+    H[n] = H[n-1] (c1 + n hbar).  Concave: H[n] = prod_{k=n+1}^{-1}
+    (c1 + k hbar), so H[0] = H[-1] = 1 and H[n] = H[n+1] (c1 + (n+1) hbar).
+    """
+    c1 = space.divisor(l)
+    if classify(l) == CONVEX:
+        row = _linear_products(space, c1, 0, 1)
+        return lambda n: row(n + 1)
+    row = _linear_products(space, c1, -1, -1)
+    return lambda n: row(max(-n - 1, 0))
+
+
+def _pairing(l, beta) -> int:
+    return sum(li * di for li, di in zip(l, beta))
+
+
 def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     """Closed-form ambient series: the beta term inverts
     prod_i prod_{k=1}^{d_i} (p_i + k*hbar)^(r_i + 1), and the beta = 0 term is 1.
+
+    Per factor the inverse is tabulated by degree, A_i[0] = 1 and
+    A_i[d] = A_i[d-1] * ((p_i + d*hbar)^(r_i+1))^-1; the beta term is then
+    prod_i A_i[beta_i].  Each inverse is exact (p_i is nilpotent).
     """
+    tables = []
+    for i, r in enumerate(space.factors):
+        p = space.hyperplane(i)
+        rows = [HbarLaurent.unit(space)]
+        for d in range(1, max_degree + 1):
+            # step 0: row r+1 is (p_i + d*hbar)^(r_i+1)
+            power = _linear_products(space, p, d, 0)(r + 1)
+            rows.append(rows[-1] * power.invert())
+        tables.append(rows)
     terms = {}
     for beta in all_curve_classes(space, max_degree):
-        if sum(beta) == 0:
-            terms[beta] = HbarLaurent.unit(space)
-            continue
-        denom = HbarLaurent.unit(space)
-        for i, d_i in enumerate(beta):
-            p = space.hyperplane(i)
-            for k in range(1, d_i + 1):
-                factor = HbarLaurent.linear(space, p, k)
-                for _ in range(space.factors[i] + 1):
-                    denom = denom * factor
-        terms[beta] = denom.invert()
+        out = None
+        for rows, d_i in zip(tables, beta):
+            if d_i:
+                out = rows[d_i] if out is None else out * rows[d_i]
+        terms[beta] = HbarLaurent.unit(space) if out is None else out
     return QSeries(space, max_degree, terms)
 
 
@@ -197,18 +247,8 @@ def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     for k = <c1,beta>+1..-1.  An empty range gives 1.
     """
     l = tuple(int(x) for x in l)
-    kind = classify(l)
     beta = space.check_curve_class(beta)
-    pairing = sum(li * di for li, di in zip(l, beta))
-    c1 = space.divisor(l)
-    if kind == CONVEX:
-        ks = range(0, pairing + 1)
-    else:
-        ks = range(pairing + 1, 0)
-    out = HbarLaurent.unit(space)
-    for k in ks:
-        out = out * HbarLaurent.linear(space, c1, k)
-    return out
+    return _twist_table(space, l)(_pairing(l, beta))
 
 
 def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
@@ -218,6 +258,10 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     summand the degree-zero twist is taken as the Euler factor rather than an
     empty product, so the series starts where the geometry actually starts
     (zero when the Euler class vanishes on the ambient).
+
+    Each summand's factor is read from one table indexed by the pairing
+    n = <L, beta> (``_twist_table``), so the series costs max |n| linear
+    products per summand, not |n| per curve class.
     """
     space = g.space
     if g.external_j is not None:
@@ -230,13 +274,14 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
         J = g.external_j.truncate(max_degree)
     else:
         J = j_ambient(space, max_degree)
+    tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]
     terms = {}
     for beta in J.curve_classes():
         if sum(beta) == 0:
             continue
         hl = J.term(beta)
-        for l in g.bundle.lines:
-            hl = hl * h_factor(space, l, beta)
+        for l, table in tables:
+            hl = hl * table(_pairing(l, beta))
         terms[beta] = hl
     e = euler_class(space, g.bundle)
     terms[(0,) * space.nfactors] = HbarLaurent(space, {0: e})

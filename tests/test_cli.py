@@ -179,3 +179,35 @@ def test_out_directory_copy(tmp_path, capsys):
     assert rc == 0
     written = (tmp_path / "check.json").read_text()
     assert written == out
+
+
+def test_serre_refuses_failed_positivity(tmp_path, capsys):
+    path = tmp_path / "p1-o3.json"
+    path.write_text(
+        json.dumps({"ambient": [1], "bundle": [{"l": [3]}], "external_j": None})
+    )
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "serre", "--max-degree", "3"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "Unsupported"
+    assert payload["nonneg"] == [False]
+
+
+def test_oracle_refuses_integrand_above_dimension(tmp_path, capsys):
+    path = tmp_path / "p1-o1.json"
+    path.write_text(
+        json.dumps({"ambient": [1], "bundle": [{"l": [1]}], "external_j": None})
+    )
+    for cmd in ("oracle", "verify"):
+        rc, out, err = _run(
+            capsys, ["--geometry", str(path), "--cmd", cmd, "--max-degree", "2"]
+        )
+        assert rc == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "Unsupported"
+        assert payload["integrand_degree"] == 3
+        assert payload["virtual_dimension"] == 1

@@ -8,6 +8,7 @@ from gwtwist import (
     GeometrySpec,
     Infeasible,
     NotNormalized,
+    QSeries,
     Unsupported,
     aspinwall_morrison,
     extract_descendants,
@@ -15,9 +16,13 @@ from gwtwist import (
     j_ambient,
     n_numbers,
     normalized_series,
+    qseries_to_obj,
     serre_dual_pair,
     solve_serre_factor,
 )
+from gwtwist.invariants import SerrePair
+from gwtwist.series import HbarLaurent
+from gwtwist.twist import CONVEX, classify
 
 P1 = AmbientSpace((1,))
 P3 = AmbientSpace((3,))
@@ -148,3 +153,79 @@ def test_serre_factor_obstruction_on_p3():
     with pytest.raises(Infeasible) as info:
         solve_serre_factor(serre_dual_pair(g, 4))
     assert info.value.payload()["first_obstructed_degree"] == 1
+
+
+def test_dual_pair_refuses_failed_positivity():
+    g = GeometrySpec(P1, BundleSpec(((3,),)))
+    with pytest.raises(Unsupported) as info:
+        serre_dual_pair(g, 3)
+    assert info.value.payload()["nonneg"] == [False]
+
+
+def _reference_serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
+    space = g.space
+    if any(classify(l) != CONVEX for l in g.bundle.lines):
+        raise Unsupported("dual pair construction needs a convex bundle")
+    if g.external_j is not None:
+        J = g.external_j.truncate(max_degree)
+    else:
+        J = j_ambient(space, max_degree)
+    sign = -1 if g.bundle.rank % 2 else 1
+    prime: dict = {}
+    dual: dict = {}
+    for beta in J.curve_classes():
+        if sum(beta) == 0:
+            prime[beta] = HbarLaurent.unit(space)
+            dual[beta] = HbarLaurent.unit(space).scale(sign)
+            continue
+        hp = J.term(beta)
+        hd = J.term(beta).scale(sign)
+        for l in g.bundle.lines:
+            pairing = sum(li * di for li, di in zip(l, beta))
+            c1 = space.divisor(l)
+            for k in range(1, pairing + 1):
+                hp = hp * HbarLaurent.linear(space, c1, k)
+            for k in range(-pairing + 1, 1):
+                hd = hd * HbarLaurent.linear(space, -c1, k)
+        prime[beta] = hp
+        dual[beta] = hd
+    return SerrePair(
+        i_prime=QSeries(space, max_degree, prime),
+        i_prime_dual=QSeries(space, max_degree, dual),
+        sign=sign,
+    )
+
+
+def _external_j_p1():
+    # an external J that is not the ambient series: every beta != 0 term halved
+    ambient = j_ambient(P1, 6)
+    terms = {
+        b: hl if sum(b) == 0 else hl.scale(Fraction(1, 2))
+        for b, hl in ambient.terms.items()
+    }
+    return GeometrySpec(P1, BundleSpec(((1,),)), external_j=QSeries(P1, 6, terms))
+
+
+SERRE_CASES = {
+    "quintic": (lambda: QUINTIC, 8),
+    "bicubic": (lambda: GeometrySpec(AmbientSpace((2, 2)), BundleSpec(((3, 3),))), 4),
+    "p3-o1-o1": (lambda: GeometrySpec(P3, BundleSpec(((1,), (1,)))), 6),
+    "p1xp1-o22": (lambda: GeometrySpec(AmbientSpace((1, 1)), BundleSpec(((2, 2),))), 4),
+    "p1xp1-zero-pairings": (
+        lambda: GeometrySpec(AmbientSpace((1, 1)), BundleSpec(((1, 0), (0, 2)))),
+        4,
+    ),
+    "external-j": (_external_j_p1, 5),
+    "empty-bundle": (lambda: GeometrySpec(AmbientSpace((2,)), BundleSpec(())), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERRE_CASES))
+def test_dual_pair_tables_match_from_scratch_loops(name):
+    make, D = SERRE_CASES[name]
+    g = make()
+    pair, ref = serre_dual_pair(g, D), _reference_serre_dual_pair(g, D)
+    assert pair.sign == ref.sign
+    for got, want in [(pair.i_prime, ref.i_prime), (pair.i_prime_dual, ref.i_prime_dual)]:
+        assert got == want
+        assert qseries_to_obj(got) == qseries_to_obj(want)

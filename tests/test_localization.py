@@ -6,6 +6,7 @@ import pytest
 from gwtwist import (
     DegreeOutOfScope,
     TorusWeights,
+    Unsupported,
     WeightCollision,
     draw_weights,
     enumerate_graphs,
@@ -109,3 +110,18 @@ def test_degenerate_weight_vector_rejected():
     w = TorusWeights((Fraction(1), Fraction(2), Fraction(3)))
     with pytest.raises(WeightCollision):
         localized_invariant(2, 2, (), 0, 1, w)
+
+
+def test_oracle_refuses_integrand_above_dimension():
+    # P1 with O(1) at degree 1: e(R^0) has rank 2, plus ev^*(h), so degree 3
+    # against a 1-dimensional moduli space; the graph sum would depend on
+    # the weights
+    for seed in (1, 2, 3):
+        with pytest.raises(Unsupported) as info:
+            oracle_n_value(1, 1, (1,), seed=seed)
+        payload = info.value.payload()
+        assert payload["integrand_degree"] == 3
+        assert payload["virtual_dimension"] == 1
+    with pytest.raises(Unsupported):
+        localized_invariant(1, 1, (1,), 0, 1, W2)
+

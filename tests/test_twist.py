@@ -9,6 +9,8 @@ from gwtwist import (
     CONVEX,
     GeometrySpec,
     HbarLaurent,
+    QSeries,
+    TruncationMismatch,
     Unclassifiable,
     Unsupported,
     check_conditions,
@@ -19,7 +21,9 @@ from gwtwist import (
     h_factor,
     i_function,
     j_ambient,
+    qseries_to_obj,
 )
+from gwtwist.series import all_curve_classes
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -227,3 +231,101 @@ def test_product_ambient_series():
     c1 = sp.divisor((1, 1))
     expected = J.term((1, 0)) * HbarLaurent(sp, {0: c1}) * HbarLaurent.linear(sp, c1, 1)
     assert I.term((1, 0)) == expected
+
+
+# -- from-scratch references: the per-class products the degree tables replace
+
+
+def _reference_j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
+    terms = {}
+    for beta in all_curve_classes(space, max_degree):
+        if sum(beta) == 0:
+            terms[beta] = HbarLaurent.unit(space)
+            continue
+        denom = HbarLaurent.unit(space)
+        for i, d_i in enumerate(beta):
+            p = space.hyperplane(i)
+            for k in range(1, d_i + 1):
+                factor = HbarLaurent.linear(space, p, k)
+                for _ in range(space.factors[i] + 1):
+                    denom = denom * factor
+        terms[beta] = denom.invert()
+    return QSeries(space, max_degree, terms)
+
+
+def _reference_h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
+    l = tuple(int(x) for x in l)
+    kind = classify(l)
+    beta = space.check_curve_class(beta)
+    pairing = sum(li * di for li, di in zip(l, beta))
+    c1 = space.divisor(l)
+    if kind == CONVEX:
+        ks = range(0, pairing + 1)
+    else:
+        ks = range(pairing + 1, 0)
+    out = HbarLaurent.unit(space)
+    for k in ks:
+        out = out * HbarLaurent.linear(space, c1, k)
+    return out
+
+
+def _reference_i_function(g: GeometrySpec, max_degree: int) -> QSeries:
+    space = g.space
+    if g.external_j is not None:
+        if g.external_j.max_degree < max_degree:
+            raise TruncationMismatch(
+                "external J truncated below the requested degree",
+                have=g.external_j.max_degree,
+                want=max_degree,
+            )
+        J = g.external_j.truncate(max_degree)
+    else:
+        J = _reference_j_ambient(space, max_degree)
+    terms = {}
+    for beta in J.curve_classes():
+        if sum(beta) == 0:
+            continue
+        hl = J.term(beta)
+        for l in g.bundle.lines:
+            hl = hl * _reference_h_factor(space, l, beta)
+        terms[beta] = hl
+    e = euler_class(space, g.bundle)
+    terms[(0,) * space.nfactors] = HbarLaurent(space, {0: e})
+    return QSeries(space, max_degree, terms)
+
+
+def _external_j_geometry():
+    # an external J that is not the ambient series: every beta != 0 term tripled
+    ambient = _reference_j_ambient(P4, 6)
+    terms = {b: hl if sum(b) == 0 else hl.scale(3) for b, hl in ambient.terms.items()}
+    return GeometrySpec(P4, BundleSpec(((5,),)), external_j=QSeries(P4, 6, terms))
+
+
+TABLE_CASES = {
+    "quintic": (lambda: _geometry((4,), ((5,),)), 8),
+    "bicubic": (lambda: _geometry((2, 2), ((3, 3),)), 4),
+    "p5-o-1-o-5": (lambda: _geometry((5,), ((-1,), (-5,))), 6),
+    "local-p1": (lambda: _geometry((1,), ((-1,), (-1,))), 8),
+    "p3-o1-o1": (lambda: _geometry((3,), ((1,), (1,))), 6),
+    "p1xp1-o22": (lambda: _geometry((1, 1), ((2, 2),)), 4),
+    "p1xp1-zero-pairings": (lambda: _geometry((1, 1), ((1, 0), (0, 2))), 4),
+    "mixed-p4": (lambda: _geometry((4,), ((2,), (-1,))), 5),
+    "external-j": (_external_j_geometry, 5),
+    "empty-bundle": (lambda: GeometrySpec(AmbientSpace((2,)), BundleSpec(())), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_degree_tables_match_from_scratch_products(name):
+    make, D = TABLE_CASES[name]
+    g = make()
+    space = g.space
+    J, ref_J = j_ambient(space, D), _reference_j_ambient(space, D)
+    assert J == ref_J
+    assert qseries_to_obj(J) == qseries_to_obj(ref_J)
+    I, ref_I = i_function(g, D), _reference_i_function(g, D)
+    assert I == ref_I
+    assert qseries_to_obj(I) == qseries_to_obj(ref_I)
+    for l in g.bundle.lines:
+        for beta in all_curve_classes(space, D):
+            assert h_factor(space, l, beta) == _reference_h_factor(space, l, beta)
