@@ -7,26 +7,38 @@ failure reports without string parsing.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class EngineError(Exception):
     """Base class for all domain failures raised by this package."""
-
-    module = "core"
 
     def __init__(self, message: str, **context):
         super().__init__(message)
         self.context = context
 
     def payload(self) -> dict:
-        """JSON-ready description of the failure."""
+        """JSON-ready description of the failure.
+
+        ``module`` is the file stem of the innermost traceback frame, i.e.
+        the module that raised the error (None for an error never raised).
+        """
         out = {
             "error": type(self).__name__,
-            "module": self.module,
+            "module": _raising_module(self.__traceback__),
             "message": str(self),
         }
         for key in sorted(self.context):
             out[key] = _jsonable(self.context[key])
         return out
+
+
+def _raising_module(tb):
+    if tb is None:
+        return None
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return Path(tb.tb_frame.f_code.co_filename).stem
 
 
 def _jsonable(value):
@@ -44,58 +56,38 @@ def _jsonable(value):
 class SpaceMismatch(EngineError):
     """Operands belong to different ambient spaces."""
 
-    module = "ring"
-
 
 class TruncationMismatch(EngineError):
     """Series operands carry different truncation orders."""
 
-    module = "series"
-
 
 class NonInvertible(EngineError):
-    """Laurent element has no scalar part at any level; no inverse exists."""
-
-    module = "series"
+    """Laurent element has no scalar part, or scalar parts at several levels."""
 
 
 class Unclassifiable(EngineError):
     """Line-bundle multidegree is neither nonnegative nor strictly negative."""
 
-    module = "twist"
-
 
 class Unsupported(EngineError):
     """Input is valid but outside the supported computational scope."""
-
-    module = "twist"
 
 
 class StructureViolation(EngineError):
     """Series lacks the two-level structure the normalizer relies on."""
 
-    module = "mirror"
-
 
 class NotNormalized(EngineError):
     """Series still has nonzero constant-level terms; normalize it first."""
-
-    module = "invariants"
 
 
 class Infeasible(EngineError):
     """Order-by-order solve hit a degree where no dial reaches the residual."""
 
-    module = "invariants"
-
 
 class DegreeOutOfScope(EngineError):
     """Fixed-point graph sums are only shipped for degrees 1 and 2."""
 
-    module = "localization"
-
 
 class WeightCollision(EngineError):
     """Drawn torus weights made a graph denominator vanish; redraw."""
-
-    module = "localization"

@@ -25,13 +25,13 @@ from .series import (
 from .twist import (
     CONVEX,
     GeometrySpec,
+    _ambient_series,
     _combined_degrees,
     _linear_products,
     _pairing,
     check_conditions,
     classify,
     i_function,
-    j_ambient,
 )
 
 
@@ -193,10 +193,7 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     space = g.space
     if any(classify(l) != CONVEX for l in g.bundle.lines):
         raise Unsupported("dual pair construction needs a convex bundle")
-    if g.external_j is not None:
-        J = g.external_j.truncate(max_degree)
-    else:
-        J = j_ambient(space, max_degree)
+    J = _ambient_series(g, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
     # row d of each table: prod_{k=1}^{d} (c1 + k hbar), and
     # prod_{k=-d+1}^{0} (-c1 + k hbar) for the dual
@@ -270,12 +267,14 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     """
     space = pair.i_prime.space
     D = pair.i_prime.max_degree
-    phi = ScalarQSeries.one(space, D).with_constant(pair.sign)
+    phi = ScalarQSeries.one(space, D).scale(pair.sign)
     string = ScalarQSeries.zero(space, D)
     m = MirrorMap.zero(space, D)
     sign = Fraction(pair.sign)
+    # each level's check assemble is the next level's start and, after the
+    # last level, the final one: D+1 transforms in all
+    current = _assemble(pair, phi, string, m)
     for level in range(1, D + 1):
-        current = _assemble(pair, phi, string, m)
         f1 = list(m.f1)
         for beta in pair.i_prime.curve_classes():
             if sum(beta) != level:
@@ -310,6 +309,5 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
                         for k in R.exponents()
                     ],
                 )
-    final = _assemble(pair, phi, string, m)
-    residual = pair.i_prime_dual - final
+    residual = pair.i_prime_dual - current
     return SerreFactorSolution(phi=phi, map=m, string=string, residual=residual)

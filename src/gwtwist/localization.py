@@ -88,10 +88,6 @@ class FixedGraph:
     marked: int
     auto: Fraction
 
-    @property
-    def total_degree(self) -> int:
-        return sum(self.degrees)
-
 
 def enumerate_graphs(r: int, d: int, n: int = 1):
     """All decorated graphs for degree d on P^r with one marked point.

@@ -179,14 +179,8 @@ class CohClass:
         return CohClass(self.space, tuple(k * a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, CohClass):
-            return self._ring_mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _ring_mul(self, other: "CohClass") -> "CohClass":
+        if not isinstance(other, CohClass):
+            return self.scale(other)
         self._check(other)
         space = self.space
         caps = space.factors
@@ -201,6 +195,9 @@ class CohClass:
                     continue
                 out[index[e]] += ca * cb
         return CohClass(space, tuple(out))
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -220,10 +217,6 @@ class CohClass:
             mono = "*".join(f"p{i+1}^{x}" for i, x in enumerate(e) if x) or "1"
             parts.append(f"{c}*{mono}")
         return "CohClass(" + " + ".join(parts) + ")"
-
-
-def ring_mul(a: CohClass, b: CohClass) -> CohClass:
-    return a * b
 
 
 @dataclass(frozen=True)

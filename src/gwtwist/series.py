@@ -32,21 +32,16 @@ from .ring import (
 )
 
 
-def default_floor(space: AmbientSpace, max_degree: int) -> int:
-    """Guard bound for hbar windows; generous enough for every pipeline series."""
-    return -((max(space.factors) + 1) * max_degree + sum(space.factors) + 3)
-
-
 class HbarLaurent:
     """Finite Laurent polynomial in hbar with ``CohClass`` coefficients.
 
-    ``window`` records the bounds a computation was carried out with; stored
-    exponents always lie inside it.  Equality compares the pruned terms only.
+    Zero coefficients are pruned on construction, so equality compares the
+    stored terms.
     """
 
-    __slots__ = ("space", "terms", "window")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, space: AmbientSpace, terms: dict, window=None):
+    def __init__(self, space: AmbientSpace, terms: dict):
         self.space = space
         pruned = {}
         for k, cls in terms.items():
@@ -54,17 +49,7 @@ class HbarLaurent:
                 raise SpaceMismatch("coefficient class on a different ambient space")
             if not cls.is_zero:
                 pruned[int(k)] = cls
-        if window is None:
-            if pruned:
-                window = (min(pruned), max(pruned))
-            else:
-                window = (0, 0)
-        else:
-            window = (int(window[0]), int(window[1]))
-            if pruned and (min(pruned) < window[0] or max(pruned) > window[1]):
-                raise ValueError("stored exponent outside the declared window")
         self.terms = pruned
-        self.window = window
 
     # -- constructors --------------------------------------------------------
 
@@ -79,7 +64,7 @@ class HbarLaurent:
     @classmethod
     def linear(cls, space: AmbientSpace, divisor: CohClass, k) -> "HbarLaurent":
         """The degree-one element ``divisor + k*hbar``."""
-        return cls(space, {0: divisor, 1: space.unit().scale(k)}, window=(0, 1))
+        return cls(space, {0: divisor, 1: space.unit().scale(k)})
 
     # -- inspection ----------------------------------------------------------
 
@@ -104,11 +89,7 @@ class HbarLaurent:
         terms = dict(self.terms)
         for k, cls in other.terms.items():
             terms[k] = terms.get(k, self.space.zero()) + cls
-        window = (
-            min(self.window[0], other.window[0]),
-            max(self.window[1], other.window[1]),
-        )
-        return HbarLaurent(self.space, terms, window)
+        return HbarLaurent(self.space, terms)
 
     def __sub__(self, other: "HbarLaurent") -> "HbarLaurent":
         return self + other.scale(-1)
@@ -116,22 +97,14 @@ class HbarLaurent:
     def scale(self, k) -> "HbarLaurent":
         k = Fraction(k)
         if k == 0:
-            return HbarLaurent(self.space, {}, self.window)
-        return HbarLaurent(
-            self.space, {e: cls.scale(k) for e, cls in self.terms.items()}, self.window
-        )
+            return HbarLaurent(self.space, {})
+        return HbarLaurent(self.space, {e: cls.scale(k) for e, cls in self.terms.items()})
 
     def scale_class(self, c: CohClass) -> "HbarLaurent":
-        return HbarLaurent(
-            self.space, {e: cls * c for e, cls in self.terms.items()}, self.window
-        )
+        return HbarLaurent(self.space, {e: cls * c for e, cls in self.terms.items()})
 
     def times_hbar(self, shift: int) -> "HbarLaurent":
-        return HbarLaurent(
-            self.space,
-            {e + shift: cls for e, cls in self.terms.items()},
-            (self.window[0] + shift, self.window[1] + shift),
-        )
+        return HbarLaurent(self.space, {e + shift: cls for e, cls in self.terms.items()})
 
     def __mul__(self, other: "HbarLaurent") -> "HbarLaurent":
         self._check(other)
@@ -143,69 +116,46 @@ class HbarLaurent:
                     continue
                 k = ka + kb
                 out[k] = out.get(k, self.space.zero()) + prod
-        window = (
-            self.window[0] + other.window[0],
-            self.window[1] + other.window[1],
-        )
-        return HbarLaurent(self.space, out, window)
+        return HbarLaurent(self.space, out)
 
-    def clip(self, lo=None, hi=None) -> "HbarLaurent":
-        lo = self.window[0] if lo is None else int(lo)
-        hi = self.window[1] if hi is None else int(hi)
-        terms = {k: cls for k, cls in self.terms.items() if lo <= k <= hi}
-        return HbarLaurent(self.space, terms, (lo, hi))
+    def invert(self) -> "HbarLaurent":
+        """Exact inverse over the nilpotent coefficient ring.
 
-    def invert(self, target_window=None) -> "HbarLaurent":
-        """Invert as a formal Laurent series over the nilpotent coefficient ring.
-
-        The element must have a nonzero scalar part at some hbar level.  When
-        the scalar part lives at a single level the inverse is an exact finite
-        Laurent polynomial and ``target_window`` (if given) merely clips it;
-        with scalar parts at several levels the inverse is an infinite series
-        and ``target_window`` is required.
+        The scalar part must sit at a single hbar level m, as it does for the
+        products (p_i + d hbar)^(r_i+1) the pipeline inverts.  Writing the
+        element as c hbar^m (1 + u), every coefficient of u is nilpotent, so
+        the geometric series in u stops at u^(sum r_i).  Scalar parts
+        at several levels would give an infinite series: NonInvertible with
+        ``levels``.
         """
         scalar_levels = {
             k: cls.scalar_part for k, cls in self.terms.items() if cls.scalar_part != 0
         }
         if not scalar_levels:
             raise NonInvertible(
-                "every hbar coefficient is nilpotent", window=list(self.window)
+                "every hbar coefficient is nilpotent", exponents=self.exponents()
+            )
+        if len(scalar_levels) > 1:
+            raise NonInvertible(
+                "scalar parts at several hbar levels have no finite inverse",
+                levels=sorted(scalar_levels),
             )
         m = min(scalar_levels)
         c = scalar_levels[m]
         space = self.space
-        # u := a / (c hbar^m) - 1 has a nilpotent coefficient at relative level 0
+        # u := a / (c hbar^m) - 1 has nilpotent coefficients only
         u_terms = {k - m: cls.scale(ONE / c) for k, cls in self.terms.items()}
         u_terms[0] = u_terms.get(0, space.zero()) - space.unit()
         u = HbarLaurent(space, u_terms)
-        nilpotency = sum(space.factors)
-        exact = len(scalar_levels) == 1
-        if not exact and target_window is None:
-            raise NonInvertible(
-                "scalar parts at several hbar levels need an explicit target window",
-                levels=sorted(scalar_levels),
-            )
-        if target_window is None:
-            jmax = nilpotency
-        else:
-            # beyond this, every monomial of u^j lands above the window
-            spread = m - min(u.window[0] + m, self.window[0])
-            jmax = target_window[1] + m + nilpotency * (1 + max(spread, 0)) + 1
-            jmax = max(jmax, nilpotency)
         total = HbarLaurent.zero(space)
         power = HbarLaurent.unit(space)
         sign = ONE
-        for j in range(jmax + 1):
-            contrib = power.scale(sign / c).times_hbar(-m)
-            if target_window is not None:
-                contrib = contrib.clip(*target_window)
-            total = total + contrib
+        for _ in range(sum(space.factors) + 1):
+            total = total + power.scale(sign / c).times_hbar(-m)
             if power.is_zero:
                 break
             power = power * u
             sign = -sign
-        if target_window is not None:
-            total = total.clip(*target_window)
         return total
 
     def __eq__(self, other) -> bool:
@@ -229,8 +179,8 @@ def hl_mul(a: HbarLaurent, b: HbarLaurent) -> HbarLaurent:
     return a * b
 
 
-def hl_invert(a: HbarLaurent, target_window=None) -> HbarLaurent:
-    return a.invert(target_window)
+def hl_invert(a: HbarLaurent) -> HbarLaurent:
+    return a.invert()
 
 
 def _degree(beta) -> int:
@@ -310,13 +260,6 @@ class QSeries:
             {b: hl.scale(k) for b, hl in self.terms.items()},
         )
 
-    def scale_hl(self, hl: HbarLaurent) -> "QSeries":
-        return QSeries(
-            self.space,
-            self.max_degree,
-            {b: t * hl for b, t in self.terms.items()},
-        )
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         out: dict[tuple[int, ...], HbarLaurent] = {}
@@ -333,18 +276,17 @@ class QSeries:
         return QSeries(self.space, self.max_degree, out)
 
     def truncate(self, max_degree: int) -> "QSeries":
+        """The terms up to ``max_degree``, which may not exceed this series' own."""
+        if max_degree > self.max_degree:
+            raise TruncationMismatch(
+                "series truncated below the requested degree",
+                have=self.max_degree,
+                want=max_degree,
+            )
         terms = {
             b: hl for b, hl in self.terms.items() if _degree(b) <= max_degree
         }
         return QSeries(self.space, max_degree, terms)
-
-    def clip_floor(self, lo: int) -> "QSeries":
-        """Drop hbar levels below a guard bound (a no-op for pipeline series)."""
-        return QSeries(
-            self.space,
-            self.max_degree,
-            {b: hl.clip(lo=max(hl.window[0], lo)) for b, hl in self.terms.items()},
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -371,10 +313,6 @@ def all_curve_classes(space: AmbientSpace, max_degree: int):
 
     rec([], max_degree)
     return sorted(out, key=lambda b: (_degree(b), b))
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
 
 
 class ScalarQSeries:
@@ -449,11 +387,6 @@ class ScalarQSeries:
                 beta = tuple(x + y for x, y in zip(ba, bb))
                 out[beta] = out.get(beta, ZERO) + ca * cb
         return ScalarQSeries(self.space, self.max_degree, out)
-
-    def with_constant(self, value) -> "ScalarQSeries":
-        terms = dict(self.terms)
-        terms[(0,) * self.space.nfactors] = Fraction(value)
-        return ScalarQSeries(self.space, self.max_degree, terms)
 
     def set_coeff(self, beta, value) -> "ScalarQSeries":
         terms = dict(self.terms)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SpaceMismatch, TruncationMismatch, Unclassifiable, Unsupported
+from .errors import SpaceMismatch, Unclassifiable, Unsupported
 from .ring import AmbientSpace, BundleSpec, CohClass, euler_class
 from .series import (
     HbarLaurent,
@@ -240,6 +240,14 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     return QSeries(space, max_degree, terms)
 
 
+def _ambient_series(g: GeometrySpec, max_degree: int) -> QSeries:
+    """The geometry's J through ``max_degree``: the external J truncated
+    (TruncationMismatch if it stops below), else the closed form."""
+    if g.external_j is not None:
+        return g.external_j.truncate(max_degree)
+    return j_ambient(g.space, max_degree)
+
+
 def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     """The finite linear-factor product a bundle summand contributes at beta.
 
@@ -264,16 +272,7 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     products per summand, not |n| per curve class.
     """
     space = g.space
-    if g.external_j is not None:
-        if g.external_j.max_degree < max_degree:
-            raise TruncationMismatch(
-                "external J truncated below the requested degree",
-                have=g.external_j.max_degree,
-                want=max_degree,
-            )
-        J = g.external_j.truncate(max_degree)
-    else:
-        J = j_ambient(space, max_degree)
+    J = _ambient_series(g, max_degree)
     tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]
     terms = {}
     for beta in J.curve_classes():

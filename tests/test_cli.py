@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gwtwist
+from gwtwist import AmbientSpace, j_ambient, qseries_to_obj
 from gwtwist.cli import main
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -142,6 +146,7 @@ def test_serre_obstruction_reported(capsys):
     assert rc == 1
     payload = json.loads(err)
     assert payload["error"] == "Infeasible"
+    assert payload["module"] == "invariants"
     assert payload["first_obstructed_degree"] == 1
 
 
@@ -193,6 +198,7 @@ def test_serre_refuses_failed_positivity(tmp_path, capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "Unsupported"
+    assert payload["module"] == "invariants"
     assert payload["nonneg"] == [False]
 
 
@@ -209,5 +215,44 @@ def test_oracle_refuses_integrand_above_dimension(tmp_path, capsys):
         assert out == ""
         payload = json.loads(err)
         assert payload["error"] == "Unsupported"
+        assert payload["module"] == "localization"
         assert payload["integrand_degree"] == 3
         assert payload["virtual_dimension"] == 1
+
+
+def test_serre_refuses_short_external_j(tmp_path, capsys):
+    ext = qseries_to_obj(j_ambient(AmbientSpace((1,)), 2))
+    path = tmp_path / "p1-o1-short-j.json"
+    path.write_text(
+        json.dumps({"ambient": [1], "bundle": [{"l": [1]}], "external_j": ext})
+    )
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "serre", "--max-degree", "4"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "TruncationMismatch"
+    assert payload["have"] == 2
+    assert payload["want"] == 4
+
+
+def test_error_payload_names_raising_module(tmp_path):
+    # run as ``python -m gwtwist.cli``: a refusal in the CLI itself names
+    # ``cli``, not ``__main__``
+    path = tmp_path / "bicubic.json"
+    path.write_text(
+        json.dumps({"ambient": [2, 2], "bundle": [{"l": [3, 3]}], "external_j": None})
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwtwist.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "gwtwist.cli", "--geometry", str(path), "--cmd", "oracle"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 1
+    payload = json.loads(done.stderr)
+    assert payload["error"] == "Unsupported"
+    assert payload["module"] == "cli"

@@ -7,8 +7,11 @@ from gwtwist import (
     BundleSpec,
     GeometrySpec,
     Infeasible,
+    MirrorMap,
     NotNormalized,
     QSeries,
+    ScalarQSeries,
+    TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
     extract_descendants,
@@ -20,7 +23,10 @@ from gwtwist import (
     serre_dual_pair,
     solve_serre_factor,
 )
-from gwtwist.invariants import SerrePair
+from gwtwist import invariants
+from gwtwist.invariants import SerreFactorSolution, SerrePair, _assemble
+from gwtwist.mirror import apply_transform
+from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent
 from gwtwist.twist import CONVEX, classify
 
@@ -160,6 +166,14 @@ def test_dual_pair_refuses_failed_positivity():
     with pytest.raises(Unsupported) as info:
         serre_dual_pair(g, 3)
     assert info.value.payload()["nonneg"] == [False]
+    assert info.value.payload()["module"] == "invariants"
+
+
+def test_dual_pair_refuses_short_external_j():
+    g = GeometrySpec(P1, BundleSpec(((1,),)), external_j=j_ambient(P1, 2))
+    with pytest.raises(TruncationMismatch) as info:
+        serre_dual_pair(g, 4)
+    assert info.value.context == {"have": 2, "want": 4}
 
 
 def _reference_serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
@@ -229,3 +243,90 @@ def test_dual_pair_tables_match_from_scratch_loops(name):
     for got, want in [(pair.i_prime, ref.i_prime), (pair.i_prime_dual, ref.i_prime_dual)]:
         assert got == want
         assert qseries_to_obj(got) == qseries_to_obj(want)
+
+
+def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
+    space = pair.i_prime.space
+    D = pair.i_prime.max_degree
+    phi = ScalarQSeries.one(space, D).scale(pair.sign)
+    string = ScalarQSeries.zero(space, D)
+    m = MirrorMap.zero(space, D)
+    sign = Fraction(pair.sign)
+    for level in range(1, D + 1):
+        current = _assemble(pair, phi, string, m)
+        f1 = list(m.f1)
+        for beta in pair.i_prime.curve_classes():
+            if sum(beta) != level:
+                continue
+            R = pair.i_prime_dual.term(beta) - current.term(beta)
+            if R.is_zero:
+                continue
+            r0 = R.coefficient(0)
+            r1 = R.coefficient(-1)
+            if r0.scalar_part != 0:
+                phi = phi.set_coeff(beta, r0.scalar_part)
+            if r1.scalar_part != 0:
+                string = string.set_coeff(beta, r1.scalar_part / sign)
+            for i in range(space.nfactors):
+                e = tuple(1 if j == i else 0 for j in range(space.nfactors))
+                c = r1.coeff(e)
+                if c != 0:
+                    f1[i] = f1[i].set_coeff(beta, c / sign)
+        m = MirrorMap(f0=m.f0, f1=tuple(f1))
+        current = _assemble(pair, phi, string, m)
+        for beta in pair.i_prime.curve_classes():
+            if sum(beta) != level:
+                continue
+            R = pair.i_prime_dual.term(beta) - current.term(beta)
+            if not R.is_zero:
+                raise Infeasible(
+                    "dual factorization obstructed",
+                    first_obstructed_degree=level,
+                    beta=list(beta),
+                    residual=[
+                        {"pow": k, "class": [format_fraction(c) for c in R.terms[k].coeffs]}
+                        for k in R.exponents()
+                    ],
+                )
+    final = _assemble(pair, phi, string, m)
+    residual = pair.i_prime_dual - final
+    return SerreFactorSolution(phi=phi, map=m, string=string, residual=residual)
+
+
+SERRE_FACTOR_CASES = {
+    "p1-o1": ((1,), ((1,),)),
+    "p3-o1-o1": ((3,), ((1,), (1,))),
+    "p4-o1": ((4,), ((1,),)),
+    "p1xp1-o11": ((1, 1), ((1, 1),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERRE_FACTOR_CASES))
+def test_serre_factor_matches_two_assembles_per_level(name, monkeypatch):
+    factors, lines = SERRE_FACTOR_CASES[name]
+    D = 4
+    pair = serre_dual_pair(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), D)
+    try:
+        want = _reference_solve_serre_factor(pair)
+    except Infeasible as exc:
+        want = exc
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return apply_transform(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "apply_transform", counted)
+    if isinstance(want, Infeasible):
+        with pytest.raises(Infeasible) as info:
+            solve_serre_factor(pair)
+        got, ref = info.value.payload(), want.payload()
+        # the module names differ by construction: the reference raises here
+        assert got.pop("module") == "invariants"
+        ref.pop("module")
+        assert got == ref
+        # one start, one check per level reached
+        assert len(calls) == got["first_obstructed_degree"] + 1
+    else:
+        assert solve_serre_factor(pair).to_obj() == want.to_obj()
+        assert len(calls) == D + 1

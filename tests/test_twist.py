@@ -202,6 +202,13 @@ def test_external_j_override():
     assert i_function(g, 4) == i_function(GeometrySpec(P4, BundleSpec(((5,),))), 4)
 
 
+def test_external_j_below_requested_degree_refused():
+    g = GeometrySpec(P1, BundleSpec(((1,),)), external_j=j_ambient(P1, 2))
+    with pytest.raises(TruncationMismatch) as info:
+        i_function(g, 4)
+    assert info.value.context == {"have": 2, "want": 4}
+
+
 def test_external_j_must_start_at_unit():
     bad = j_ambient(P4, 2).scale(2)
     with pytest.raises(ValueError):
