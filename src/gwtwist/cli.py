@@ -3,7 +3,9 @@
 Reads a geometry description from JSON, runs one stage of the engine, and
 emits a deterministic JSON (or TSV) report.  Exit codes: 0 on success, 1 on
 a domain error (the error object goes to standard error as JSON), 2 on I/O
-or parse problems.  `verify` additionally exits 1 on a value mismatch.
+problems or a geometry file that cannot be read or fails validation, 3 on a
+KeyError, TypeError or ValueError raised after the geometry has loaded,
+which is an engine fault.  `verify` additionally exits 1 on a value mismatch.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def _cmd_verify(g, args):
     if g.space.nfactors != 1:
         raise Unsupported("verification runs over a single projective space")
     top = min(2, args.max_degree)
-    pipeline = n_numbers(g, args.max_degree) if top >= 1 else {}
+    # counts are truncation-stable, so the compared degrees are enough
+    pipeline = n_numbers(g, top) if top >= 1 else {}
     lines = tuple(l[0] for l in g.bundle.lines)
     rows = []
     status = "MATCH"
@@ -134,8 +137,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _run(args) -> int:
-    g = _load_geometry(args.geometry)
+def _run(g, args) -> int:
     if args.cmd == "check":
         report = check_conditions(g)
         return _emit(args, _dump_json(report.to_obj()), 0)
@@ -193,14 +195,18 @@ def main(argv=None) -> int:
     if args.max_degree < 0:
         print("max degree must be non-negative", file=sys.stderr)
         return 2
+    g = None
     try:
-        return _run(args)
+        g = _load_geometry(args.geometry)
+        return _run(g, args)
     except EngineError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # a JSONDecodeError is a ValueError; once the geometry has loaded,
+        # only I/O errors are the input's fault
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
+        return 2 if g is None or isinstance(exc, OSError) else 3
 
 
 if __name__ == "__main__":

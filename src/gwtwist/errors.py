@@ -77,10 +77,6 @@ class StructureViolation(EngineError):
     """Series lacks the two-level structure the normalizer relies on."""
 
 
-class NotNormalized(EngineError):
-    """Series still has nonzero constant-level terms; normalize it first."""
-
-
 class Infeasible(EngineError):
     """Order-by-order solve hit a degree where no dial reaches the residual."""
 

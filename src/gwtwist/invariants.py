@@ -1,9 +1,9 @@
 """Curve counts and duality data extracted from normalized series.
 
-Downstream of the solver: read one-point descendant coefficients out of a
-normalized series, turn the hbar^{-2} layer into curve counts, invert the
-multiple-cover weighting on threefold-type geometries, and build/solve the
-dual-series factorization for convex bundles.
+Downstream of the solver: turn the hbar^{-2} layer of a normalized series
+into curve counts, invert the multiple-cover weighting on threefold-type
+geometries, and build/solve the dual-series factorization for convex
+bundles.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, NotNormalized, Unsupported
-from .mirror import MirrorMap, apply_transform, normal_form, solve_mirror_map
-from .ring import CohClass, ONE, ZERO, euler_class, format_fraction
+from .errors import Infeasible, Unsupported
+from .mirror import MirrorMap, apply_transform, solve_mirror_map
+from .ring import euler_class, format_fraction
 from .series import (
     HbarLaurent,
     QSeries,
@@ -33,55 +33,6 @@ from .twist import (
     classify,
     i_function,
 )
-
-
-@dataclass(frozen=True)
-class DescendantTable:
-    """Raw one-point descendant coefficients of a normalized series.
-
-    Keys are (curve class, psi-power a, basis-monomial index); the value is
-    the coefficient of that monomial in the hbar^(-2-a) layer.  Pairing
-    against a chosen basis is left to the caller.
-    """
-
-    space: object
-    max_degree: int
-    entries: dict
-
-    def value(self, beta, a: int, exponents) -> Fraction:
-        idx = self.space.basis_index[tuple(exponents)]
-        return self.entries.get((tuple(beta), int(a), idx), ZERO)
-
-
-def extract_descendants(Jn: QSeries) -> DescendantTable:
-    """Tabulate the hbar^(-2-a) coefficients of a normalized series.
-
-    The q = 0 term provides the reference Euler class; the series must carry
-    scalar factor 1 and zero divisor components against it, else
-    NotNormalized.
-    """
-    space = Jn.space
-    hl0 = Jn.term(Jn.zero_beta)
-    if any(k != 0 for k in hl0.exponents()):
-        raise NotNormalized("q = 0 term must sit at hbar^0")
-    ctop = hl0.coefficient(0)
-    nf = normal_form(Jn, ctop)
-    if not nf.is_normalized:
-        raise NotNormalized(
-            "series must have scalar factor 1 and no divisor components",
-            g_is_one=nf.g == ScalarQSeries.one(space, Jn.max_degree),
-        )
-    entries: dict = {}
-    for beta, hl in Jn.terms.items():
-        if sum(beta) == 0:
-            continue
-        for k in hl.exponents():
-            if k > -2:
-                continue
-            a = -2 - k
-            for e, c in hl.terms[k].items():
-                entries[(beta, a, space.basis_index[e])] = c
-    return DescendantTable(space=space, max_degree=Jn.max_degree, entries=entries)
 
 
 def _require_nonneg(g: GeometrySpec) -> None:
@@ -239,7 +190,7 @@ class SerreFactorSolution:
             "phi": scalar_to_obj(self.phi),
             "map": self.map.to_obj(),
             "string": scalar_to_obj(self.string),
-            "residual_zero": all(hl.is_zero for hl in self.residual.terms.values()),
+            "residual_zero": self.residual.is_zero,
             "residual": qseries_to_obj(self.residual),
         }
 

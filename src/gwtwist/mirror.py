@@ -45,7 +45,6 @@ from .series import (
     qs_exp_full,
     qs_log,
     qs_substitute,
-    scalar_from_obj,
     scalar_to_obj,
 )
 
@@ -76,13 +75,6 @@ class MirrorMap:
             "f0": scalar_to_obj(self.f0),
             "f1": [scalar_to_obj(f) for f in self.f1],
         }
-
-    @classmethod
-    def from_obj(cls, space: AmbientSpace, max_degree: int, obj) -> "MirrorMap":
-        return cls(
-            f0=scalar_from_obj(space, max_degree, obj["f0"]),
-            f1=tuple(scalar_from_obj(space, max_degree, f) for f in obj["f1"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Two layers sit on top of the cohomology ring:
 
 * ``HbarLaurent``: a finite Laurent polynomial in the formal symbol hbar
   whose coefficients are cohomology classes.
-* ``QSeries``: a power series in the curve-class variables q_1..q_N,
-  truncated at a total degree D, whose coefficients are ``HbarLaurent``
-  values.  ``ScalarQSeries`` is the rational-coefficient sibling used for
-  transformation data.
+* A power series in the curve-class variables q_1..q_N, truncated at a total
+  degree D.  One implementation serves two coefficient kinds: ``QSeries``
+  holds ``HbarLaurent`` values (the twisted series and its transforms) and
+  ``ScalarQSeries`` holds rationals (the dials f0 and f1 of the change of
+  variables).  The power-sum exp and the substitution q -> q e^{f1} are
+  likewise written once for both kinds.
 
 The exponential prefactor common to generating-series conventions is never
 materialized; series are always stored in reduced form, coefficient by curve
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import NonInvertible, SpaceMismatch, TruncationMismatch
 from .ring import (
@@ -28,7 +31,6 @@ from .ring import (
     coh_from_obj,
     coh_to_obj,
     format_fraction,
-    parse_fraction,
 )
 
 
@@ -187,8 +189,19 @@ def _degree(beta) -> int:
     return sum(beta)
 
 
-class QSeries:
-    """Power series in the curve-class variables, truncated at total degree D."""
+def _graded(beta):
+    return (_degree(beta), beta)
+
+
+class _TruncatedSeries:
+    """Power series in the curve-class variables, truncated at total degree D.
+
+    The one implementation behind both coefficient kinds.  Terms map curve
+    classes to non-zero coefficients; zeros are pruned on construction, so
+    equality compares the stored terms.  A subclass fixes the kind through
+    ``_coerce`` (the coefficient as stored, or None when it is zero) and
+    ``_scale_coeff`` (a coefficient times a rational).
+    """
 
     __slots__ = ("space", "max_degree", "terms")
 
@@ -197,37 +210,27 @@ class QSeries:
             raise ValueError("truncation degree must be non-negative")
         self.space = space
         self.max_degree = int(max_degree)
-        clean: dict[tuple[int, ...], HbarLaurent] = {}
-        for beta, hl in (terms or {}).items():
+        coerce = self._coerce
+        clean = {}
+        for beta, c in (terms or {}).items():
             beta = space.check_curve_class(beta)
             if _degree(beta) > self.max_degree:
                 raise ValueError(f"term {beta} beyond truncation degree {max_degree}")
-            if hl.space != space:
-                raise SpaceMismatch("coefficient on a different ambient space")
-            if not hl.is_zero:
-                clean[beta] = hl
-        zero_beta = (0,) * space.nfactors
-        clean.setdefault(zero_beta, HbarLaurent.zero(space))
+            c = coerce(c)
+            if c is not None:
+                clean[beta] = c
         self.terms = clean
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def unit(cls, space: AmbientSpace, max_degree: int) -> "QSeries":
-        zero_beta = (0,) * space.nfactors
-        return cls(space, max_degree, {zero_beta: HbarLaurent.unit(space)})
+    def _new(self, terms: dict):
+        return type(self)(self.space, self.max_degree, terms)
 
     @property
     def zero_beta(self) -> tuple[int, ...]:
         return (0,) * self.space.nfactors
 
-    def term(self, beta) -> HbarLaurent:
-        beta = tuple(beta)
-        return self.terms.get(beta, HbarLaurent.zero(self.space))
-
-    def betas(self):
-        """All stored curve classes in graded-lexicographic order."""
-        return sorted(self.terms, key=lambda b: (_degree(b), b))
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def curve_classes(self):
         """Every curve class up to the truncation degree, in graded-lex order."""
@@ -235,7 +238,9 @@ class QSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "QSeries"):
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise SpaceMismatch("class-valued and scalar series do not mix")
         if self.space != other.space:
             raise SpaceMismatch("series on different ambient spaces")
         if self.max_degree != other.max_degree:
@@ -243,39 +248,37 @@ class QSeries:
                 f"mixed truncation degrees {self.max_degree} and {other.max_degree}"
             )
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for beta, hl in other.terms.items():
-            terms[beta] = terms.get(beta, HbarLaurent.zero(self.space)) + hl
-        return QSeries(self.space, self.max_degree, terms)
+        for beta, c in other.terms.items():
+            prev = terms.get(beta)
+            terms[beta] = c if prev is None else prev + c
+        return self._new(terms)
 
-    def __sub__(self, other: "QSeries") -> "QSeries":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, k) -> "QSeries":
-        return QSeries(
-            self.space,
-            self.max_degree,
-            {b: hl.scale(k) for b, hl in self.terms.items()},
-        )
+    def scale(self, k):
+        k = Fraction(k)
+        return self._new({b: self._scale_coeff(c, k) for b, c in self.terms.items()})
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
+    def _product(self, other):
         self._check(other)
-        out: dict[tuple[int, ...], HbarLaurent] = {}
-        for ba, ha in self.terms.items():
-            if ha.is_zero:
-                continue
+        D = self.max_degree
+        out: dict = {}
+        for ba, ca in self.terms.items():
             da = _degree(ba)
-            for bb, hb in other.terms.items():
-                if hb.is_zero or da + _degree(bb) > self.max_degree:
+            for bb, cb in other.terms.items():
+                if da + _degree(bb) > D:
                     continue
                 beta = tuple(x + y for x, y in zip(ba, bb))
-                prod = ha * hb
-                out[beta] = out.get(beta, HbarLaurent.zero(self.space)) + prod
-        return QSeries(self.space, self.max_degree, out)
+                prod = ca * cb
+                prev = out.get(beta)
+                out[beta] = prod if prev is None else prev + prod
+        return self._new(out)
 
-    def truncate(self, max_degree: int) -> "QSeries":
+    def truncate(self, max_degree: int):
         """The terms up to ``max_degree``, which may not exceed this series' own."""
         if max_degree > self.max_degree:
             raise TruncationMismatch(
@@ -283,21 +286,73 @@ class QSeries:
                 have=self.max_degree,
                 want=max_degree,
             )
-        terms = {
-            b: hl for b, hl in self.terms.items() if _degree(b) <= max_degree
-        }
-        return QSeries(self.space, max_degree, terms)
+        terms = {b: c for b, c in self.terms.items() if _degree(b) <= max_degree}
+        return type(self)(self.space, max_degree, terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return False
-        if self.space != other.space or self.max_degree != other.max_degree:
-            return False
-        betas = set(self.terms) | set(other.terms)
-        return all(self.term(b) == other.term(b) for b in betas)
+        return (
+            type(other) is type(self)
+            and self.space == other.space
+            and self.max_degree == other.max_degree
+            and self.terms == other.terms
+        )
 
     def __repr__(self):
-        return f"QSeries(D={self.max_degree}, terms={len(self.terms)})"
+        return f"{type(self).__name__}(D={self.max_degree}, terms={len(self.terms)})"
+
+
+class QSeries(_TruncatedSeries):
+    """Truncated q-series with ``HbarLaurent`` coefficients."""
+
+    __slots__ = ()
+    _scale_coeff = staticmethod(HbarLaurent.scale)
+    # each kind keeps ``__mul__`` in its own class namespace, where the
+    # benchmark's tracer looks it up by name
+    __mul__ = _TruncatedSeries._product
+
+    def _coerce(self, hl: HbarLaurent):
+        if hl.space != self.space:
+            raise SpaceMismatch("coefficient on a different ambient space")
+        return None if hl.is_zero else hl
+
+    @classmethod
+    def unit(cls, space: AmbientSpace, max_degree: int) -> "QSeries":
+        return cls(space, max_degree, {(0,) * space.nfactors: HbarLaurent.unit(space)})
+
+    def term(self, beta) -> HbarLaurent:
+        return self.terms.get(tuple(beta), HbarLaurent.zero(self.space))
+
+
+class ScalarQSeries(_TruncatedSeries):
+    """Truncated q-series with rational coefficients: the transformation dials."""
+
+    __slots__ = ()
+    _scale_coeff = staticmethod(mul)
+    __mul__ = _TruncatedSeries._product
+
+    def _coerce(self, c):
+        c = Fraction(c)
+        return c if c else None
+
+    @classmethod
+    def zero(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
+        return cls(space, max_degree, {})
+
+    @classmethod
+    def one(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
+        return cls(space, max_degree, {(0,) * space.nfactors: ONE})
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.terms.get(self.zero_beta, ZERO)
+
+    def coeff(self, beta) -> Fraction:
+        return self.terms.get(tuple(beta), ZERO)
+
+    def set_coeff(self, beta, value) -> "ScalarQSeries":
+        terms = dict(self.terms)
+        terms[tuple(beta)] = value
+        return self._new(terms)
 
 
 def all_curve_classes(space: AmbientSpace, max_degree: int):
@@ -312,128 +367,49 @@ def all_curve_classes(space: AmbientSpace, max_degree: int):
             rec(prefix + [d], remaining - d)
 
     rec([], max_degree)
-    return sorted(out, key=lambda b: (_degree(b), b))
+    return sorted(out, key=_graded)
 
 
-class ScalarQSeries:
-    """Truncated power series in the q-variables with rational coefficients."""
+def _power_sum(x, one, start, coeff):
+    """start + sum_{k >= 1} coeff(k) x^k for x without a q^0 term; x^k
+    vanishes past the truncation degree, so the sum is finite."""
+    out = start
+    power = one
+    for k in range(1, x.max_degree + 1):
+        power = power * x
+        if power.is_zero:
+            break
+        out = out + power.scale(coeff(k))
+    return out
 
-    __slots__ = ("space", "max_degree", "terms")
 
-    def __init__(self, space: AmbientSpace, max_degree: int, terms: dict | None = None):
-        self.space = space
-        self.max_degree = int(max_degree)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for beta, c in (terms or {}).items():
-            beta = space.check_curve_class(beta)
-            if _degree(beta) > self.max_degree:
-                raise ValueError(f"term {beta} beyond truncation degree {max_degree}")
-            c = Fraction(c)
-            if c != 0:
-                clean[beta] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
-        return cls(space, max_degree, {})
-
-    @classmethod
-    def one(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
-        return cls(space, max_degree, {(0,) * space.nfactors: ONE})
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.space.nfactors, ZERO)
-
-    def coeff(self, beta) -> Fraction:
-        return self.terms.get(tuple(beta), ZERO)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "ScalarQSeries"):
-        if self.space != other.space:
-            raise SpaceMismatch("series on different ambient spaces")
-        if self.max_degree != other.max_degree:
-            raise TruncationMismatch(
-                f"mixed truncation degrees {self.max_degree} and {other.max_degree}"
-            )
-
-    def __add__(self, other: "ScalarQSeries") -> "ScalarQSeries":
-        self._check(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            terms[b] = terms.get(b, ZERO) + c
-        return ScalarQSeries(self.space, self.max_degree, terms)
-
-    def __sub__(self, other: "ScalarQSeries") -> "ScalarQSeries":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "ScalarQSeries":
-        k = Fraction(k)
-        return ScalarQSeries(
-            self.space, self.max_degree, {b: k * c for b, c in self.terms.items()}
-        )
-
-    def __mul__(self, other: "ScalarQSeries") -> "ScalarQSeries":
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ba, ca in self.terms.items():
-            da = _degree(ba)
-            for bb, cb in other.terms.items():
-                if da + _degree(bb) > self.max_degree:
-                    continue
-                beta = tuple(x + y for x, y in zip(ba, bb))
-                out[beta] = out.get(beta, ZERO) + ca * cb
-        return ScalarQSeries(self.space, self.max_degree, out)
-
-    def set_coeff(self, beta, value) -> "ScalarQSeries":
-        terms = dict(self.terms)
-        terms[tuple(beta)] = Fraction(value)
-        return ScalarQSeries(self.space, self.max_degree, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScalarQSeries)
-            and self.space == other.space
-            and self.max_degree == other.max_degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"ScalarQSeries(D={self.max_degree}, {dict(sorted(self.terms.items()))})"
+def _exp_coeff(k: int) -> Fraction:
+    return Fraction(1, factorial(k))
 
 
 def qs_exp(a: ScalarQSeries) -> ScalarQSeries:
     """exp of a series with zero constant term, as the finite truncated sum."""
     if a.constant_term != 0:
         raise ValueError("qs_exp needs a zero constant term")
-    out = ScalarQSeries.one(a.space, a.max_degree)
-    power = ScalarQSeries.one(a.space, a.max_degree)
-    for k in range(1, a.max_degree + 1):
-        power = power * a
-        if power.is_zero:
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-    return out
+    one = ScalarQSeries.one(a.space, a.max_degree)
+    return _power_sum(a, one, one, _exp_coeff)
 
 
 def qs_log(a: ScalarQSeries) -> ScalarQSeries:
     """log of a series with constant term 1."""
     if a.constant_term != 1:
         raise ValueError("qs_log needs constant term exactly 1")
-    x = a - ScalarQSeries.one(a.space, a.max_degree)
-    out = ScalarQSeries.zero(a.space, a.max_degree)
-    power = ScalarQSeries.one(a.space, a.max_degree)
-    sign = ONE
-    for k in range(1, a.max_degree + 1):
-        power = power * x
-        if power.is_zero:
-            break
-        out = out + power.scale(sign / k)
-        sign = -sign
-    return out
+    one = ScalarQSeries.one(a.space, a.max_degree)
+    zero = ScalarQSeries.zero(a.space, a.max_degree)
+    return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def qs_exp_full(L: QSeries) -> QSeries:
+    """exp of a class-valued series whose beta = 0 term vanishes."""
+    if L.zero_beta in L.terms:
+        raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
+    one = QSeries.unit(L.space, L.max_degree)
+    return _power_sum(L, one, one, _exp_coeff)
 
 
 def _pairing_factors(f1: list[ScalarQSeries], space, max_degree):
@@ -460,46 +436,43 @@ def _pairing_factors(f1: list[ScalarQSeries], space, max_degree):
     return factor
 
 
-def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
-    """Apply q_i -> q_i * exp(f1^i(q)) to a series, truncating at D.
+def _substitute(S, f1: list[ScalarQSeries]):
+    """S(q e^{f1}) for a series of either kind, truncated at its degree D.
 
-    Each q^beta term is multiplied by exp(sum_i beta_i f1^i); the beta = 0
-    term is never modified.
+    Each q^beta term is multiplied by exp(sum_i beta_i f1^i), so the
+    beta = 0 term is never modified.  The substitution data must be one
+    scalar series per ambient factor, on the same space and degree as S,
+    each with zero constant term.
     """
     space, D = S.space, S.max_degree
     if len(f1) != space.nfactors:
         raise SpaceMismatch("need one substitution series per ambient factor")
+    layout = ScalarQSeries.zero(space, D)
     for f in f1:
-        if f.space != space or f.max_degree != D:
-            raise TruncationMismatch("substitution data must match the series")
+        layout._check(f)
         if f.constant_term != 0:
             raise ValueError("substitution series must have zero constant term")
     pairing = _pairing_factors(f1, space, D)
-    out: dict[tuple[int, ...], HbarLaurent] = {}
-    for beta, hl in S.terms.items():
-        if hl.is_zero:
-            continue
-        for gamma, c in pairing(beta).terms.items():
-            total = tuple(x + y for x, y in zip(beta, gamma))
-            if _degree(total) > D:
-                continue
-            contrib = hl.scale(c)
-            out[total] = out.get(total, HbarLaurent.zero(space)) + contrib
-    return QSeries(space, D, out)
-
-
-def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeries:
-    """Evaluate f(q * exp(g1)) as a truncated scalar series."""
-    space, D = f.space, f.max_degree
-    pairing = _pairing_factors(g1, space, D)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for beta, c in f.terms.items():
+    out: dict = {}
+    for beta, c in S.terms.items():
         for gamma, e in pairing(beta).terms.items():
             total = tuple(x + y for x, y in zip(beta, gamma))
             if _degree(total) > D:
                 continue
-            out[total] = out.get(total, ZERO) + c * e
-    return ScalarQSeries(space, D, out)
+            contrib = S._scale_coeff(c, e)
+            prev = out.get(total)
+            out[total] = contrib if prev is None else prev + contrib
+    return S._new(out)
+
+
+def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
+    """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series."""
+    return _substitute(S, f1)
+
+
+def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeries:
+    """Evaluate f(q * exp(g1)) as a truncated scalar series."""
+    return _substitute(f, g1)
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
@@ -517,20 +490,6 @@ def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
                     terms[beta] = -c
             g[i] = ScalarQSeries(space, D, terms)
     return g
-
-
-def qs_exp_full(L: QSeries) -> QSeries:
-    """exp of a class-valued series whose beta = 0 term vanishes."""
-    if not L.term(L.zero_beta).is_zero:
-        raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    out = QSeries.unit(L.space, L.max_degree)
-    power = QSeries.unit(L.space, L.max_degree)
-    for k in range(1, L.max_degree + 1):
-        power = power * L
-        if all(hl.is_zero for hl in power.terms.values()):
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-    return out
 
 
 def promote(space: AmbientSpace, f: ScalarQSeries) -> QSeries:
@@ -558,12 +517,11 @@ def hl_from_obj(space: AmbientSpace, obj) -> HbarLaurent:
 
 
 def qseries_to_obj(S: QSeries) -> dict:
+    """Terms in graded-lex order; the beta = 0 entry is written even when zero."""
+    betas = sorted(S.terms.keys() | {S.zero_beta}, key=_graded)
     return {
         "D": S.max_degree,
-        "terms": [
-            {"beta": list(beta), "hbar": hl_to_obj(S.terms[beta])}
-            for beta in S.betas()
-        ],
+        "terms": [{"beta": list(beta), "hbar": hl_to_obj(S.term(beta))} for beta in betas],
     }
 
 
@@ -578,10 +536,5 @@ def qseries_from_obj(space: AmbientSpace, obj) -> QSeries:
 def scalar_to_obj(f: ScalarQSeries) -> list:
     return [
         {"beta": list(beta), "coeff": format_fraction(f.terms[beta])}
-        for beta in sorted(f.terms, key=lambda b: (_degree(b), b))
+        for beta in sorted(f.terms, key=_graded)
     ]
-
-
-def scalar_from_obj(space: AmbientSpace, max_degree: int, obj) -> ScalarQSeries:
-    terms = {tuple(e["beta"]): parse_fraction(e["coeff"]) for e in obj}
-    return ScalarQSeries(space, max_degree, terms)

@@ -29,7 +29,6 @@ from .series import (
     QSeries,
     all_curve_classes,
     qseries_from_obj,
-    qseries_to_obj,
 )
 
 CONVEX = "Convex"
@@ -290,18 +289,44 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
 # -- serialization -----------------------------------------------------------
 
 
-def geometry_to_obj(g: GeometrySpec) -> dict:
-    return {
-        "ambient": list(g.space.factors),
-        "bundle": [{"l": list(l)} for l in g.bundle.lines],
-        "external_j": None if g.external_j is None else qseries_to_obj(g.external_j),
-    }
+def _int_list(value, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of integers")
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            raise ValueError(f"{field}[{i}] must be an integer, got {x!r}")
+    return tuple(value)
 
 
 def geometry_from_obj(obj) -> GeometrySpec:
-    space = AmbientSpace(tuple(int(r) for r in obj["ambient"]))
-    lines = tuple(tuple(int(x) for x in entry["l"]) for entry in obj.get("bundle", []))
-    bundle = BundleSpec(lines)
+    """Read a geometry from its JSON object, refusing any other shape.
+
+    The object has the keys ``ambient`` (a list of integers),
+    ``bundle`` (a list of objects ``{"l": [integers]}``) and optionally
+    ``external_j`` (a serialized series, or null).  Booleans, floats and
+    strings are not integers here.  Anything else raises ValueError naming
+    the field, such as ``bundle[0].l[0]``, before any arithmetic.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("geometry must be a JSON object")
+    for key in obj:
+        if key not in ("ambient", "bundle", "external_j"):
+            raise ValueError(f"unknown geometry field {key!r}")
+    for key in ("ambient", "bundle"):
+        if key not in obj:
+            raise ValueError(f"missing geometry field {key!r}")
+    ambient = _int_list(obj["ambient"], "ambient")
+    if not isinstance(obj["bundle"], list):
+        raise ValueError("bundle must be a list")
+    lines = []
+    for j, entry in enumerate(obj["bundle"]):
+        if not isinstance(entry, dict) or set(entry) != {"l"}:
+            raise ValueError(f"bundle[{j}] must be an object with the one key 'l'")
+        lines.append(_int_list(entry["l"], f"bundle[{j}].l"))
     ext = obj.get("external_j")
+    if not (ext is None or isinstance(ext, dict)):
+        raise ValueError("external_j must be a serialized series or null")
+    space = AmbientSpace(ambient)
+    bundle = BundleSpec(tuple(lines))
     external_j = None if ext is None else qseries_from_obj(space, ext)
     return GeometrySpec(space, bundle, external_j)

@@ -256,3 +256,66 @@ def test_error_payload_names_raising_module(tmp_path):
     payload = json.loads(done.stderr)
     assert payload["error"] == "Unsupported"
     assert payload["module"] == "cli"
+
+
+def test_verify_stops_at_compared_degrees(monkeypatch, capsys):
+    argv = ["--geometry", QUINTIC, "--cmd", "verify", "--max-degree"]
+    _, short, _ = _run(capsys, argv + ["2"])
+    degrees = []
+    real = gwtwist.cli.n_numbers
+
+    def spy(g, max_degree):
+        degrees.append(max_degree)
+        return real(g, max_degree)
+
+    monkeypatch.setattr(gwtwist.cli, "n_numbers", spy)
+    rc, out, _ = _run(capsys, argv + ["8"])
+    assert rc == 0
+    assert degrees == [2]
+    obj = json.loads(out)
+    assert obj["D"] == 8
+    assert obj["rows"] == json.loads(short)["rows"]
+
+
+@pytest.mark.parametrize(
+    "geometry, field",
+    [
+        pytest.param({"ambient": [4], "bundle": [{"l": [5.9]}]}, "bundle[0].l[0]", id="float-l"),
+        pytest.param({"ambient": [4.2], "bundle": [{"l": [True]}]}, "ambient[0]", id="float-ambient"),
+        pytest.param({"ambient": [4], "bundle": [{"l": [True]}]}, "bundle[0].l[0]", id="bool-l"),
+        pytest.param({"ambient": [4], "bundle": [{"l": 5}]}, "bundle[0].l", id="int-l"),
+        pytest.param({"ambient": [4], "bundle": [{"l": ["5"]}]}, "bundle[0].l[0]", id="string-l"),
+        pytest.param({"ambient": [4], "bundle": [{"l": [5], "m": [1]}]}, "bundle[0]", id="extra-entry-key"),
+        pytest.param({"ambient": [4], "bundle": [5]}, "bundle[0]", id="entry-not-object"),
+        pytest.param({"ambient": "4", "bundle": []}, "ambient", id="string-ambient"),
+        pytest.param({"ambient": [4]}, "bundle", id="missing-bundle"),
+        pytest.param({"ambient": [4], "bundle": [], "extra": 1}, "extra", id="unknown-key"),
+        pytest.param({"ambient": [4], "bundle": [], "external_j": [1]}, "external_j", id="external-j-list"),
+        pytest.param([4], "geometry", id="not-object"),
+    ],
+)
+def test_malformed_geometry_refused_before_arithmetic(tmp_path, capsys, geometry, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(geometry))
+    rc, out, err = _run(capsys, ["--geometry", str(path), "--cmd", "invariants"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ValueError: ")
+    assert field in err
+
+
+def test_engine_fault_is_not_an_input_problem(tmp_path, monkeypatch, capsys):
+    def broken(g):
+        raise KeyError("lost basis monomial")
+
+    monkeypatch.setattr(gwtwist.cli, "check_conditions", broken)
+    rc, out, err = _run(capsys, ["--geometry", QUINTIC, "--cmd", "check"])
+    assert rc == 3
+    assert out == ""
+    assert err == "KeyError: 'lost basis monomial'\n"
+    # a malformed file is still the input's fault
+    path = tmp_path / "bad.json"
+    path.write_text('{"ambient": [4], "bundle": [{"l": 5}]}')
+    rc, _, err = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
+    assert rc == 2
+    assert err.startswith("ValueError: ")

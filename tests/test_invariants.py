@@ -8,14 +8,11 @@ from gwtwist import (
     GeometrySpec,
     Infeasible,
     MirrorMap,
-    NotNormalized,
     QSeries,
     ScalarQSeries,
     TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
-    extract_descendants,
-    i_function,
     j_ambient,
     n_numbers,
     normalized_series,
@@ -36,23 +33,6 @@ P4 = AmbientSpace((4,))
 
 QUINTIC = GeometrySpec(P4, BundleSpec(((5,),)))
 LOCAL_P1 = GeometrySpec(P1, BundleSpec(((-1,), (-1,))))
-
-
-def test_descendants_from_ambient_series():
-    table = extract_descendants(j_ambient(P1, 2))
-    # degree-one coefficient of hbar^-2 is the unit class
-    assert table.value((1,), 0, (0,)) == Fraction(1)
-    assert table.value((1,), 1, (0,)) == Fraction(0)
-
-
-def test_descendants_skip_origin():
-    table = extract_descendants(j_ambient(P1, 2))
-    assert all(key[0] != (0,) for key in table.entries)
-
-
-def test_descendants_reject_unnormalized_input():
-    with pytest.raises(NotNormalized):
-        extract_descendants(i_function(QUINTIC, 1))
 
 
 def test_quintic_single_cover_numbers():

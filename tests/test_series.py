@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from gwtwist.series import (
     hl_from_obj,
     hl_to_obj,
     promote,
-    scalar_from_obj,
+    qs_exp_full,
     scalar_to_obj,
 )
 
@@ -92,15 +93,53 @@ def test_hl_invert_round_trip_randomized():
 
 
 def test_qseries_mixed_truncation_refused():
-    a = QSeries.unit(P1, 3)
-    b = QSeries.unit(P1, 4)
-    with pytest.raises(TruncationMismatch):
-        a * b
+    # both kinds of q-series, through the shared check
+    for make in (QSeries.unit, ScalarQSeries.one):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(TruncationMismatch):
+                op(make(P1, 3), make(P1, 4))
 
 
 def test_qseries_mixed_space_refused():
+    for make in (QSeries.unit, ScalarQSeries.one):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(SpaceMismatch):
+                op(make(P1, 3), make(P4, 3))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("scalar_first", [False, True], ids=["class-scalar", "scalar-class"])
+def test_mixed_kinds_refused(op, scalar_first):
+    a, b = QSeries.unit(P1, 2), ScalarQSeries.one(P1, 2)
+    if scalar_first:
+        a, b = b, a
     with pytest.raises(SpaceMismatch):
-        QSeries.unit(P1, 3) * QSeries.unit(P4, 3)
+        op(a, b)
+
+
+@pytest.mark.parametrize("cls", [QSeries, ScalarQSeries])
+def test_negative_truncation_refused(cls):
+    with pytest.raises(ValueError):
+        cls(P1, -1)
+
+
+@pytest.mark.parametrize(
+    "g1, error",
+    [
+        ([], SpaceMismatch),
+        ([ScalarQSeries.zero(P1, 2)] * 2, SpaceMismatch),
+        ([QSeries(P1, 2)], SpaceMismatch),
+        ([ScalarQSeries.zero(P1, 3)], TruncationMismatch),
+        ([ScalarQSeries.one(P1, 2)], ValueError),
+    ],
+    ids=["none", "two", "class-valued", "degree", "constant-term"],
+)
+@pytest.mark.parametrize("substitute", [compose_substitute, qs_substitute])
+def test_substitution_data_refused(substitute, g1, error):
+    f = ScalarQSeries(P1, 2, {(1,): 1})
+    series = f if substitute is compose_substitute else promote(P1, f)
+    with pytest.raises(error):
+        substitute(series, g1)
 
 
 def test_qseries_product_truncates():
@@ -125,6 +164,16 @@ def test_scalar_exp_log_round_trip_randomized():
                 terms[beta] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         f = ScalarQSeries(sp, D, terms)
         assert qs_log(qs_exp(f)) == f
+
+
+def test_class_exp_matches_scalar_exp():
+    # qs_exp_full and qs_exp share one power sum; on a promoted scalar
+    # series the two must agree
+    for sp, D in ((P1, 5), (AmbientSpace((1, 1)), 3)):
+        terms = {b: Fraction(sum(b) + 1, 3) for b in QSeries.unit(sp, D).curve_classes()}
+        del terms[(0,) * sp.nfactors]
+        f = ScalarQSeries(sp, D, terms)
+        assert qs_exp_full(promote(sp, f)) == promote(sp, qs_exp(f))
 
 
 def test_qs_exp_requires_zero_constant():
@@ -219,6 +268,8 @@ def test_qseries_serialization_round_trip():
     assert obj["D"] == 2
     betas = [tuple(t["beta"]) for t in obj["terms"]]
     assert betas == sorted(betas, key=lambda b: (sum(b), b))
+    # the beta = 0 entry is written even when that term is zero
+    assert obj["terms"][0] == {"beta": [0], "hbar": []}
     assert qseries_from_obj(P1, obj) == S
 
 
@@ -228,10 +279,11 @@ def test_hl_serialization_round_trip():
 
 
 def test_scalar_serialization_round_trip():
-    f = ScalarQSeries(P1, 3, {(1,): Fraction(-2, 3), (3,): Fraction(9)})
-    obj = scalar_to_obj(f)
-    assert obj[0]["coeff"] == "-2/3"
-    assert scalar_from_obj(P1, 3, obj) == f
+    f = ScalarQSeries(P1, 3, {(3,): 9, (1,): Fraction(-2, 3), (2,): 0})
+    assert scalar_to_obj(f) == [
+        {"beta": [1], "coeff": "-2/3"},
+        {"beta": [3], "coeff": "9/1"},
+    ]
 
 
 def test_promote_places_unit_class():
