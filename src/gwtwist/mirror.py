@@ -96,16 +96,14 @@ class NormalForm:
         return self.g == one and all(f.is_zero for f in self.divisor_part)
 
 
-def _solve_linear(space: AmbientSpace, columns, target: CohClass):
+def _solve_linear(columns, target: CohClass):
     """Solve sum_i c_i * columns[i] = target over the rationals.
 
     Free variables are set to zero; returns None when inconsistent.
     """
     ncols = len(columns)
     mat = []
-    for idx in range(len(space.basis)):
-        row = [col.coeffs[idx] for col in columns]
-        rhs = target.coeffs[idx]
+    for *row, rhs in zip(*(col.coeffs for col in columns), target.coeffs):
         if any(row) or rhs != 0:
             mat.append(row + [rhs])
     sol = [ZERO] * ncols
@@ -185,7 +183,7 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
             )
         if g_beta != 0:
             g_terms[beta] = g_beta
-        coeffs = _solve_linear(space, columns, a1 * ctop)
+        coeffs = _solve_linear(columns, a1 * ctop)
         if coeffs is None:
             raise StructureViolation(
                 "hbar^-1 coefficient has no divisor decomposition against the Euler class",

@@ -3,8 +3,10 @@
 The ambient space is P = P^{r_1} x ... x P^{r_N}; its cohomology ring is
 Q[p_1..p_N] / (p_1^{r_1+1}, ..., p_N^{r_N+1}) with p_i the hyperplane class
 pulled back from the i-th factor.  Classes are stored densely over the full
-monomial basis in graded-lexicographic order, with arbitrary-precision
-rational coefficients.  There is no floating point anywhere in this package.
+monomial basis in graded-lexicographic order, as integer numerators over one
+positive common denominator in lowest terms, so the arithmetic runs on
+integers; every coefficient handed out is a ``Fraction``.  There is no
+floating point anywhere in this package.
 
 Curve classes are bare tuples of non-negative integers, one entry per factor.
 """
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
+from math import gcd, lcm
 
 from .errors import SpaceMismatch
 
@@ -69,7 +72,7 @@ class AmbientSpace:
     # -- building blocks -----------------------------------------------------
 
     def zero(self) -> "CohClass":
-        return CohClass(self, (ZERO,) * len(self.basis))
+        return CohClass(self, (0,) * len(self.basis), 1)
 
     def unit(self) -> "CohClass":
         return self.monomial((0,) * self.nfactors)
@@ -79,9 +82,10 @@ class AmbientSpace:
         idx = self.basis_index.get(exponents)
         if idx is None:
             raise ValueError(f"exponents {exponents} out of range for {self}")
-        coeffs = [ZERO] * len(self.basis)
-        coeffs[idx] = Fraction(coeff)
-        return CohClass(self, tuple(coeffs))
+        coeff = Fraction(coeff)
+        num = [0] * len(self.basis)
+        num[idx] = coeff.numerator
+        return CohClass(self, num, coeff.denominator)
 
     def hyperplane(self, i: int) -> "CohClass":
         """The hyperplane class p_i of the i-th factor."""
@@ -124,77 +128,132 @@ def _basis_index(factors: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(_basis(factors))}
 
 
+@lru_cache(maxsize=None)
+def _mul_table(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i lists the pairs (j, k) with basis[i] * basis[j] = basis[k];
+    products past some p_i^{r_i} vanish (nilpotency) and are left out."""
+    basis = _basis(factors)
+    index = _basis_index(factors)
+    rows = []
+    for ea in basis:
+        row = []
+        for j, eb in enumerate(basis):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= cap for x, cap in zip(e, factors)):
+                row.append((j, index[e]))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class CohClass:
-    """An element of the cohomology ring, dense over the monomial basis."""
+    """An element of the cohomology ring, dense over the monomial basis.
 
-    __slots__ = ("space", "coeffs")
+    Stored as ``num``, a tuple of integer numerators, over ``den``, one
+    positive common denominator, in lowest terms: gcd(den, *num) == 1 and
+    zero has den 1.  So equal classes compare and hash equal.
+    ``CohClass(space, rationals)`` takes the coefficients as rationals;
+    ``CohClass(space, numerators, den)`` takes integer numerators over a
+    non-zero integer ``den`` and reduces them.
+    """
 
-    def __init__(self, space: AmbientSpace, coeffs):
-        self.space = space
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != len(space.basis):
+    __slots__ = ("space", "num", "den")
+
+    def __init__(self, space: AmbientSpace, coeffs, den: int | None = None):
+        if den is None:
+            fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+            den = lcm(*[f.denominator for f in fracs])
+            num = [f.numerator * (den // f.denominator) for f in fracs]
+        elif den == 0:
+            raise ZeroDivisionError("class with a zero denominator")
+        else:
+            num = coeffs
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        num = tuple(num)
+        if len(num) != len(space.basis):
             raise ValueError("coefficient vector does not match the basis size")
-        self.coeffs = coeffs
+        self.space = space
+        self.num = num
+        self.den = den
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in basis order."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
+
     def coeff(self, exponents) -> Fraction:
         idx = self.space.basis_index.get(tuple(exponents))
-        return self.coeffs[idx] if idx is not None else ZERO
+        return Fraction(self.num[idx], self.den) if idx is not None else ZERO
 
     @property
     def scalar_part(self) -> Fraction:
         """Coefficient of the identity monomial."""
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def items(self):
         """Nonzero (exponents, coefficient) pairs in basis order."""
-        for e, c in zip(self.space.basis, self.coeffs):
-            if c != 0:
-                yield e, c
+        den = self.den
+        for e, x in zip(self.space.basis, self.num):
+            if x:
+                yield e, Fraction(x, den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "CohClass"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch("classes live on different ambient spaces")
 
-    def __add__(self, other: "CohClass") -> "CohClass":
+    def _combine(self, other: "CohClass", sign: int) -> "CohClass":
+        """self + sign * other, adding numerators over the common denominator."""
         self._check(other)
-        return CohClass(self.space, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + sign * b for a, b in zip(self.num, other.num)]
+            return CohClass(self.space, num, da)
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        num = [fa * a + fb * b for a, b in zip(self.num, other.num)]
+        return CohClass(self.space, num, den)
+
+    def __add__(self, other: "CohClass") -> "CohClass":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        self._check(other)
-        return CohClass(self.space, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "CohClass":
-        return CohClass(self.space, tuple(-a for a in self.coeffs))
+        return CohClass(self.space, [-a for a in self.num], self.den)
 
     def scale(self, k) -> "CohClass":
-        k = Fraction(k)
-        return CohClass(self.space, tuple(k * a for a in self.coeffs))
+        if type(k) is not int:
+            k = Fraction(k)
+            kn, kd = k.numerator, k.denominator
+            return CohClass(self.space, [kn * a for a in self.num], kd * self.den)
+        return CohClass(self.space, [k * a for a in self.num], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
             return self.scale(other)
         self._check(other)
-        space = self.space
-        caps = space.factors
-        index = space.basis_index
-        out = [ZERO] * len(space.basis)
-        mine = [(e, c) for e, c in self.items()]
-        for eb, cb in other.items():
-            for ea, ca in mine:
-                # nilpotency: drop monomials past p_i^{r_i}
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(x > cap for x, cap in zip(e, caps)):
-                    continue
-                out[index[e]] += ca * cb
-        return CohClass(space, tuple(out))
+        b = other.num
+        out = [0] * len(b)
+        for a, row in zip(self.num, _mul_table(self.space.factors)):
+            if a:
+                for j, k in row:
+                    if b[j]:
+                        out[k] += a * b[j]
+        return CohClass(self.space, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -203,11 +262,12 @@ class CohClass:
         return (
             isinstance(other, CohClass)
             and self.space == other.space
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.space, self.coeffs))
+        return hash((self.space, self.num, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -279,8 +339,49 @@ def coh_to_obj(c: CohClass) -> list:
     ]
 
 
-def coh_from_obj(space: AmbientSpace, obj) -> CohClass:
+def _int_list(value, field: str) -> tuple[int, ...]:
+    """A JSON list of integers (no booleans), else ValueError naming ``field``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of integers")
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            raise ValueError(f"{field}[{i}] must be an integer, got {x!r}")
+    return tuple(value)
+
+
+def _check_fields(obj, field: str, required, optional=()):
+    """Refuse anything but a JSON object with the ``required`` keys and at
+    most the ``optional`` ones, with a ValueError naming ``field``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field} must be a JSON object")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown {field} field {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing {field} field {key!r}")
+
+
+def coh_from_obj(space: AmbientSpace, obj, field: str = "class") -> CohClass:
+    """Read a class from ``coh_to_obj`` form: a list of ``{exp, coeff}``
+    with ``exp`` a monomial's exponent list and ``coeff`` a rational string.
+    Any other shape raises ValueError naming the field, such as
+    ``class[1].coeff``."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{field} must be a list")
     out = space.zero()
-    for entry in obj:
-        out = out + space.monomial(entry["exp"], parse_fraction(entry["coeff"]))
+    for i, entry in enumerate(obj):
+        where = f"{field}[{i}]"
+        _check_fields(entry, where, ("exp", "coeff"))
+        exp = _int_list(entry["exp"], f"{where}.exp")
+        if exp not in space.basis_index:
+            raise ValueError(f"{where}.exp {list(exp)} is not a monomial of {space}")
+        coeff = entry["coeff"]
+        if not isinstance(coeff, str):
+            raise ValueError(f"{where}.coeff must be a string, got {coeff!r}")
+        try:
+            value = parse_fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{where}.coeff is not a rational: {coeff!r}") from None
+        out = out + space.monomial(exp, value)
     return out

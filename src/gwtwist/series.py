@@ -8,8 +8,8 @@ Two layers sit on top of the cohomology ring:
   degree D.  One implementation serves two coefficient kinds: ``QSeries``
   holds ``HbarLaurent`` values (the twisted series and its transforms) and
   ``ScalarQSeries`` holds rationals (the dials f0 and f1 of the change of
-  variables).  The power-sum exp and the substitution q -> q e^{f1} are
-  likewise written once for both kinds.
+  variables).  The exp, by the one-pass Euler-operator recurrence, and the
+  substitution q -> q e^{f1} are likewise written once for both kinds.
 
 The exponential prefactor common to generating-series conventions is never
 materialized; series are always stored in reduced form, coefficient by curve
@@ -19,7 +19,6 @@ class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import mul
 
 from .errors import NonInvertible, SpaceMismatch, TruncationMismatch
@@ -28,6 +27,8 @@ from .ring import (
     CohClass,
     ONE,
     ZERO,
+    _check_fields,
+    _int_list,
     coh_from_obj,
     coh_to_obj,
     format_fraction,
@@ -90,7 +91,8 @@ class HbarLaurent:
         self._check(other)
         terms = dict(self.terms)
         for k, cls in other.terms.items():
-            terms[k] = terms.get(k, self.space.zero()) + cls
+            prev = terms.get(k)
+            terms[k] = cls if prev is None else prev + cls
         return HbarLaurent(self.space, terms)
 
     def __sub__(self, other: "HbarLaurent") -> "HbarLaurent":
@@ -117,7 +119,8 @@ class HbarLaurent:
                 if prod.is_zero:
                     continue
                 k = ka + kb
-                out[k] = out.get(k, self.space.zero()) + prod
+                prev = out.get(k)
+                out[k] = prod if prev is None else prev + prod
         return HbarLaurent(self.space, out)
 
     def invert(self) -> "HbarLaurent":
@@ -370,89 +373,131 @@ def all_curve_classes(space: AmbientSpace, max_degree: int):
     return sorted(out, key=_graded)
 
 
-def _power_sum(x, one, start, coeff):
-    """start + sum_{k >= 1} coeff(k) x^k for x without a q^0 term; x^k
-    vanishes past the truncation degree, so the sum is finite."""
-    out = start
-    power = one
-    for k in range(1, x.max_degree + 1):
-        power = power * x
-        if power.is_zero:
-            break
-        out = out + power.scale(coeff(k))
-    return out
+def _theta(f) -> list:
+    """The terms of theta f = sum_i q_i d/dq_i f, which scales q^beta by
+    |beta|, as triples (gamma, |gamma|, |gamma| f_gamma)."""
+    scale = f._scale_coeff
+    return [(g, _degree(g), scale(c, _degree(g))) for g, c in f.terms.items()]
 
 
-def _exp_coeff(k: int) -> Fraction:
-    return Fraction(1, factorial(k))
+def _convolve(beta, theta, terms):
+    """sum over gamma <= beta of (|gamma| f_gamma) * terms[beta - gamma], for
+    ``theta`` from ``_theta``, or None when no pair contributes."""
+    d = _degree(beta)
+    acc = None
+    for gamma, dg, c in theta:
+        if dg > d:
+            continue
+        # a negative entry is never a key of terms
+        other = terms.get(tuple(b - g for b, g in zip(beta, gamma)))
+        if other is None:
+            continue
+        prod = c * other
+        acc = prod if acc is None else acc + prod
+    return acc
+
+
+def _exp(f, one):
+    """exp(f) for f without a q^0 term, in one pass over the curve classes.
+
+    theta(e^f) = theta(f) e^f gives |beta| E_beta = sum_{0<gamma<=beta}
+    |gamma| f_gamma E_{beta-gamma}, so each coefficient follows from those
+    of lower degree (Brent-Kung, JACM 1978).
+    """
+    theta = _theta(f)
+    out = {f.zero_beta: one}
+    for beta in f.curve_classes()[1:]:
+        acc = _convolve(beta, theta, out)
+        if acc is not None:
+            out[beta] = f._scale_coeff(acc, Fraction(1, _degree(beta)))
+    return f._new(out)
 
 
 def qs_exp(a: ScalarQSeries) -> ScalarQSeries:
-    """exp of a series with zero constant term, as the finite truncated sum."""
+    """exp of a series with zero constant term."""
     if a.constant_term != 0:
         raise ValueError("qs_exp needs a zero constant term")
-    one = ScalarQSeries.one(a.space, a.max_degree)
-    return _power_sum(a, one, one, _exp_coeff)
+    return _exp(a, ONE)
 
 
 def qs_log(a: ScalarQSeries) -> ScalarQSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1, in one pass.
+
+    theta(log a) a = theta(a) gives |beta| L_beta = |beta| a_beta -
+    sum_{0<gamma<beta} |gamma| L_gamma a_{beta-gamma}.
+    """
     if a.constant_term != 1:
         raise ValueError("qs_log needs constant term exactly 1")
-    one = ScalarQSeries.one(a.space, a.max_degree)
-    zero = ScalarQSeries.zero(a.space, a.max_degree)
-    return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k))
+    out: dict = {}
+    theta: list = []  # (gamma, |gamma|, |gamma| L_gamma) found so far
+    for beta in a.curve_classes()[1:]:
+        d = _degree(beta)
+        c = d * a.terms.get(beta, ZERO)
+        acc = _convolve(beta, theta, a.terms)
+        if acc is not None:
+            c -= acc
+        if c:
+            out[beta] = c / d
+            theta.append((beta, d, c))
+    return a._new(out)
 
 
 def qs_exp_full(L: QSeries) -> QSeries:
     """exp of a class-valued series whose beta = 0 term vanishes."""
     if L.zero_beta in L.terms:
         raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    one = QSeries.unit(L.space, L.max_degree)
-    return _power_sum(L, one, one, _exp_coeff)
+    return _exp(L, HbarLaurent.unit(L.space))
 
 
 def _pairing_factors(f1: list[ScalarQSeries], space, max_degree):
     """Return beta -> exp(sum_i beta_i f1^i), the factor picked up by q^beta.
 
     The factor is the product of powers E_i^{beta_i} with E_i = exp(f1^i);
-    each E_i is computed once and its powers are cached, so the cost per
-    curve class is at most one series product per ambient factor.
+    each E_i is computed once, and its powers and the factors are cached, so
+    each curve class costs at most one series product per ambient factor,
+    however many series the factors are applied to.
     """
     one = ScalarQSeries.one(space, max_degree)
     exps = [qs_exp(f) for f in f1]
     powers = [[one] for _ in f1]
+    factors: dict = {}
 
     def factor(beta) -> ScalarQSeries:
-        out = None
+        out = factors.get(beta)
+        if out is not None:
+            return out
         for b, e, pw in zip(beta, exps, powers):
             if not b:
                 continue
             while len(pw) <= b:
                 pw.append(pw[-1] * e)
             out = pw[b] if out is None else out * pw[b]
-        return one if out is None else out
+        factors[beta] = out = one if out is None else out
+        return out
 
     return factor
 
 
-def _substitute(S, f1: list[ScalarQSeries]):
-    """S(q e^{f1}) for a series of either kind, truncated at its degree D.
-
-    Each q^beta term is multiplied by exp(sum_i beta_i f1^i), so the
-    beta = 0 term is never modified.  The substitution data must be one
-    scalar series per ambient factor, on the same space and degree as S,
-    each with zero constant term.
-    """
-    space, D = S.space, S.max_degree
+def _check_substitution(space: AmbientSpace, max_degree: int, f1: list[ScalarQSeries]):
+    """Refuse substitution data that is not one scalar series per ambient
+    factor, on this space and degree, with zero constant term."""
     if len(f1) != space.nfactors:
         raise SpaceMismatch("need one substitution series per ambient factor")
-    layout = ScalarQSeries.zero(space, D)
+    layout = ScalarQSeries.zero(space, max_degree)
     for f in f1:
         layout._check(f)
         if f.constant_term != 0:
             raise ValueError("substitution series must have zero constant term")
-    pairing = _pairing_factors(f1, space, D)
+
+
+def _apply_pairing(S, pairing):
+    """S(q e^{f1}) for a series of either kind, truncated at its degree D,
+    where ``pairing`` is ``_pairing_factors`` of f1 at degree D or above.
+
+    Each q^beta term is multiplied by exp(sum_i beta_i f1^i), so the
+    beta = 0 term is never modified.
+    """
+    D = S.max_degree
     out: dict = {}
     for beta, c in S.terms.items():
         for gamma, e in pairing(beta).terms.items():
@@ -463,6 +508,11 @@ def _substitute(S, f1: list[ScalarQSeries]):
             prev = out.get(total)
             out[total] = contrib if prev is None else prev + contrib
     return S._new(out)
+
+
+def _substitute(S, f1: list[ScalarQSeries]):
+    _check_substitution(S.space, S.max_degree, f1)
+    return _apply_pairing(S, _pairing_factors(f1, S.space, S.max_degree))
 
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
@@ -476,20 +526,25 @@ def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeri
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
-    """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0."""
+    """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0.
+
+    The degree-n part of f(q e^g) involves g only below degree n, so round
+    n composes f and g truncated at degree n, with the exp(g) pairing
+    factors built once for every f^i, and keeps the degree-n terms.
+    """
     if not f1:
         return []
     space, D = f1[0].space, f1[0].max_degree
-    g = [ScalarQSeries.zero(space, D) for _ in f1]
-    for degree in range(1, D + 1):
-        comps = [compose_substitute(f, g) for f in f1]
-        for i, comp in enumerate(comps):
-            terms = dict(g[i].terms)
+    _check_substitution(space, D, f1)
+    g: list[dict] = [{} for _ in f1]
+    for n in range(1, D + 1):
+        pairing = _pairing_factors([ScalarQSeries(space, n, t) for t in g], space, n)
+        for f, terms in zip(f1, g):
+            comp = _apply_pairing(f.truncate(n), pairing)
             for beta, c in comp.terms.items():
-                if _degree(beta) == degree and c != 0:
+                if _degree(beta) == n:
                     terms[beta] = -c
-            g[i] = ScalarQSeries(space, D, terms)
-    return g
+    return [ScalarQSeries(space, D, t) for t in g]
 
 
 def promote(space: AmbientSpace, f: ScalarQSeries) -> QSeries:
@@ -511,8 +566,21 @@ def hl_to_obj(hl: HbarLaurent) -> list:
     ]
 
 
-def hl_from_obj(space: AmbientSpace, obj) -> HbarLaurent:
-    terms = {int(e["pow"]): coh_from_obj(space, e["class"]) for e in obj}
+def hl_from_obj(space: AmbientSpace, obj, field: str = "hbar") -> HbarLaurent:
+    """Read ``hl_to_obj`` form, a list of ``{pow, class}`` with distinct
+    integer powers; any other shape raises ValueError naming the field."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{field} must be a list")
+    terms = {}
+    for i, entry in enumerate(obj):
+        where = f"{field}[{i}]"
+        _check_fields(entry, where, ("pow", "class"))
+        k = entry["pow"]
+        if type(k) is not int:
+            raise ValueError(f"{where}.pow must be an integer, got {k!r}")
+        if k in terms:
+            raise ValueError(f"{where}.pow {k} repeats an earlier entry")
+        terms[k] = coh_from_obj(space, entry["class"], f"{where}.class")
     return HbarLaurent(space, terms)
 
 
@@ -525,12 +593,32 @@ def qseries_to_obj(S: QSeries) -> dict:
     }
 
 
-def qseries_from_obj(space: AmbientSpace, obj) -> QSeries:
-    terms = {
-        tuple(entry["beta"]): hl_from_obj(space, entry["hbar"])
-        for entry in obj["terms"]
-    }
-    return QSeries(space, int(obj["D"]), terms)
+def qseries_from_obj(space: AmbientSpace, obj, field: str = "series") -> QSeries:
+    """Read ``qseries_to_obj`` form: ``{D, terms}`` with ``D`` a non-negative
+    integer and ``terms`` a list of ``{beta, hbar}``, each ``beta`` a distinct
+    curve class of degree at most D.  Any other shape raises ValueError
+    naming the field, such as ``series.terms[0].hbar[0].class[1].coeff``."""
+    _check_fields(obj, field, ("D", "terms"))
+    D = obj["D"]
+    if type(D) is not int or D < 0:
+        raise ValueError(f"{field}.D must be a non-negative integer, got {D!r}")
+    if not isinstance(obj["terms"], list):
+        raise ValueError(f"{field}.terms must be a list")
+    terms = {}
+    for i, entry in enumerate(obj["terms"]):
+        where = f"{field}.terms[{i}]"
+        _check_fields(entry, where, ("beta", "hbar"))
+        beta = _int_list(entry["beta"], f"{where}.beta")
+        if len(beta) != space.nfactors or any(d < 0 for d in beta):
+            raise ValueError(
+                f"{where}.beta must list {space.nfactors} non-negative degrees, got {list(beta)}"
+            )
+        if _degree(beta) > D:
+            raise ValueError(f"{where}.beta {list(beta)} is beyond the degree D = {D}")
+        if beta in terms:
+            raise ValueError(f"{where}.beta {list(beta)} repeats an earlier term")
+        terms[beta] = hl_from_obj(space, entry["hbar"], f"{where}.hbar")
+    return QSeries(space, D, terms)
 
 
 def scalar_to_obj(f: ScalarQSeries) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SpaceMismatch, Unclassifiable, Unsupported
-from .ring import AmbientSpace, BundleSpec, CohClass, euler_class
+from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, euler_class
 from .series import (
     HbarLaurent,
     QSeries,
@@ -289,44 +289,26 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
 # -- serialization -----------------------------------------------------------
 
 
-def _int_list(value, field: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"{field} must be a list of integers")
-    for i, x in enumerate(value):
-        if type(x) is not int:
-            raise ValueError(f"{field}[{i}] must be an integer, got {x!r}")
-    return tuple(value)
-
-
 def geometry_from_obj(obj) -> GeometrySpec:
     """Read a geometry from its JSON object, refusing any other shape.
 
     The object has the keys ``ambient`` (a list of integers),
     ``bundle`` (a list of objects ``{"l": [integers]}``) and optionally
-    ``external_j`` (a serialized series, or null).  Booleans, floats and
-    strings are not integers here.  Anything else raises ValueError naming
-    the field, such as ``bundle[0].l[0]``, before any arithmetic.
+    ``external_j`` (a serialized series, or null; see ``qseries_from_obj``).
+    Booleans, floats and strings are not integers here.  Anything else
+    raises ValueError naming the field, such as ``bundle[0].l[0]`` or
+    ``external_j.terms[0].hbar[0].pow``, before any arithmetic.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("geometry must be a JSON object")
-    for key in obj:
-        if key not in ("ambient", "bundle", "external_j"):
-            raise ValueError(f"unknown geometry field {key!r}")
-    for key in ("ambient", "bundle"):
-        if key not in obj:
-            raise ValueError(f"missing geometry field {key!r}")
+    _check_fields(obj, "geometry", ("ambient", "bundle"), ("external_j",))
     ambient = _int_list(obj["ambient"], "ambient")
     if not isinstance(obj["bundle"], list):
         raise ValueError("bundle must be a list")
     lines = []
     for j, entry in enumerate(obj["bundle"]):
-        if not isinstance(entry, dict) or set(entry) != {"l"}:
-            raise ValueError(f"bundle[{j}] must be an object with the one key 'l'")
+        _check_fields(entry, f"bundle[{j}]", ("l",))
         lines.append(_int_list(entry["l"], f"bundle[{j}].l"))
     ext = obj.get("external_j")
-    if not (ext is None or isinstance(ext, dict)):
-        raise ValueError("external_j must be a serialized series or null")
     space = AmbientSpace(ambient)
     bundle = BundleSpec(tuple(lines))
-    external_j = None if ext is None else qseries_from_obj(space, ext)
+    external_j = None if ext is None else qseries_from_obj(space, ext, "external_j")
     return GeometrySpec(space, bundle, external_j)

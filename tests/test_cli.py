@@ -319,3 +319,70 @@ def test_engine_fault_is_not_an_input_problem(tmp_path, monkeypatch, capsys):
     rc, _, err = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
     assert rc == 2
     assert err.startswith("ValueError: ")
+
+
+def _with_external_j(unit_term):
+    """P1 with O(1) and an external J whose beta = 0 term is ``unit_term``."""
+    return {
+        "ambient": [1],
+        "bundle": [{"l": [1]}],
+        "external_j": {"D": 1, "terms": [{"beta": [0], "hbar": unit_term}]},
+    }
+
+
+@pytest.mark.parametrize(
+    "geometry, field",
+    [
+        pytest.param(
+            {"ambient": [1], "bundle": [{"l": [1]}], "external_j": {"D": 2}},
+            "missing external_j field 'terms'",
+            id="no-terms",
+        ),
+        pytest.param(
+            _with_external_j([{"pow": 0, "class": ["1/1", True]}]),
+            "external_j.terms[0].hbar[0].class[0]",
+            id="class-not-objects",
+        ),
+        pytest.param(
+            {
+                "ambient": [1, 1],
+                "bundle": [{"l": [1, 1]}],
+                "external_j": {"D": 1, "terms": [{"beta": [0], "hbar": []}]},
+            },
+            "external_j.terms[0].beta",
+            id="short-beta",
+        ),
+        pytest.param(
+            _with_external_j([{"pow": 0.5, "class": [{"exp": [0], "coeff": "1/1"}]}]),
+            "external_j.terms[0].hbar[0].pow",
+            id="non-integer-pow",
+        ),
+        pytest.param(
+            _with_external_j([{"pow": 0, "class": [{"exp": [0], "coeff": 1}]}]),
+            "external_j.terms[0].hbar[0].class[0].coeff",
+            id="number-coeff",
+        ),
+        pytest.param(
+            _with_external_j([{"pow": 0, "class": [{"exp": [2], "coeff": "1/1"}]}]),
+            "external_j.terms[0].hbar[0].class[0].exp",
+            id="exp-out-of-range",
+        ),
+    ],
+)
+def test_malformed_external_j_names_the_field(tmp_path, capsys, geometry, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(geometry))
+    rc, out, err = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ValueError: ")
+    assert field in err
+
+
+def test_valid_external_j_still_loads(tmp_path, capsys):
+    good = _with_external_j([{"pow": 0, "class": [{"exp": [0], "coeff": "1/1"}]}])
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(good))
+    rc, out, _ = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
+    assert rc == 0
+    assert json.loads(out) == {"theorem1_nonneg": [True], "theorem2_case": None}

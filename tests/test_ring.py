@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from gwtwist import (
     euler_class,
     lift,
 )
-from gwtwist.ring import coh_from_obj, coh_to_obj, format_fraction, parse_fraction
+from gwtwist.ring import ZERO, coh_from_obj, coh_to_obj, format_fraction, parse_fraction
 
 
 def test_basis_order_and_size():
@@ -139,3 +140,119 @@ def test_ring_laws_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * sp.unit() == a
+
+
+# -- the integer-numerator kernel against the dense Fraction one ---------------
+
+KERNEL_SPACES = [
+    AmbientSpace((1,)),
+    AmbientSpace((4,)),
+    AmbientSpace((1, 1)),
+    AmbientSpace((2, 2)),
+    AmbientSpace((1, 1, 1)),
+]
+
+
+def _reference_mul(self, other):
+    """The dense-Fraction class product the integer kernel replaced, verbatim."""
+    if not isinstance(other, CohClass):
+        return self.scale(other)
+    self._check(other)
+    space = self.space
+    caps = space.factors
+    index = space.basis_index
+    out = [ZERO] * len(space.basis)
+    mine = [(e, c) for e, c in self.items()]
+    for eb, cb in other.items():
+        for ea, ca in mine:
+            # nilpotency: drop monomials past p_i^{r_i}
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > cap for x, cap in zip(e, caps)):
+                continue
+            out[index[e]] += ca * cb
+    return CohClass(space, tuple(out))
+
+
+def _kernel_class(sp, rng):
+    """Random coefficients: some zero, some with large numerators and
+    denominators, so denominators differ and reduce."""
+    coeffs = []
+    for _ in sp.basis:
+        kind = rng.random()
+        if kind < 0.3:
+            coeffs.append(ZERO)
+        elif kind < 0.6:
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12))))
+        else:
+            coeffs.append(Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**20)))
+    return CohClass(sp, coeffs)
+
+
+def _assert_canonical(c):
+    assert c.den > 0
+    assert all(type(x) is int for x in c.num)
+    assert gcd(c.den, *c.num) == 1
+    if c.is_zero:
+        assert c.den == 1
+
+
+@pytest.mark.parametrize("sp", KERNEL_SPACES, ids=lambda sp: "x".join(f"P{r}" for r in sp.factors))
+def test_integer_kernel_matches_dense_fractions(sp):
+    rng = random.Random(sum(sp.factors) * 31 + sp.nfactors)
+    for _ in range(15):
+        a, b = _kernel_class(sp, rng), _kernel_class(sp, rng)
+        k = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        dense_a, dense_b = a.coeffs, b.coeffs
+        results = {
+            "add": (a + b, [x + y for x, y in zip(dense_a, dense_b)]),
+            "sub": (a - b, [x - y for x, y in zip(dense_a, dense_b)]),
+            "neg": (-a, [-x for x in dense_a]),
+            "scale": (a.scale(k), [k * x for x in dense_a]),
+            "scale-int": (a.scale(-3), [-3 * x for x in dense_a]),
+            "scale-zero": (a.scale(0), [ZERO for _ in dense_a]),
+            "mul": (a * b, list(_reference_mul(a, b).coeffs)),
+            "square": (a * a, list(_reference_mul(a, a).coeffs)),
+        }
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert list(got.coeffs) == want, name
+            assert got == CohClass(sp, want), name
+
+
+def test_class_canonical_form_and_hash():
+    sp = AmbientSpace((2, 2))
+    rng = random.Random(9)
+    for _ in range(20):
+        a, b = _kernel_class(sp, rng), _kernel_class(sp, rng)
+        routes = [
+            a,
+            (a + b) - b,
+            CohClass(sp, a.coeffs),
+            CohClass(sp, [7 * x for x in a.num], 7 * a.den),
+            CohClass(sp, [-x for x in a.num], -a.den),
+            -(-a),
+            a.scale(Fraction(3, 5)).scale(Fraction(5, 3)),
+        ]
+        for c in routes:
+            _assert_canonical(c)
+            assert c == a
+            assert hash(c) == hash(a)
+    zero = a - a
+    _assert_canonical(zero)
+    assert zero == sp.zero() and hash(zero) == hash(sp.zero())
+    assert (zero.num, zero.den) == ((0,) * len(sp.basis), 1)
+    with pytest.raises(ZeroDivisionError):
+        CohClass(sp, [1] * len(sp.basis), 0)
+    with pytest.raises(ValueError):
+        CohClass(sp, [1, 2])
+
+
+def test_class_accessors_return_fractions():
+    sp = AmbientSpace((1, 1))
+    c = CohClass(sp, (Fraction(1, 2), 3, "-5/6", 0))
+    assert c.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-5, 6), Fraction(0))
+    assert (c.num, c.den) == ((3, 18, -5, 0), 6)
+    values = list(c.coeffs) + [c.coeff((1, 0)), c.coeff((1, 1)), c.coeff((5, 5)), c.scalar_part]
+    values += [x for _, x in c.items()]
+    assert all(type(x) is Fraction for x in values)
+    assert [e for e, _ in c.items()] == [(0, 0), (0, 1), (1, 0)]

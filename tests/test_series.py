@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -22,6 +23,7 @@ from gwtwist import (
     qseries_to_obj,
 )
 from gwtwist.series import (
+    _degree,
     compose_substitute,
     hl_from_obj,
     hl_to_obj,
@@ -167,7 +169,7 @@ def test_scalar_exp_log_round_trip_randomized():
 
 
 def test_class_exp_matches_scalar_exp():
-    # qs_exp_full and qs_exp share one power sum; on a promoted scalar
+    # qs_exp_full and qs_exp share one exp recurrence; on a promoted scalar
     # series the two must agree
     for sp, D in ((P1, 5), (AmbientSpace((1, 1)), 3)):
         terms = {b: Fraction(sum(b) + 1, 3) for b in QSeries.unit(sp, D).curve_classes()}
@@ -291,3 +293,122 @@ def test_promote_places_unit_class():
     S = promote(P1, f)
     assert S.term((0,)) == HbarLaurent(P1, {0: P1.unit().scale(2)})
     assert S.term((1,)) == HbarLaurent(P1, {0: P1.unit().scale(-1)})
+
+
+# -- the one-pass algorithms against the power sums they replaced ------------
+
+
+def _power_sum(x, one, start, coeff):
+    """start + sum_{k >= 1} coeff(k) x^k for x without a q^0 term; x^k
+    vanishes past the truncation degree, so the sum is finite."""
+    out = start
+    power = one
+    for k in range(1, x.max_degree + 1):
+        power = power * x
+        if power.is_zero:
+            break
+        out = out + power.scale(coeff(k))
+    return out
+
+
+def _exp_coeff(k: int) -> Fraction:
+    return Fraction(1, factorial(k))
+
+
+def _reference_qs_exp(a: ScalarQSeries) -> ScalarQSeries:
+    """exp of a series with zero constant term, as the finite truncated sum."""
+    if a.constant_term != 0:
+        raise ValueError("qs_exp needs a zero constant term")
+    one = ScalarQSeries.one(a.space, a.max_degree)
+    return _power_sum(a, one, one, _exp_coeff)
+
+
+def _reference_qs_log(a: ScalarQSeries) -> ScalarQSeries:
+    """log of a series with constant term 1."""
+    if a.constant_term != 1:
+        raise ValueError("qs_log needs constant term exactly 1")
+    one = ScalarQSeries.one(a.space, a.max_degree)
+    zero = ScalarQSeries.zero(a.space, a.max_degree)
+    return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _reference_qs_exp_full(L: QSeries) -> QSeries:
+    """exp of a class-valued series whose beta = 0 term vanishes."""
+    if L.zero_beta in L.terms:
+        raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
+    one = QSeries.unit(L.space, L.max_degree)
+    return _power_sum(L, one, one, _exp_coeff)
+
+
+def _reference_invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
+    """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0."""
+    if not f1:
+        return []
+    space, D = f1[0].space, f1[0].max_degree
+    g = [ScalarQSeries.zero(space, D) for _ in f1]
+    for degree in range(1, D + 1):
+        comps = [compose_substitute(f, g) for f in f1]
+        for i, comp in enumerate(comps):
+            terms = dict(g[i].terms)
+            for beta, c in comp.terms.items():
+                if _degree(beta) == degree and c != 0:
+                    terms[beta] = -c
+            g[i] = ScalarQSeries(space, D, terms)
+    return g
+
+
+REFERENCE_CASES = [
+    (sp, D) for sp in (P1, AmbientSpace((1, 1)), AmbientSpace((2, 1))) for D in range(7)
+]
+
+
+def _case_id(case):
+    sp, D = case
+    return "x".join(f"P{r}" for r in sp.factors) + f"-D{D}"
+
+
+def _random_scalar(rng, sp, D, density=0.7):
+    """A scalar series with zero constant term and some missing terms."""
+    terms = {}
+    for beta in ScalarQSeries.one(sp, D).curve_classes()[1:]:
+        if rng.random() < density:
+            terms[beta] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+    return ScalarQSeries(sp, D, terms)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_exp_log_match_power_sums(case):
+    sp, D = case
+    rng = random.Random(1000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    for _ in range(3):
+        f = _random_scalar(rng, sp, D)
+        e = qs_exp(f)
+        assert e == _reference_qs_exp(f)
+        assert qs_log(e) == _reference_qs_log(e) == f
+        # a constant-1 series that is not an exp of anything simple
+        a = ScalarQSeries.one(sp, D) + _random_scalar(rng, sp, D, density=0.4)
+        assert qs_log(a) == _reference_qs_log(a)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_class_exp_matches_power_sum(case):
+    sp, D = case
+    rng = random.Random(2000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    terms = {}
+    for beta in QSeries.unit(sp, D).curve_classes()[1:]:
+        if rng.random() < 0.6:
+            i = rng.randrange(sp.nfactors)
+            cls = sp.hyperplane(i).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            cls = cls + sp.unit().scale(rng.randint(-3, 3))
+            terms[beta] = HbarLaurent(sp, {-1: cls, rng.randint(-3, 0): sp.unit()})
+    L = QSeries(sp, D, terms)
+    assert qs_exp_full(L) == _reference_qs_exp_full(L)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_invert_substitution_matches_round_by_round(case):
+    sp, D = case
+    rng = random.Random(3000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    for _ in range(2):
+        f1 = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
+        assert invert_substitution(f1) == _reference_invert_substitution(f1)
