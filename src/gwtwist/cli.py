@@ -17,15 +17,14 @@ from pathlib import Path
 
 from .errors import EngineError, Unsupported
 from .invariants import (
-    _require_nonneg,
+    _normalize,
     aspinwall_morrison,
     n_numbers,
     serre_dual_pair,
     solve_serre_factor,
 )
 from .localization import enumerate_graphs, oracle_n_value
-from .mirror import solve_mirror_map
-from .ring import euler_class, format_fraction
+from .ring import format_fraction
 from .series import qseries_to_obj
 from .twist import check_conditions, geometry_from_obj, i_function
 
@@ -145,9 +144,7 @@ def _run(g, args) -> int:
         series = i_function(g, args.max_degree)
         return _emit(args, _dump_json(qseries_to_obj(series)), 0)
     if args.cmd == "mirror-map":
-        _require_nonneg(g)
-        I = i_function(g, args.max_degree)
-        m = solve_mirror_map(I, euler_class(g.space, g.bundle))
+        m, _ = _normalize(g, args.max_degree)
         return _emit(args, _dump_json(m.to_obj()), 0)
     if args.cmd == "invariants":
         text, code = _cmd_invariants(g, args)

@@ -11,24 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, Unsupported
-from .mirror import MirrorMap, apply_transform, solve_mirror_map
+from .errors import Infeasible, StructureViolation, Unsupported
+from .mirror import MirrorMap, apply_transform, normal_form, solve_mirror_map
 from .ring import euler_class, format_fraction
-from .series import (
-    HbarLaurent,
-    QSeries,
-    ScalarQSeries,
-    promote,
-    qseries_to_obj,
-    scalar_to_obj,
-)
+from .series import QSeries, ScalarQSeries, qs_log, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
     _ambient_series,
     _combined_degrees,
     _linear_products,
-    _pairing,
+    _twisted,
     check_conditions,
     classify,
     i_function,
@@ -45,13 +38,23 @@ def _require_nonneg(g: GeometrySpec) -> None:
         )
 
 
-def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Run the pipeline: twisted series, solve the transform, apply it."""
+def _normalize(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, QSeries]:
+    """The pipeline's one change of variables: gate the geometry, build the
+    twisted series, solve the map, apply it once and refuse a result that is
+    not normalized.  Returns the map and the normalized series."""
     _require_nonneg(g)
     I = i_function(g, max_degree)
     ctop = euler_class(g.space, g.bundle)
     m = solve_mirror_map(I, ctop)
-    return apply_transform(I, m)
+    T = apply_transform(I, m)
+    if not normal_form(T, ctop).is_normalized:
+        raise StructureViolation("solver failed to normalize the series")
+    return m, T
+
+
+def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
+    """Run the pipeline: twisted series, solve the transform, apply it."""
+    return _normalize(g, max_degree)[1]
 
 
 def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
@@ -148,30 +151,14 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     sign = -1 if g.bundle.rank % 2 else 1
     # row d of each table: prod_{k=1}^{d} (c1 + k hbar), and
     # prod_{k=-d+1}^{0} (-c1 + k hbar) for the dual
-    tables = []
+    prime, dual = [], []
     for l in g.bundle.lines:
         c1 = space.divisor(l)
-        tables.append(
-            (l, _linear_products(space, c1, 1, 1), _linear_products(space, -c1, 0, -1))
-        )
-    prime: dict = {}
-    dual: dict = {}
-    for beta in J.curve_classes():
-        if sum(beta) == 0:
-            prime[beta] = HbarLaurent.unit(space)
-            dual[beta] = HbarLaurent.unit(space).scale(sign)
-            continue
-        hp = J.term(beta)
-        hd = J.term(beta).scale(sign)
-        for l, prime_row, dual_row in tables:
-            pairing = _pairing(l, beta)
-            hp = hp * prime_row(pairing)
-            hd = hd * dual_row(pairing)
-        prime[beta] = hp
-        dual[beta] = hd
+        prime.append((l, _linear_products(space, c1, 1, 1)))
+        dual.append((l, _linear_products(space, -c1, 0, -1)))
     return SerrePair(
-        i_prime=QSeries(space, max_degree, prime),
-        i_prime_dual=QSeries(space, max_degree, dual),
+        i_prime=_twisted(J, prime, space.unit()),
+        i_prime_dual=_twisted(J, dual, space.unit()).scale(sign),
         sign=sign,
     )
 
@@ -195,9 +182,11 @@ class SerreFactorSolution:
         }
 
 
-def _assemble(pair: SerrePair, phi, string, m):
-    transformed = apply_transform(pair.i_prime, m, string=string)
-    return promote(pair.i_prime.space, phi) * transformed
+def _assemble(pair: SerrePair, phi, string, f1):
+    """phi * e^{string/hbar} * I'(q e^{f1}), with phi entering the transform
+    as the dial f0 = log(sign phi); phi starts at the sign."""
+    dials = MirrorMap(f0=qs_log(phi.scale(pair.sign)), f1=f1)
+    return apply_transform(pair.i_prime, dials, string=string).scale(pair.sign)
 
 
 def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
@@ -224,7 +213,7 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     sign = Fraction(pair.sign)
     # each level's check assemble is the next level's start and, after the
     # last level, the final one: D+1 transforms in all
-    current = _assemble(pair, phi, string, m)
+    current = _assemble(pair, phi, string, m.f1)
     for level in range(1, D + 1):
         f1 = list(m.f1)
         for beta in pair.i_prime.curve_classes():
@@ -245,7 +234,7 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
                 if c != 0:
                     f1[i] = f1[i].set_coeff(beta, c / sign)
         m = MirrorMap(f0=m.f0, f1=tuple(f1))
-        current = _assemble(pair, phi, string, m)
+        current = _assemble(pair, phi, string, m.f1)
         for beta in pair.i_prime.curve_classes():
             if sum(beta) != level:
                 continue

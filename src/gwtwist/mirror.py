@@ -38,9 +38,9 @@ from .series import (
     HbarLaurent,
     QSeries,
     ScalarQSeries,
+    _check_dials,
     compose_substitute,
     invert_substitution,
-    promote,
     qs_exp,
     qs_exp_full,
     qs_log,
@@ -204,33 +204,33 @@ def apply_transform(
 ) -> QSeries:
     """Apply the change of variables to a series.
 
-    Returns e^{f0} * e^{(1/hbar)(s + sum_i p_i f1^i)} * S(q e^{f1}), truncated
-    at the series' degree.  The 1/hbar exponential is a finite sum: its
-    argument has no q = 0 term, so powers beyond the truncation vanish.  The
-    optional ``string`` dial s adds a unit-class component at hbar^{-1}.
+    Returns e^{f0 + (s + sum_i p_i f1^i)/hbar} * S(q e^{f1}), truncated at the
+    series' degree, with the optional ``string`` dial s.  The prefactor is one
+    class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
+    in one pass and applied with one product; it is a finite sum because its
+    exponent has no q = 0 term.  Dials on another space or degree, or with a
+    constant term, are refused.
     """
     space, D = S.space, S.max_degree
+    if string is None:
+        string = ScalarQSeries.zero(space, D)
+    _check_dials(space, D, [m.f0, string])
     result = qs_substitute(S, list(m.f1))
-    shift_terms: dict = {}
-    for beta in result.curve_classes():
-        if sum(beta) == 0:
-            continue
-        cls = space.zero()
-        for i, f in enumerate(m.f1):
-            c = f.coeff(beta)
-            if c != 0:
-                cls = cls + space.hyperplane(i).scale(c)
-        if string is not None:
-            c = string.coeff(beta)
-            if c != 0:
-                cls = cls + space.unit().scale(c)
-        if not cls.is_zero:
-            shift_terms[beta] = HbarLaurent(space, {-1: cls})
-    if shift_terms:
-        result = qs_exp_full(QSeries(space, D, shift_terms)) * result
-    if not m.f0.is_zero:
-        result = promote(space, qs_exp(m.f0)) * result
-    return result
+    unit = space.unit()
+    exponent = {
+        beta: HbarLaurent(
+            space,
+            {
+                0: unit.scale(m.f0.coeff(beta)),
+                -1: unit.scale(string.coeff(beta)) + space.divisor([f.coeff(beta) for f in m.f1]),
+            },
+        )
+        for beta in result.curve_classes()[1:]
+    }
+    prefactor = QSeries(space, D, exponent)
+    if prefactor.is_zero:
+        return result
+    return qs_exp_full(prefactor) * result
 
 
 def solve_mirror_map(S: QSeries, ctop: CohClass) -> MirrorMap:
@@ -243,17 +243,15 @@ def solve_mirror_map(S: QSeries, ctop: CohClass) -> MirrorMap:
         e^{f0} g(q e^{f1}) = 1   and   f1 + (div/g)(q e^{f1}) = 0,
 
     solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}).  The
-    gauge f0(0) = f1(0) = 0 makes the solution unique.
+    gauge f0(0) = f1(0) = 0 makes the solution unique.  The solve does not
+    apply the map: the pipeline applies it once and checks that the result
+    is normalized (``invariants._normalize``).
     """
     nf = normal_form(S, ctop)
     inv_g = qs_exp(qs_log(nf.g).scale(-1))
     f1 = invert_substitution([d * inv_g for d in nf.divisor_part])
     f0 = qs_log(compose_substitute(nf.g, f1)).scale(-1)
-    m = MirrorMap(f0=f0, f1=tuple(f1))
-    final = normal_form(apply_transform(S, m), ctop)
-    if not final.is_normalized:
-        raise StructureViolation("solver failed to normalize the series")
-    return m
+    return MirrorMap(f0=f0, f1=tuple(f1))
 
 
 # -- ordered-decomposition combinatorics -------------------------------------

@@ -449,61 +449,52 @@ def qs_exp_full(L: QSeries) -> QSeries:
     return _exp(L, HbarLaurent.unit(L.space))
 
 
-def _pairing_factors(f1: list[ScalarQSeries], space, max_degree):
-    """Return beta -> exp(sum_i beta_i f1^i), the factor picked up by q^beta.
+def _pairing_factor(f1: list[ScalarQSeries], beta, max_degree: int) -> ScalarQSeries:
+    """exp(sum_i beta_i f1^i), the factor picked up by q^beta, truncated at
+    max_degree - |beta|: the terms a series of degree max_degree keeps.
 
-    The factor is the product of powers E_i^{beta_i} with E_i = exp(f1^i);
-    each E_i is computed once, and its powers and the factors are cached, so
-    each curve class costs at most one series product per ambient factor,
-    however many series the factors are applied to.
+    One pass of the ``_exp`` recurrence on the combined exponent, so no
+    power of exp(f1^i) is formed and nothing is cached across calls.
     """
-    one = ScalarQSeries.one(space, max_degree)
-    exps = [qs_exp(f) for f in f1]
-    powers = [[one] for _ in f1]
-    factors: dict = {}
+    D = max_degree - _degree(beta)
+    terms: dict = {}
+    for b, f in zip(beta, f1):
+        if b:
+            for gamma, c in f.terms.items():
+                if _degree(gamma) <= D:
+                    terms[gamma] = terms.get(gamma, ZERO) + b * c
+    return _exp(ScalarQSeries(f1[0].space, D, terms), ONE)
 
-    def factor(beta) -> ScalarQSeries:
-        out = factors.get(beta)
-        if out is not None:
-            return out
-        for b, e, pw in zip(beta, exps, powers):
-            if not b:
-                continue
-            while len(pw) <= b:
-                pw.append(pw[-1] * e)
-            out = pw[b] if out is None else out * pw[b]
-        factors[beta] = out = one if out is None else out
-        return out
 
-    return factor
+def _check_dials(space: AmbientSpace, max_degree: int, dials):
+    """Refuse dials that are not scalar series on this space and degree with
+    zero constant term."""
+    layout = ScalarQSeries.zero(space, max_degree)
+    for f in dials:
+        layout._check(f)
+        if f.constant_term != 0:
+            raise ValueError("dial series must have zero constant term")
 
 
 def _check_substitution(space: AmbientSpace, max_degree: int, f1: list[ScalarQSeries]):
-    """Refuse substitution data that is not one scalar series per ambient
-    factor, on this space and degree, with zero constant term."""
+    """Refuse substitution data that is not one dial per ambient factor."""
     if len(f1) != space.nfactors:
         raise SpaceMismatch("need one substitution series per ambient factor")
-    layout = ScalarQSeries.zero(space, max_degree)
-    for f in f1:
-        layout._check(f)
-        if f.constant_term != 0:
-            raise ValueError("substitution series must have zero constant term")
+    _check_dials(space, max_degree, f1)
 
 
-def _apply_pairing(S, pairing):
+def _apply_pairing(S, f1):
     """S(q e^{f1}) for a series of either kind, truncated at its degree D,
-    where ``pairing`` is ``_pairing_factors`` of f1 at degree D or above.
+    for checked f1 of degree D or above.
 
-    Each q^beta term is multiplied by exp(sum_i beta_i f1^i), so the
-    beta = 0 term is never modified.
+    Each q^beta term is multiplied by ``_pairing_factor``, so the beta = 0
+    term is never modified.
     """
     D = S.max_degree
     out: dict = {}
     for beta, c in S.terms.items():
-        for gamma, e in pairing(beta).terms.items():
+        for gamma, e in _pairing_factor(f1, beta, D).terms.items():
             total = tuple(x + y for x, y in zip(beta, gamma))
-            if _degree(total) > D:
-                continue
             contrib = S._scale_coeff(c, e)
             prev = out.get(total)
             out[total] = contrib if prev is None else prev + contrib
@@ -512,7 +503,7 @@ def _apply_pairing(S, pairing):
 
 def _substitute(S, f1: list[ScalarQSeries]):
     _check_substitution(S.space, S.max_degree, f1)
-    return _apply_pairing(S, _pairing_factors(f1, S.space, S.max_degree))
+    return _apply_pairing(S, f1)
 
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
@@ -529,8 +520,7 @@ def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
     """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0.
 
     The degree-n part of f(q e^g) involves g only below degree n, so round
-    n composes f and g truncated at degree n, with the exp(g) pairing
-    factors built once for every f^i, and keeps the degree-n terms.
+    n composes f and g truncated at degree n and keeps the degree-n terms.
     """
     if not f1:
         return []
@@ -538,22 +528,13 @@ def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
     _check_substitution(space, D, f1)
     g: list[dict] = [{} for _ in f1]
     for n in range(1, D + 1):
-        pairing = _pairing_factors([ScalarQSeries(space, n, t) for t in g], space, n)
+        gn = [ScalarQSeries(space, n, t) for t in g]
         for f, terms in zip(f1, g):
-            comp = _apply_pairing(f.truncate(n), pairing)
+            comp = _apply_pairing(f.truncate(n), gn)
             for beta, c in comp.terms.items():
                 if _degree(beta) == n:
                     terms[beta] = -c
     return [ScalarQSeries(space, D, t) for t in g]
-
-
-def promote(space: AmbientSpace, f: ScalarQSeries) -> QSeries:
-    """View a scalar series as a class-valued one (unit class, hbar^0)."""
-    terms = {
-        beta: HbarLaurent(space, {0: space.unit().scale(c)})
-        for beta, c in f.terms.items()
-    }
-    return QSeries(space, f.max_degree, terms)
 
 
 # -- serialization -----------------------------------------------------------

@@ -258,6 +258,20 @@ def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     return _twist_table(space, l)(_pairing(l, beta))
 
 
+def _twisted(J: QSeries, tables, start: CohClass) -> QSeries:
+    """J_beta times prod_j table_j(<L_j, beta>) for beta != 0, and ``start``
+    at hbar^0 for beta = 0; ``tables`` pairs each multidegree L_j with a
+    row function such as ``_twist_table`` or ``_linear_products``."""
+    space = J.space
+    terms = {J.zero_beta: HbarLaurent(space, {0: start})}
+    for beta in J.curve_classes()[1:]:
+        hl = J.term(beta)
+        for l, table in tables:
+            hl = hl * table(_pairing(l, beta))
+        terms[beta] = hl
+    return QSeries(space, J.max_degree, terms)
+
+
 def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     """Twisted series: J(beta) times the summand factors, for beta != 0.
 
@@ -271,19 +285,8 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     products per summand, not |n| per curve class.
     """
     space = g.space
-    J = _ambient_series(g, max_degree)
     tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]
-    terms = {}
-    for beta in J.curve_classes():
-        if sum(beta) == 0:
-            continue
-        hl = J.term(beta)
-        for l, table in tables:
-            hl = hl * table(_pairing(l, beta))
-        terms[beta] = hl
-    e = euler_class(space, g.bundle)
-    terms[(0,) * space.nfactors] = HbarLaurent(space, {0: e})
-    return QSeries(space, max_degree, terms)
+    return _twisted(_ambient_series(g, max_degree), tables, euler_class(space, g.bundle))
 
 
 # -- serialization -----------------------------------------------------------

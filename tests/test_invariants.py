@@ -10,6 +10,7 @@ from gwtwist import (
     MirrorMap,
     QSeries,
     ScalarQSeries,
+    StructureViolation,
     TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
@@ -21,11 +22,13 @@ from gwtwist import (
     solve_serre_factor,
 )
 from gwtwist import invariants
-from gwtwist.invariants import SerreFactorSolution, SerrePair, _assemble
+from gwtwist.cli import main
+from gwtwist.invariants import SerreFactorSolution, SerrePair
 from gwtwist.mirror import apply_transform
 from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent
 from gwtwist.twist import CONVEX, classify
+from test_mirror import _promote, _reference_apply_transform
 
 P1 = AmbientSpace((1,))
 P3 = AmbientSpace((3,))
@@ -81,6 +84,27 @@ def test_multiple_cover_gate_product_ambient():
     g = GeometrySpec(sp, BundleSpec(((1, 0),)))
     with pytest.raises(Unsupported):
         aspinwall_morrison(g, {})
+
+
+def test_every_pipeline_path_checks_the_normalized_series(monkeypatch, tmp_path, capsys):
+    # a solve that is off by one coefficient must be caught wherever the
+    # pipeline applies the map
+    solve = invariants.solve_mirror_map
+
+    def off_by_one(S, ctop):
+        m = solve(S, ctop)
+        f1 = m.f1[0]
+        return MirrorMap(f0=m.f0, f1=(f1.set_coeff((1,), f1.coeff((1,)) + 1),))
+
+    monkeypatch.setattr(invariants, "solve_mirror_map", off_by_one)
+    with pytest.raises(StructureViolation):
+        normalized_series(QUINTIC, 3)
+    with pytest.raises(StructureViolation):
+        n_numbers(QUINTIC, 3)
+    path = tmp_path / "quintic.json"
+    path.write_text('{"ambient": [4], "bundle": [{"l": [5]}]}')
+    assert main(["--geometry", str(path), "--cmd", "mirror-map", "--max-degree", "3"]) == 1
+    assert capsys.readouterr().err.startswith('{"error": "StructureViolation"')
 
 
 def test_normalized_series_requires_nonnegative_weights():
@@ -225,6 +249,11 @@ def test_dual_pair_tables_match_from_scratch_loops(name):
         assert qseries_to_obj(got) == qseries_to_obj(want)
 
 
+def _reference_assemble(pair: SerrePair, phi, string, m):
+    transformed = _reference_apply_transform(pair.i_prime, m, string=string)
+    return _promote(pair.i_prime.space, phi) * transformed
+
+
 def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     space = pair.i_prime.space
     D = pair.i_prime.max_degree
@@ -233,7 +262,7 @@ def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     m = MirrorMap.zero(space, D)
     sign = Fraction(pair.sign)
     for level in range(1, D + 1):
-        current = _assemble(pair, phi, string, m)
+        current = _reference_assemble(pair, phi, string, m)
         f1 = list(m.f1)
         for beta in pair.i_prime.curve_classes():
             if sum(beta) != level:
@@ -253,7 +282,7 @@ def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
                 if c != 0:
                     f1[i] = f1[i].set_coeff(beta, c / sign)
         m = MirrorMap(f0=m.f0, f1=tuple(f1))
-        current = _assemble(pair, phi, string, m)
+        current = _reference_assemble(pair, phi, string, m)
         for beta in pair.i_prime.curve_classes():
             if sum(beta) != level:
                 continue
@@ -268,7 +297,7 @@ def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
                         for k in R.exponents()
                     ],
                 )
-    final = _assemble(pair, phi, string, m)
+    final = _reference_assemble(pair, phi, string, m)
     residual = pair.i_prime_dual - final
     return SerreFactorSolution(phi=phi, map=m, string=string, residual=residual)
 

@@ -8,18 +8,23 @@ from gwtwist import (
     BundleSpec,
     GeometrySpec,
     MirrorMap,
+    QSeries,
     ScalarQSeries,
+    SpaceMismatch,
     StructureViolation,
+    TruncationMismatch,
     apply_transform,
     euler_class,
     i_function,
     j_ambient,
     normal_form,
+    qs_exp,
+    qs_substitute,
     solve_mirror_map,
     z_closed_form,
     z_from_log,
 )
-from gwtwist.series import HbarLaurent
+from gwtwist.series import HbarLaurent, qs_exp_full
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -89,6 +94,97 @@ def test_normal_form_allows_annihilated_residual():
 def test_apply_transform_identity():
     S, _ = _quintic(2)
     assert apply_transform(S, MirrorMap.zero(P4, 2)) == S
+
+
+def _promote(space, f):
+    """View a scalar series as a class-valued one (unit class, hbar^0)."""
+    terms = {
+        beta: HbarLaurent(space, {0: space.unit().scale(c)})
+        for beta, c in f.terms.items()
+    }
+    return QSeries(space, f.max_degree, terms)
+
+
+def _reference_apply_transform(S, m, string=None):
+    """The transform as two exponentials and two products: e^{(s + p . f1)/hbar}
+    as a class-valued exp, then e^{f0} through a promoted scalar series."""
+    space, D = S.space, S.max_degree
+    result = qs_substitute(S, list(m.f1))
+    shift_terms: dict = {}
+    for beta in result.curve_classes():
+        if sum(beta) == 0:
+            continue
+        cls = space.zero()
+        for i, f in enumerate(m.f1):
+            c = f.coeff(beta)
+            if c != 0:
+                cls = cls + space.hyperplane(i).scale(c)
+        if string is not None:
+            c = string.coeff(beta)
+            if c != 0:
+                cls = cls + space.unit().scale(c)
+        if not cls.is_zero:
+            shift_terms[beta] = HbarLaurent(space, {-1: cls})
+    if shift_terms:
+        result = qs_exp_full(QSeries(space, D, shift_terms)) * result
+    if not m.f0.is_zero:
+        result = _promote(space, qs_exp(m.f0)) * result
+    return result
+
+
+def _random_dial(rng, space, D):
+    terms = {}
+    for beta in ScalarQSeries.one(space, D).curve_classes()[1:]:
+        if rng.random() < 0.7:
+            terms[beta] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+    return ScalarQSeries(space, D, terms)
+
+
+@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 8), ((2, 2), ((3, 3),), 3)])
+def test_apply_transform_matches_reference_on_solved_maps(factors, lines, D):
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    S = i_function(g, D)
+    m = solve_mirror_map(S, euler_class(sp, g.bundle))
+    assert not m.f0.is_zero
+    assert apply_transform(S, m) == _reference_apply_transform(S, m)
+
+
+@pytest.mark.parametrize("factors", [(1,), (1, 1), (2, 1)])
+@pytest.mark.parametrize("D", range(1, 6))
+def test_apply_transform_matches_reference_on_random_maps(factors, D):
+    sp = AmbientSpace(factors)
+    rng = random.Random(100 * D + 10 * len(factors) + sum(factors))
+    S = i_function(GeometrySpec(sp, BundleSpec(((1,) * len(factors),))), D)
+    for _ in range(2):
+        f0 = _random_dial(rng, sp, D)
+        f1 = tuple(_random_dial(rng, sp, D) for _ in factors)
+        string = _random_dial(rng, sp, D)
+        m = MirrorMap(f0=f0, f1=f1)
+        assert apply_transform(S, m) == _reference_apply_transform(S, m)
+        got = apply_transform(S, m, string=string)
+        assert got == _reference_apply_transform(S, m, string=string)
+
+
+@pytest.mark.parametrize("dial", ["f0", "string"])
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (ScalarQSeries(P1, 2, {(1,): 3}), TruncationMismatch),
+        (ScalarQSeries(P1, 6, {(5,): 3}), TruncationMismatch),
+        (ScalarQSeries(AmbientSpace((2,)), 4, {(1,): 3}), SpaceMismatch),
+        (ScalarQSeries(P1, 4, {(0,): 1, (1,): 3}), ValueError),
+    ],
+    ids=["short", "long", "other-space", "constant-term"],
+)
+def test_apply_transform_refuses_bad_dials(dial, bad, error):
+    S = i_function(GeometrySpec(P1, BundleSpec(((1,),))), 4)
+    zero = ScalarQSeries.zero(P1, 4)
+    with pytest.raises(error):
+        if dial == "f0":
+            apply_transform(S, MirrorMap(f0=bad, f1=(zero,)))
+        else:
+            apply_transform(S, MirrorMap(f0=zero, f1=(zero,)), string=bad)
 
 
 def test_solve_mirror_map_quintic():

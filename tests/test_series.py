@@ -27,10 +27,10 @@ from gwtwist.series import (
     compose_substitute,
     hl_from_obj,
     hl_to_obj,
-    promote,
     qs_exp_full,
     scalar_to_obj,
 )
+from test_mirror import _promote
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -139,7 +139,7 @@ def test_negative_truncation_refused(cls):
 @pytest.mark.parametrize("substitute", [compose_substitute, qs_substitute])
 def test_substitution_data_refused(substitute, g1, error):
     f = ScalarQSeries(P1, 2, {(1,): 1})
-    series = f if substitute is compose_substitute else promote(P1, f)
+    series = f if substitute is compose_substitute else _promote(P1, f)
     with pytest.raises(error):
         substitute(series, g1)
 
@@ -175,7 +175,7 @@ def test_class_exp_matches_scalar_exp():
         terms = {b: Fraction(sum(b) + 1, 3) for b in QSeries.unit(sp, D).curve_classes()}
         del terms[(0,) * sp.nfactors]
         f = ScalarQSeries(sp, D, terms)
-        assert qs_exp_full(promote(sp, f)) == promote(sp, qs_exp(f))
+        assert qs_exp_full(_promote(sp, f)) == _promote(sp, qs_exp(f))
 
 
 def test_qs_exp_requires_zero_constant():
@@ -286,13 +286,6 @@ def test_scalar_serialization_round_trip():
         {"beta": [1], "coeff": "-2/3"},
         {"beta": [3], "coeff": "9/1"},
     ]
-
-
-def test_promote_places_unit_class():
-    f = ScalarQSeries(P1, 2, {(0,): Fraction(2), (1,): Fraction(-1)})
-    S = promote(P1, f)
-    assert S.term((0,)) == HbarLaurent(P1, {0: P1.unit().scale(2)})
-    assert S.term((1,)) == HbarLaurent(P1, {0: P1.unit().scale(-1)})
 
 
 # -- the one-pass algorithms against the power sums they replaced ------------
