@@ -2,10 +2,12 @@
 
 Reads a geometry description from JSON, runs one stage of the engine, and
 emits a deterministic JSON (or TSV) report.  Exit codes: 0 on success, 1 on
-a domain error (the error object goes to standard error as JSON), 2 on I/O
-problems or a geometry file that cannot be read or fails validation, 3 on a
-KeyError, TypeError or ValueError raised after the geometry has loaded,
-which is an engine fault.  `verify` additionally exits 1 on a value mismatch.
+a domain error (the error object goes to standard error as JSON), 2 on a
+usage error (a negative max degree, or `verify` at 0, which compares
+nothing), I/O problems or a geometry file that cannot be read or fails
+validation, 3 on a KeyError, TypeError or ValueError raised after the
+geometry has loaded, which is an engine fault.  `verify` additionally exits
+1 on a value mismatch.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _cmd_verify(g, args):
         raise Unsupported("verification runs over a single projective space")
     top = min(2, args.max_degree)
     # counts are truncation-stable, so the compared degrees are enough
-    pipeline = n_numbers(g, top) if top >= 1 else {}
+    pipeline = n_numbers(g, top)
     lines = tuple(l[0] for l in g.bundle.lines)
     rows = []
     status = "MATCH"
@@ -191,6 +193,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.max_degree < 0:
         print("max degree must be non-negative", file=sys.stderr)
+        return 2
+    if args.cmd == "verify" and args.max_degree == 0:
+        # a verdict over no degrees would be a vacuous MATCH
+        print("verify needs a max degree of at least 1", file=sys.stderr)
         return 2
     g = None
     try:

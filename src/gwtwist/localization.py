@@ -34,6 +34,14 @@ omega = (w_i - w_j)/delta the tangent weight of an edge at its i-end:
 A vanishing factor in any denominator means the drawn weights are too
 special; WeightCollision asks the caller to redraw.
 
+Each weight draw is tabulated once.  At the integer weights W_i = c w_i,
+c the lcm of the weights' denominators, the edge factors per ordered pair
+(i, j) and edge degree delta and the vertex factors per label are stored as
+integer numerators and denominators; a graph multiplies its entries with
+its flag, smoothing, ev and psi factors into one Fraction.  Every term is
+homogeneous of degree (integrand degree - virtual dimension) in the
+weights, so the sum at the W_i is multiplied once by c to minus that degree.
+
 The sum is weight-independent only when the integrand's degree is at most
 the virtual dimension r + (r+1)d - 2 of the one-pointed moduli space.  The
 integrand degree is the rank of the bundle's contribution, l*d + 1 per
@@ -47,7 +55,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import permutations
+from math import factorial, lcm, prod
 
 from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision
 
@@ -106,6 +115,7 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
             f"fixed-point sums are shipped for degrees 1..{MAX_DEGREE}", degree=d
         )
     labels = range(r + 1)
+    half, one = Fraction(1, 2), Fraction(1)
     graphs = []
     if d == 1:
         for i in labels:
@@ -113,14 +123,12 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
                 if i == j:
                     continue
                 for mark in (0, 1):
-                    graphs.append(
-                        FixedGraph((i, j), (1,), mark, Fraction(1, 2))
-                    )
+                    graphs.append(FixedGraph((i, j), (1,), mark, half))
         return graphs
     for i in labels:
         for j in labels:
             if i != j:
-                graphs.append(FixedGraph((i, j), (2,), 0, Fraction(1, 2)))
+                graphs.append(FixedGraph((i, j), (2,), 0, half))
     for j in labels:
         for a in labels:
             if a == j:
@@ -128,99 +136,14 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
             for c in labels:
                 if c == j:
                     continue
-                graphs.append(FixedGraph((a, j, c), (1, 1), 0, Fraction(1)))
-                graphs.append(FixedGraph((a, j, c), (1, 1), 1, Fraction(1, 2)))
+                graphs.append(FixedGraph((a, j, c), (1, 1), 0, one))
+                graphs.append(FixedGraph((a, j, c), (1, 1), 1, half))
     return graphs
 
 
-def _flag_weight(g: FixedGraph, w: TorusWeights, vertex: int, edge: int) -> Fraction:
-    other = edge if vertex == edge + 1 else edge + 1
-    return Fraction(w[g.vertices[vertex]] - w[g.vertices[other]], g.degrees[edge])
-
-
-def _normal_euler(g: FixedGraph, r: int, w: TorusWeights) -> Fraction:
-    nv = len(g.vertices)
-    valence = [1] * nv
-    for k in range(1, nv - 1):
-        valence[k] = 2
-    total = Fraction(1)
-    for k, delta in enumerate(g.degrees):
-        wi = w[g.vertices[k]]
-        wj = w[g.vertices[k + 1]]
-        if wi == wj:
-            raise WeightCollision("edge endpoints share a weight")
-        factor = Fraction((-1) ** delta) * factorial(delta) ** 2
-        factor *= (wi - wj) ** (2 * delta)
-        factor /= Fraction(delta ** (2 * delta))
-        for m in range(r + 1):
-            if m in (g.vertices[k], g.vertices[k + 1]):
-                continue
-            for a in range(delta + 1):
-                t = Fraction(a * wi + (delta - a) * wj, delta) - w[m]
-                if t == 0:
-                    raise WeightCollision("edge character hits a fixed-point weight")
-                factor *= t
-        total *= factor
-    for v in range(nv):
-        tangent = Fraction(1)
-        for m in range(r + 1):
-            if m != g.vertices[v]:
-                tangent *= w[g.vertices[v]] - w[m]
-        total *= tangent ** (1 - valence[v])
-    for v in range(nv):
-        if valence[v] != 2:
-            continue
-        om1 = _flag_weight(g, w, v, v - 1)
-        om2 = _flag_weight(g, w, v, v)
-        if g.marked == v:
-            total *= om1 * om2
-        else:
-            s = om1 + om2
-            if s == 0:
-                raise WeightCollision("node-smoothing weight vanishes")
-            total *= s
-    for v in (0, nv - 1):
-        if g.marked == v:
-            continue
-        edge = 0 if v == 0 else nv - 2
-        om = _flag_weight(g, w, v, edge)
-        if om == 0:
-            raise WeightCollision("flag weight vanishes")
-        total /= om
-    return total
-
-
-def _bundle_weight(g: FixedGraph, lines, w: TorusWeights) -> Fraction:
-    nv = len(g.vertices)
-    valence = [1] * nv
-    for k in range(1, nv - 1):
-        valence[k] = 2
-    total = Fraction(1)
-    for l in lines:
-        l = int(l)
-        if l == 0:
-            raise Unclassifiable("zero twist has no type")
-        for k, delta in enumerate(g.degrees):
-            wi = w[g.vertices[k]]
-            wj = w[g.vertices[k + 1]]
-            omega = Fraction(wi - wj, delta)
-            if l > 0:
-                ks = range(0, delta * l + 1)
-            else:
-                ks = range(delta * l + 1, 0)
-            for a in ks:
-                total *= l * wj + a * omega
-        for v in range(nv):
-            base = Fraction(l * w[g.vertices[v]])
-            exponent = (1 - valence[v]) if l > 0 else (valence[v] - 1)
-            if exponent < 0 and base == 0:
-                raise WeightCollision("bundle vertex weight vanishes")
-            total *= base ** exponent
-    return total
-
-
-def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int):
-    """Refuse an integrand of degree above the virtual dimension."""
+def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) -> int:
+    """Refuse an integrand of degree above the virtual dimension; return the
+    dimension minus the integrand degree."""
     degree = ev_power + psi_power
     for l in lines:
         l = int(l)
@@ -233,6 +156,51 @@ def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int):
             integrand_degree=degree,
             virtual_dimension=dimension,
         )
+    return dimension - degree
+
+
+def _tables(r: int, d: int, lines, W):
+    """The per-draw tables at the integer weights W.
+
+    ``edges[i, j, delta]`` holds the numerator and denominator of the edge's
+    bundle factor, then of its normal-bundle factor (numerator 0 when an edge
+    character hits a fixed-point weight).  ``tangent[v]`` is
+    prod_{m != v} (W_v - W_m), and ``middle[v]`` the numerator and
+    denominator of the bundle factor at a two-valent vertex labeled v.
+    """
+    labels = range(r + 1)
+    edges = {}
+    for delta in range(1, d + 1):
+        for i, j in permutations(labels, 2):
+            wi, wj = W[i], W[j]
+            bundle, factors = 1, 0
+            for l in lines:
+                ks = range(0, delta * l + 1) if l > 0 else range(delta * l + 1, 0)
+                for a in ks:
+                    bundle *= delta * l * wj + a * (wi - wj)
+                factors += len(ks)
+            normal = (-1) ** delta * factorial(delta) ** 2 * (wi - wj) ** (2 * delta)
+            for m in labels:
+                if m != i and m != j:
+                    for a in range(delta + 1):
+                        normal *= a * wi + (delta - a) * wj - delta * W[m]
+            characters = 2 * delta + (r - 1) * (delta + 1)
+            edges[i, j, delta] = (bundle, delta**factors, normal, delta**characters)
+    tangent = [prod(W[v] - W[m] for m in labels if m != v) for v in labels]
+    middle = [
+        (prod(l * w for l in lines if l < 0), prod(l * w for l in lines if l > 0))
+        for w in W
+    ]
+    return edges, tangent, middle
+
+
+def _power(top: int, bottom: int, e: int):
+    """(top/bottom)**e as (numerator, denominator); 0**-e divides by zero."""
+    if e < 0:
+        top, bottom, e = bottom, top, -e
+    if bottom == 0:
+        raise ZeroDivisionError("zero to a negative power")
+    return top**e, bottom**e
 
 
 def localized_invariant(
@@ -249,24 +217,56 @@ def localized_invariant(
     """
     if len(weights) != r + 1:
         raise WeightCollision(f"need {r + 1} weights for P^{r}", got=len(weights))
-    _require_top_degree(r, d, lines, psi_power, ev_power)
+    excess = _require_top_degree(r, d, lines, psi_power, ev_power)
+    graphs = enumerate_graphs(r, d)
+    lines = [int(l) for l in lines]
+    if graphs and 0 in lines:
+        raise Unclassifiable("zero twist has no type")
+    ws = [Fraction(weights[i]) for i in range(r + 1)]
+    c = lcm(*(w.denominator for w in ws))
+    W = [w.numerator * (c // w.denominator) for w in ws]
+    edges, tangent, middle = _tables(r, d, lines, W)
     total = Fraction(0)
-    for g in enumerate_graphs(r, d):
-        contribution = g.auto * _bundle_weight(g, lines, weights)
-        w_mark = weights[g.vertices[g.marked]]
-        contribution *= w_mark**ev_power
+    for g in graphs:
+        vs, ds, marked = g.vertices, g.degrees, g.marked
+        last = len(vs) - 1
+        num, den = g.auto.numerator, g.auto.denominator
+        for k, delta in enumerate(ds):
+            edge = edges[vs[k], vs[k + 1], delta]
+            num, den = num * edge[0], den * edge[1]
+        if last == 2:
+            top, bottom = middle[vs[1]]
+            if bottom == 0:
+                raise WeightCollision("bundle vertex weight vanishes")
+            num, den = num * top, den * bottom
+        top, bottom = _power(W[vs[marked]], 1, ev_power)
+        num, den = num * top, den * bottom
         if psi_power:
-            nv = len(g.vertices)
-            if g.marked in (0, nv - 1):
-                edge = 0 if g.marked == 0 else nv - 2
-                psi = -_flag_weight(g, weights, g.marked, edge)
-            else:
-                psi = Fraction(0)
-            contribution *= psi**psi_power
-            if contribution == 0:
+            # minus the flag weight at an end marking, 0 at the middle one
+            nbr, delta = (1, ds[0]) if marked == 0 else (last - 1, ds[-1])
+            flag = W[vs[nbr]] - W[vs[marked]] if marked in (0, last) else 0
+            top, bottom = _power(flag, delta, psi_power)
+            num, den = num * top, den * bottom
+            if num == 0:
                 continue
-        total += contribution / _normal_euler(g, r, weights)
-    return total
+        for k, delta in enumerate(ds):
+            edge = edges[vs[k], vs[k + 1], delta]
+            if edge[2] == 0:
+                raise WeightCollision("edge character hits a fixed-point weight")
+            num, den = num * edge[3], den * edge[2]
+        if last == 2:
+            # both edges of a two-edge graph have degree 1
+            om1, om2 = W[vs[1]] - W[vs[0]], W[vs[1]] - W[vs[2]]
+            smoothing = om1 * om2 if marked == 1 else om1 + om2
+            if smoothing == 0:
+                raise WeightCollision("node-smoothing weight vanishes")
+            num, den = num * tangent[vs[1]], den * smoothing
+        for v, nbr, delta in ((0, 1, ds[0]), (last, last - 1, ds[-1])):
+            if v != marked:
+                # an unmarked end divides the Euler class by its flag weight
+                num, den = num * (W[vs[v]] - W[vs[nbr]]), den * delta
+        total += Fraction(num, den)
+    return total * c**excess
 
 
 def draw_weights(r: int, rng: random.Random) -> TorusWeights:

@@ -73,6 +73,16 @@ def test_negative_degree_is_usage_error(capsys):
     assert err.strip()
 
 
+def test_verify_at_degree_zero_is_usage_error(capsys):
+    # it compares nothing there, so it must not print a MATCH
+    rc, out, err = _run(
+        capsys, ["--geometry", QUINTIC, "--cmd", "verify", "--max-degree", "0"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
 def test_verify_match(capsys):
     rc, out, _ = _run(
         capsys, ["--geometry", QUINTIC, "--cmd", "verify", "--max-degree", "2"]
