@@ -25,7 +25,7 @@ from .invariants import (
     serre_dual_pair,
     solve_serre_factor,
 )
-from .localization import enumerate_graphs, oracle_n_value
+from .localization import _graph_count, oracle_n_value
 from .ring import format_fraction
 from .series import qseries_to_obj
 from .twist import check_conditions, geometry_from_obj, i_function
@@ -128,7 +128,7 @@ def _cmd_oracle(g, args):
                 "d": d,
                 "value": format_fraction(value),
                 "weights_used": [format_fraction(w) for w in weights.values],
-                "graphs_evaluated": len(enumerate_graphs(r, d)),
+                "graphs_evaluated": _graph_count(r, d),
             }
         )
     return _dump_json({"seed": args.seed, "reports": reports}), 0

@@ -141,6 +141,11 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
     return graphs
 
 
+def _graph_count(r: int, d: int) -> int:
+    """len(enumerate_graphs(r, d)) in closed form, for d = 1 or 2."""
+    return 2 * r * (r + 1) if d == 1 else r * (r + 1) * (2 * r + 1)
+
+
 def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) -> int:
     """Refuse an integrand of degree above the virtual dimension; return the
     dimension minus the integrand degree."""
@@ -247,8 +252,6 @@ def localized_invariant(
             flag = W[vs[nbr]] - W[vs[marked]] if marked in (0, last) else 0
             top, bottom = _power(flag, delta, psi_power)
             num, den = num * top, den * bottom
-            if num == 0:
-                continue
         for k, delta in enumerate(ds):
             edge = edges[vs[k], vs[k + 1], delta]
             if edge[2] == 0:
@@ -261,6 +264,9 @@ def localized_invariant(
             if smoothing == 0:
                 raise WeightCollision("node-smoothing weight vanishes")
             num, den = num * tangent[vs[1]], den * smoothing
+        if num == 0:
+            # skipped only once the draw's Euler-class checks have passed
+            continue
         for v, nbr, delta in ((0, 1, ds[0]), (last, last - 1, ds[-1])):
             if v != marked:
                 # an unmarked end divides the Euler class by its flag weight

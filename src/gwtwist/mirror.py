@@ -140,7 +140,9 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
     q-coefficient the hbar^0 part must be a scalar multiple of ctop and
     the hbar^{-1} part must decompose as ctop times a divisor plus something
     the Euler class annihilates; otherwise StructureViolation identifies the
-    offending curve class.
+    offending curve class.  Where ctop^2 kills a hyperplane class p_i, that
+    decomposition cannot see the p_i part, so an hbar^{-1} part that is not
+    a multiple of ctop is refused too, naming the vanishing factors.
     """
     space, D = S.space, S.max_degree
     if ctop.space != space:
@@ -154,6 +156,7 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
         ref_idx = next(i for i, c in enumerate(ctop.coeffs) if c != 0)
         ctop_sq = ctop * ctop
         columns = [ctop_sq * space.hyperplane(i) for i in range(space.nfactors)]
+        vanishing = [i for i, col in enumerate(columns) if col.is_zero]
     g_terms = {S.zero_beta: ONE}
     div_terms: list[dict] = [{} for _ in range(space.nfactors)]
     for beta, hl in S.terms.items():
@@ -183,6 +186,15 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
             )
         if g_beta != 0:
             g_terms[beta] = g_beta
+        if vanishing and a1 != ctop.scale(a1.coeffs[ref_idx] / ctop.coeffs[ref_idx]):
+            # the solve below reads a1 ctop = ctop^2 sum_i x_i p_i, which
+            # cannot see x_i on these columns
+            raise StructureViolation(
+                "hbar^-1 coefficient has an undetermined divisor part: the "
+                "squared Euler class kills a hyperplane class",
+                beta=list(beta),
+                vanishing_factors=vanishing,
+            )
         coeffs = _solve_linear(columns, a1 * ctop)
         if coeffs is None:
             raise StructureViolation(

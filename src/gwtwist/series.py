@@ -404,13 +404,19 @@ def _exp(f, one):
     |gamma| f_gamma E_{beta-gamma}, so each coefficient follows from those
     of lower degree (Brent-Kung, JACM 1978).
     """
-    theta = _theta(f)
     out = {f.zero_beta: one}
-    for beta in f.curve_classes()[1:]:
+    _exp_extend(out, _theta(f), f.curve_classes()[1:], f._scale_coeff)
+    return f._new(out)
+
+
+def _exp_extend(out: dict, theta, classes, scale):
+    """Add to the exp coefficients ``out`` those at ``classes``, each from
+    the coefficients of lower degree already in ``out``, by the recurrence
+    of ``_exp``; ``theta`` must hold every term of degree up to theirs."""
+    for beta in classes:
         acc = _convolve(beta, theta, out)
         if acc is not None:
-            out[beta] = f._scale_coeff(acc, Fraction(1, _degree(beta)))
-    return f._new(out)
+            out[beta] = scale(acc, Fraction(1, _degree(beta)))
 
 
 def qs_exp(a: ScalarQSeries) -> ScalarQSeries:
@@ -483,14 +489,14 @@ def _check_substitution(space: AmbientSpace, max_degree: int, f1: list[ScalarQSe
     _check_dials(space, max_degree, f1)
 
 
-def _apply_pairing(S, f1):
-    """S(q e^{f1}) for a series of either kind, truncated at its degree D,
-    for checked f1 of degree D or above.
+def _substitute(S, f1: list[ScalarQSeries]):
+    """S(q e^{f1}) for a series of either kind, truncated at its degree D.
 
     Each q^beta term is multiplied by ``_pairing_factor``, so the beta = 0
     term is never modified.
     """
     D = S.max_degree
+    _check_substitution(S.space, D, f1)
     out: dict = {}
     for beta, c in S.terms.items():
         for gamma, e in _pairing_factor(f1, beta, D).terms.items():
@@ -499,11 +505,6 @@ def _apply_pairing(S, f1):
             prev = out.get(total)
             out[total] = contrib if prev is None else prev + contrib
     return S._new(out)
-
-
-def _substitute(S, f1: list[ScalarQSeries]):
-    _check_substitution(S.space, S.max_degree, f1)
-    return _apply_pairing(S, f1)
 
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
@@ -517,23 +518,46 @@ def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeri
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
-    """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0.
+    """Inverse of q -> q*exp(f1): g with g + f(q e^g) = 0, in one pass.
 
-    The degree-n part of f(q e^g) involves g only below degree n, so round
-    n composes f and g truncated at degree n and keeps the degree-n terms.
+    The degree-n terms of f(q e^g) = sum_beta f_beta q^beta E_beta, with
+    E_beta = exp(beta . g), read E_beta only through degree n - |beta| < n,
+    and so g only below degree n.  Round n therefore grows each E_beta, for
+    the classes beta some f^i carries, by one degree level of the ``_exp``
+    recurrence, and sets g_alpha = -sum_beta f_beta E_beta[alpha - beta] for
+    every |alpha| = n.
     """
     if not f1:
         return []
     space, D = f1[0].space, f1[0].max_degree
     _check_substitution(space, D, f1)
+    levels: list[list] = [[] for _ in range(D + 1)]
+    for beta in all_curve_classes(space, D):
+        levels[_degree(beta)].append(beta)
+    zero = levels[0][0]
+    # per beta: the coefficients of E_beta and the theta terms of beta . g
+    factors = {beta: ({zero: ONE}, []) for f in f1 for beta in f.terms}
     g: list[dict] = [{} for _ in f1]
     for n in range(1, D + 1):
-        gn = [ScalarQSeries(space, n, t) for t in g]
-        for f, terms in zip(f1, g):
-            comp = _apply_pairing(f.truncate(n), gn)
-            for beta, c in comp.terms.items():
-                if _degree(beta) == n:
-                    terms[beta] = -c
+        for beta, (E, theta) in factors.items():
+            m = n - _degree(beta)
+            if m < 0:
+                continue
+            if m:
+                for gamma in levels[m]:
+                    c = sum(b * t.get(gamma, ZERO) for b, t in zip(beta, g) if b)
+                    if c:
+                        theta.append((gamma, m, m * c))
+                _exp_extend(E, theta, levels[m], mul)
+            for gamma in levels[m]:
+                e = E.get(gamma)
+                if e is None:
+                    continue
+                alpha = tuple(x + y for x, y in zip(beta, gamma))
+                for f, terms in zip(f1, g):
+                    c = f.terms.get(beta)
+                    if c is not None:
+                        terms[alpha] = terms.get(alpha, ZERO) - c * e
     return [ScalarQSeries(space, D, t) for t in g]
 
 

@@ -212,6 +212,42 @@ def test_serre_refuses_failed_positivity(tmp_path, capsys):
     assert payload["nonneg"] == [False]
 
 
+# rk E >= dim X: ctop^2 kills the hyperplane class, so the normal form cannot
+# read the divisor part of the hbar^-1 coefficient.  The published counts
+# (Libgober-Teitelbaum; Hosono-Klemm-Theisen-Yau) give N_1 = n_1 and
+# N_2 = n_2 + n_1/8.
+BLIND = [
+    ("p7-o2x4.json", 512, 9728),
+    ("p6-o3-o2-o2.json", 720, 22428),
+]
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in BLIND])
+def test_invariants_refuse_undetermined_divisor_part(capsys, name):
+    path = os.path.join(_ROOT, "geometries", name)
+    rc, out, err = _run(
+        capsys, ["--geometry", path, "--cmd", "invariants", "--max-degree", "4"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "StructureViolation"
+    assert payload["module"] == "mirror"
+    assert payload["beta"] == [1]
+    assert payload["vanishing_factors"] == [0]
+
+
+@pytest.mark.parametrize("name, n1, n2", BLIND)
+def test_oracle_still_counts_where_invariants_refuse(capsys, name, n1, n2):
+    path = os.path.join(_ROOT, "geometries", name)
+    rc, out, _ = _run(
+        capsys, ["--geometry", path, "--cmd", "oracle", "--max-degree", "2"]
+    )
+    assert rc == 0
+    values = [report["value"] for report in json.loads(out)["reports"]]
+    assert values == [f"{n1}/1", f"{n2 + n1 // 8}/1"]
+
+
 def test_oracle_refuses_integrand_above_dimension(tmp_path, capsys):
     path = tmp_path / "p1-o1.json"
     path.write_text(

@@ -29,6 +29,7 @@ from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _promote, _reference_apply_transform
+from test_yukawa import yukawa_n_numbers
 
 P1 = AmbientSpace((1,))
 P3 = AmbientSpace((3,))
@@ -339,3 +340,12 @@ def test_serre_factor_matches_two_assembles_per_level(name, monkeypatch):
     else:
         assert solve_serre_factor(pair).to_obj() == want.to_obj()
         assert len(calls) == D + 1
+
+
+# The pipeline against the Yukawa-coupling route, which shares no code with
+# it, at every degree through 8; the fixed-point oracle reaches only 2.
+@pytest.mark.parametrize("r, lines", [(4, (5,)), (5, (3, 3)), (5, (4, 2))], ids=str)
+def test_pipeline_matches_yukawa_route_through_degree_8(r, lines):
+    g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
+    n = aspinwall_morrison(g, n_numbers(g, 8))
+    assert n == yukawa_n_numbers(r, lines, 8)

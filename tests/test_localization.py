@@ -20,6 +20,7 @@ from gwtwist import (
     localized_invariant,
     oracle_n_value,
 )
+from gwtwist.localization import _graph_count
 
 W2 = TorusWeights((Fraction(0), Fraction(1)))
 W5 = TorusWeights(tuple(Fraction(v) for v in (1, 3, 9, 27, 81)))
@@ -36,6 +37,12 @@ def test_graph_counts_on_p4():
     doubles = [g for g in enumerate_graphs(4, 2) if len(g.vertices) == 3]
     assert len(singles) == 20
     assert len(doubles) == 160
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_graph_count_closed_form(d):
+    for r in range(1, 9):
+        assert _graph_count(r, d) == len(enumerate_graphs(r, d))
 
 
 def test_graph_listing_factors():
@@ -340,16 +347,19 @@ def test_tables_match_reference_graph_sum(r, lines):
     assert _outcome(localized_invariant, r, 1, lines, 0, 1, short) is WeightCollision
 
 
-def test_psi_skips_euler_checks_of_vanishing_terms():
-    # 1 lies halfway between -1 and 3, but every graph through that double
-    # edge or node has a vanishing O(2) factor, so with psi > 0 it is skipped
-    # before its Euler class is checked; without psi the draw collides
+def test_psi_keeps_euler_checks_of_vanishing_terms():
+    # 1 lies halfway between -1 and 3, and every graph through that double
+    # edge or node has a vanishing O(2) factor.  The reference skips such a
+    # graph with psi > 0 before checking its Euler class and returns a
+    # weight-dependent value (1/5578650 at psi^1); the draw must collide for
+    # every insertion instead
     w = TorusWeights(tuple(Fraction(v) for v in (-1, 1, 3, 10, 24)))
     for psi, ev in PSI_EV:
         args = (4, 2, (2, -1), psi, ev, w)
+        assert _outcome(localized_invariant, *args) is WeightCollision
         expected = _outcome(_reference_localized_invariant, *args)
-        assert _outcome(localized_invariant, *args) == expected
         assert (expected is WeightCollision) == (psi == 0)
+    assert _reference_localized_invariant(4, 2, (2, -1), 1, 0, w) == Fraction(1, 5578650)
 
 
 @pytest.mark.parametrize(

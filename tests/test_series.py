@@ -7,13 +7,17 @@ import pytest
 
 from gwtwist import (
     AmbientSpace,
+    BundleSpec,
+    GeometrySpec,
     HbarLaurent,
     NonInvertible,
     QSeries,
     ScalarQSeries,
     SpaceMismatch,
     TruncationMismatch,
+    euler_class,
     hl_invert,
+    i_function,
     hl_mul,
     invert_substitution,
     qs_exp,
@@ -21,7 +25,9 @@ from gwtwist import (
     qs_substitute,
     qseries_from_obj,
     qseries_to_obj,
+    solve_mirror_map,
 )
+from gwtwist import mirror, series
 from gwtwist.series import (
     _degree,
     compose_substitute,
@@ -405,3 +411,88 @@ def test_invert_substitution_matches_round_by_round(case):
     for _ in range(2):
         f1 = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
         assert invert_substitution(f1) == _reference_invert_substitution(f1)
+
+
+# -- the one-pass inversion's exp(beta . g) factors ---------------------------
+
+
+def _canonical(terms):
+    return sorted((beta, c) for beta, c in terms.items() if c)
+
+
+def _assert_factors_are_exps(monkeypatch, f1):
+    # every coefficient table the shared exp recurrence extends during the
+    # inversion is E_beta = exp(beta . g) truncated at D - |beta|, one per
+    # class beta of degree below D that some f^i carries (E_beta = 1 at D)
+    tables = {}
+    extend = series._exp_extend
+
+    def recording(out, theta, classes, scale):
+        tables[id(out)] = out
+        return extend(out, theta, classes, scale)
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "_exp_extend", recording)
+        g1 = invert_substitution(f1)
+    assert g1 == _reference_invert_substitution(f1)
+    space, D = f1[0].space, f1[0].max_degree
+    expected = []
+    for beta in sorted({beta for f in f1 for beta in f.terms}):
+        top = D - _degree(beta)
+        if top == 0:
+            continue
+        exponent = {}
+        for b, g in zip(beta, g1):
+            for gamma, c in g.terms.items():
+                if b and _degree(gamma) <= top:
+                    exponent[gamma] = exponent.get(gamma, 0) + b * c
+        expected.append(_canonical(qs_exp(ScalarQSeries(space, top, exponent)).terms))
+    assert sorted(_canonical(t) for t in tables.values()) == sorted(expected)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_inversion_factors_are_truncated_exps(monkeypatch, case):
+    sp, D = case
+    rng = random.Random(4000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    f1 = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
+    _assert_factors_are_exps(monkeypatch, f1)
+
+
+@pytest.mark.parametrize(
+    "factors, lines, D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)], ids=["quintic", "bicubic"]
+)
+def test_solved_map_inversion_factors_are_truncated_exps(monkeypatch, factors, lines, D):
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    seen = []
+
+    def capture(f1):
+        seen.append(f1)
+        return invert_substitution(f1)
+
+    monkeypatch.setattr(mirror, "invert_substitution", capture)
+    solve_mirror_map(i_function(g, D), euler_class(sp, g.bundle))
+    monkeypatch.undo()
+    [f1] = seen
+    assert all(not f.is_zero for f in f1)
+    _assert_factors_are_exps(monkeypatch, f1)
+
+
+def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
+    # one _convolve per (beta, gamma) with beta, gamma != 0 and
+    # |beta| + |gamma| <= 12: sum_{b=1}^{11} (12 - b) = 66; recomposing f
+    # at every degree made 286
+    rng = random.Random(12)
+    f1 = [_random_scalar(rng, P1, 12, density=1.0)]
+    calls = []
+    convolve = series._convolve
+
+    def counting(*args):
+        calls.append(args[0])
+        return convolve(*args)
+
+    monkeypatch.setattr(series, "_convolve", counting)
+    g1 = invert_substitution(f1)
+    monkeypatch.undo()
+    assert len(calls) <= 66
+    assert g1 == _reference_invert_substitution(f1)
