@@ -146,7 +146,8 @@ def _run(g, args) -> int:
         series = i_function(g, args.max_degree)
         return _emit(args, _dump_json(qseries_to_obj(series)), 0)
     if args.cmd == "mirror-map":
-        m, _ = _normalize(g, args.max_degree)
+        # checked on the start-1 series itself, where the check is exact
+        m, _ = _normalize(g, args.max_degree, True)
         return _emit(args, _dump_json(m.to_obj()), 0)
     if args.cmd == "invariants":
         text, code = _cmd_invariants(g, args)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Infeasible, StructureViolation, Unsupported
-from .mirror import MirrorMap, apply_transform, normal_form, solve_mirror_map
-from .ring import euler_class, format_fraction
+from .mirror import MirrorMap, apply_transform, solve_mirror_map
+from .ring import BundleSpec, CohClass, euler_class, format_fraction
 from .series import QSeries, ScalarQSeries, qs_log, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
@@ -21,10 +21,12 @@ from .twist import (
     _ambient_series,
     _combined_degrees,
     _linear_products,
+    _prime_table,
     _twisted,
     check_conditions,
     classify,
     i_function,
+    i_prime,
 )
 
 
@@ -38,33 +40,63 @@ def _require_nonneg(g: GeometrySpec) -> None:
         )
 
 
-def _normalize(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, QSeries]:
-    """The pipeline's one change of variables: gate the geometry, build the
-    twisted series, solve the map, apply it once and refuse a result that is
-    not normalized.  Returns the map and the normalized series."""
+def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[MirrorMap, QSeries]:
+    """The pipeline's one change of variables: gate the geometry, read the
+    map off the start-1 series I', apply it once, to I' itself or to
+    ``i_function``, and refuse a result that is not normalized.  Returns the
+    map and the normalized series."""
     _require_nonneg(g)
-    I = i_function(g, max_degree)
-    ctop = euler_class(g.space, g.bundle)
-    m = solve_mirror_map(I, ctop)
-    T = apply_transform(I, m)
-    if not normal_form(T, ctop).is_normalized:
-        raise StructureViolation("solver failed to normalize the series")
+    space = g.space
+    I1 = i_prime(g, max_degree)
+    m = solve_mirror_map(I1, space.unit())
+    if start_one:
+        S = I1
+    elif g.concave_lines():
+        S = i_function(g, max_degree)
+    else:
+        # e(E) I' is i_function exactly, without a second build
+        ctop = euler_class(space, g.bundle)
+        S = QSeries(space, max_degree, {b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
+    T = apply_transform(S, m)
+    for beta in T.curve_classes()[1:]:
+        hl = T.term(beta)
+        if not (hl.coefficient(0).is_zero and hl.coefficient(-1).is_zero):
+            raise StructureViolation("transformed series is not normalized", beta=list(beta))
     return m, T
 
 
 def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Run the pipeline: twisted series, solve the transform, apply it."""
-    return _normalize(g, max_degree)[1]
+    """Run the pipeline on the twisted series: solve the transform, apply it
+    to ``i_function`` and check the result starts at e(E) with vanishing
+    hbar^0 and hbar^-1 layers.  A concave bundle with a non-zero map is
+    refused there; its counts come from the start-1 series."""
+    return _normalize(g, max_degree, False)[1]
+
+
+def _divide(a: CohClass, e: CohClass, beta) -> CohClass:
+    """a / e for the monomial e = c H^k on one projective space: each H^i of
+    a shifts down to H^(i-k).  A term below H^k is refused."""
+    [((k,), c)] = e.items()
+    if any(i < k for (i,), _ in a.items()):
+        raise StructureViolation("hbar^-2 coefficient is not divisible by e(E_conc)", beta=list(beta))
+    return sum((a.space.monomial((i - k,), x / c) for (i,), x in a.items()), a.space.zero())
 
 
 def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     """Curve counts per curve class, from the hbar^{-2} layer.
 
-    Each count is the total-divisor pairing of the hbar^{-2} coefficient,
-    divided by the total degree of the class.
+    Each count is the total-divisor pairing of the hbar^{-2} coefficient
+    a_2 of the normalized series, divided by the total degree of the class.
+    Where a concave summand has a non-zero Euler class e(E_conc), the
+    normalized series is the start-1 one and the pairing is with
+    e(E_conv) (a_2 / e(E_conc)): dividing first keeps the product below the
+    top degree, where multiplying first would overflow it.
     """
     space = g.space
-    T = normalized_series(g, max_degree)
+    conc = euler_class(space, BundleSpec(g.concave_lines()))
+    start_one = bool(g.concave_lines()) and not conc.is_zero
+    T = _normalize(g, max_degree, True)[1] if start_one else normalized_series(g, max_degree)
+    conv = euler_class(space, BundleSpec(g.convex_lines()))
     divisor = space.divisor_sum()
     out: dict = {}
     for beta in T.curve_classes():
@@ -72,6 +104,8 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
         if total == 0:
             continue
         a = T.term(beta).coefficient(-2)
+        if start_one:
+            a = _divide(a, conc, beta) * conv
         out[beta] = space.integrate(divisor * a) / total
     return out
 
@@ -140,8 +174,10 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     and so not invertible, followed by an operator of order rk E; neither is
     a change of the dials of ``solve_serre_factor``.
 
-    Both products are read from per-summand tables indexed by d_j.  A
-    geometry that fails the positivity condition is refused first.
+    Both products are read from per-summand tables indexed by d_j, the
+    first from the table that also builds the pipeline's start-1 series
+    (``twist.i_prime``).  A geometry that fails the positivity condition is
+    refused first.
     """
     _require_nonneg(g)
     space = g.space
@@ -149,13 +185,9 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
         raise Unsupported("dual pair construction needs a convex bundle")
     J = _ambient_series(g, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
-    # row d of each table: prod_{k=1}^{d} (c1 + k hbar), and
-    # prod_{k=-d+1}^{0} (-c1 + k hbar) for the dual
-    prime, dual = [], []
-    for l in g.bundle.lines:
-        c1 = space.divisor(l)
-        prime.append((l, _linear_products(space, c1, 1, 1)))
-        dual.append((l, _linear_products(space, -c1, 0, -1)))
+    prime = [(l, _prime_table(space, l)) for l in g.bundle.lines]
+    # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
+    dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]
     return SerrePair(
         i_prime=_twisted(J, prime, space.unit()),
         i_prime_dual=_twisted(J, dual, space.unit()).scale(sign),
@@ -185,8 +217,8 @@ class SerreFactorSolution:
 def _assemble(pair: SerrePair, phi, string, f1):
     """phi * e^{string/hbar} * I'(q e^{f1}), with phi entering the transform
     as the dial f0 = log(sign phi); phi starts at the sign."""
-    dials = MirrorMap(f0=qs_log(phi.scale(pair.sign)), f1=f1)
-    return apply_transform(pair.i_prime, dials, string=string).scale(pair.sign)
+    dials = MirrorMap(f0=qs_log(phi.scale(pair.sign)), f1=f1, string=string)
+    return apply_transform(pair.i_prime, dials).scale(pair.sign)
 
 
 def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:

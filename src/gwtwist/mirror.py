@@ -3,21 +3,14 @@
 The pipeline's middle stage: a series built by the twist module is brought to
 its normalized shape by a change of variables
 
-    S  |->  e^{f0(q)} * e^{(1/hbar) sum_i p_i f1^i(q)} * S(q e^{f1(q)}, hbar),
+    S  |->  e^{f0(q) + (s(q) + sum_i p_i f1^i(q))/hbar} * S(q e^{f1(q)}, hbar),
 
-with f0 and the f1^i scalar q-series vanishing at q = 0.  Normalized means
-the hbar^0 part of every q-coefficient is exactly the Euler class and the
-hbar^{-1} part carries no divisor component against it.
-
-One normal form of S gives the scalar factor g and the divisor parts div.
-Provided S has no positive hbar powers (``normal_form`` refuses any),
-e^{(p . f1)/hbar} leaves hbar^0 alone and adds (p . f1) g(q e^{f1}) ctop at
-hbar^{-1}.  So the transformed series is normalized exactly when
-
-    e^{f0} g(q e^{f1}) = 1   and   f1 + (div/g)(q e^{f1}) = 0,
-
-the classical mirror-map shape: f1 inverts one substitution and
-f0 = -log g(q e^{f1}).  For geometries in the trivial-transform cases the
+with the dials f0, s (the string dial) and f1^i scalar q-series vanishing at
+q = 0.  Normalized means every q-coefficient but the first has vanishing
+hbar^0 and hbar^-1 parts.  The map is read off the twisted series that starts
+at 1 (``twist.i_prime``): by homogeneity its hbar^0 part is a scalar and its
+hbar^-1 part a scalar plus a divisor, so no linear solve is needed
+(``solve_mirror_map``).  For geometries in the trivial-transform cases the
 solution is identically zero.
 
 The module also houses the ordered-decomposition combinatorics used to show
@@ -51,14 +44,18 @@ from .series import (
 
 @dataclass(frozen=True)
 class MirrorMap:
-    """Change-of-variables data: a scalar dial f0 and one dial f1^i per factor."""
+    """Change-of-variables data: a scalar dial f0, one dial f1^i per factor,
+    and the string dial (zero unless given)."""
 
     f0: ScalarQSeries
     f1: tuple[ScalarQSeries, ...]
+    string: ScalarQSeries | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "f1", tuple(self.f1))
-        if self.f0.constant_term != 0 or any(f.constant_term != 0 for f in self.f1):
+        if self.string is None:
+            object.__setattr__(self, "string", ScalarQSeries.zero(self.f0.space, self.f0.max_degree))
+        if any(f.constant_term != 0 for f in (self.f0, self.string, *self.f1)):
             raise ValueError("mirror map series must vanish at q = 0")
 
     @classmethod
@@ -68,97 +65,55 @@ class MirrorMap:
 
     @property
     def is_zero(self) -> bool:
-        return self.f0.is_zero and all(f.is_zero for f in self.f1)
+        return self.f0.is_zero and self.string.is_zero and all(f.is_zero for f in self.f1)
 
     def to_obj(self) -> dict:
-        return {
-            "f0": scalar_to_obj(self.f0),
-            "f1": [scalar_to_obj(f) for f in self.f1],
-        }
+        """f0 and f1, and the string dial where it is non-zero."""
+        obj = {"f0": scalar_to_obj(self.f0), "f1": [scalar_to_obj(f) for f in self.f1]}
+        if not self.string.is_zero:
+            obj["string"] = scalar_to_obj(self.string)
+        return obj
 
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Structure extraction of a series against the Euler class.
+    """The hbar^0 and hbar^-1 layers of a series that starts at 1.
 
-    ``g`` is the scalar series with hbar^0 coefficient g(beta) * euler;
-    ``divisor_part`` holds, per ambient factor, the divisor components of the
-    hbar^{-1} coefficients relative to the Euler class.  Components paired to
-    zero by the Euler class are allowed and not recorded.
+    ``g`` is the hbar^0 scalar, ``string`` the hbar^-1 scalar and
+    ``divisor_part`` holds, per ambient factor, the hbar^-1 coefficient of
+    the hyperplane class p_i.
     """
 
     g: ScalarQSeries
+    string: ScalarQSeries
     divisor_part: tuple[ScalarQSeries, ...]
 
-    @property
-    def is_normalized(self) -> bool:
-        one = ScalarQSeries.one(self.g.space, self.g.max_degree)
-        return self.g == one and all(f.is_zero for f in self.divisor_part)
 
+def normal_form(S: QSeries, start: CohClass) -> NormalForm:
+    """Read the scalar, string and divisor layers of S.
 
-def _solve_linear(columns, target: CohClass):
-    """Solve sum_i c_i * columns[i] = target over the rationals.
-
-    Free variables are set to zero; returns None when inconsistent.
-    """
-    ncols = len(columns)
-    mat = []
-    for *row, rhs in zip(*(col.coeffs for col in columns), target.coeffs):
-        if any(row) or rhs != 0:
-            mat.append(row + [rhs])
-    sol = [ZERO] * ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        prow = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if prow is None:
-            continue
-        mat[r], mat[prow] = mat[prow], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for row in mat:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    for row_i, c in enumerate(pivots):
-        sol[c] = mat[row_i][ncols]
-    return sol
-
-
-def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
-    """Extract the scalar and divisor structure of S against the Euler class.
-
-    Requires the q = 0 term of S to be exactly ctop at hbar^0 and no
-    q-coefficient to carry a positive hbar power.  For each other
-    q-coefficient the hbar^0 part must be a scalar multiple of ctop and
-    the hbar^{-1} part must decompose as ctop times a divisor plus something
-    the Euler class annihilates; otherwise StructureViolation identifies the
-    offending curve class.  Where ctop^2 kills a hyperplane class p_i, that
-    decomposition cannot see the p_i part, so an hbar^{-1} part that is not
-    a multiple of ctop is refused too, naming the vanishing factors.
+    Requires the q = 0 term of S to be exactly ``start`` at hbar^0 and no
+    q-coefficient to carry a positive hbar power.  With the unit class as
+    start, every other q-coefficient must have a scalar hbar^0 part and an
+    hbar^-1 part in the span of 1 and the p_i; anything else raises
+    StructureViolation naming the curve class and the residual.  Any other
+    start is accepted only when the hbar^0 and hbar^-1 parts of every other
+    q-coefficient vanish, and then reads g = 1 and nothing else.
     """
     space, D = S.space, S.max_degree
-    if ctop.space != space:
-        raise SpaceMismatch("Euler class on a different ambient space")
-    if S.term(S.zero_beta) != HbarLaurent(space, {0: ctop}):
+    if start.space != space:
+        raise SpaceMismatch("start class on a different ambient space")
+    if S.term(S.zero_beta) != HbarLaurent(space, {0: start}):
         raise StructureViolation(
-            "series does not start at the Euler class", beta=[0] * space.nfactors
+            "series does not start at the given class", beta=[0] * space.nfactors
         )
-    ctop_zero = ctop.is_zero
-    if not ctop_zero:
-        ref_idx = next(i for i, c in enumerate(ctop.coeffs) if c != 0)
-        ctop_sq = ctop * ctop
-        columns = [ctop_sq * space.hyperplane(i) for i in range(space.nfactors)]
-        vanishing = [i for i, col in enumerate(columns) if col.is_zero]
+    unit = space.unit()
+    from_unit = start == unit
+    n = space.nfactors
+    p_exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     g_terms = {S.zero_beta: ONE}
-    div_terms: list[dict] = [{} for _ in range(space.nfactors)]
+    s_terms: dict = {}
+    div_terms: list[dict] = [{} for _ in p_exps]
     for beta, hl in S.terms.items():
         if sum(beta) == 0:
             continue
@@ -169,64 +124,44 @@ def normal_form(S: QSeries, ctop: CohClass) -> NormalForm:
             )
         a0 = hl.coefficient(0)
         a1 = hl.coefficient(-1)
-        if ctop_zero:
-            if not a0.is_zero:
-                raise StructureViolation(
-                    "hbar^0 coefficient must vanish when the Euler class does",
-                    beta=list(beta),
-                    residual=coh_to_obj(a0),
-                )
-            continue
-        g_beta = a0.coeffs[ref_idx] / ctop.coeffs[ref_idx]
-        if a0 != ctop.scale(g_beta):
+        if from_unit:
+            g_beta, s_beta, div = a0.scalar_part, a1.scalar_part, [a1.coeff(e) for e in p_exps]
+        else:
+            g_beta, s_beta, div = ZERO, ZERO, [ZERO] * n
+        residual = (a0 - unit.scale(g_beta), a1 - unit.scale(s_beta) - space.divisor(div))
+        if not (residual[0].is_zero and residual[1].is_zero):
+            want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
             raise StructureViolation(
-                "hbar^0 coefficient is not a scalar multiple of the Euler class",
+                f"hbar^0 and hbar^-1 coefficients are not {want}",
                 beta=list(beta),
-                residual=coh_to_obj(a0 - ctop.scale(g_beta)),
+                residual=[coh_to_obj(r) for r in residual],
             )
         if g_beta != 0:
             g_terms[beta] = g_beta
-        if vanishing and a1 != ctop.scale(a1.coeffs[ref_idx] / ctop.coeffs[ref_idx]):
-            # the solve below reads a1 ctop = ctop^2 sum_i x_i p_i, which
-            # cannot see x_i on these columns
-            raise StructureViolation(
-                "hbar^-1 coefficient has an undetermined divisor part: the "
-                "squared Euler class kills a hyperplane class",
-                beta=list(beta),
-                vanishing_factors=vanishing,
-            )
-        coeffs = _solve_linear(columns, a1 * ctop)
-        if coeffs is None:
-            raise StructureViolation(
-                "hbar^-1 coefficient has no divisor decomposition against the Euler class",
-                beta=list(beta),
-                residual=coh_to_obj(a1),
-            )
-        for i, c in enumerate(coeffs):
+        if s_beta != 0:
+            s_terms[beta] = s_beta
+        for terms, c in zip(div_terms, div):
             if c != 0:
-                div_terms[i][beta] = c
+                terms[beta] = c
     return NormalForm(
         g=ScalarQSeries(space, D, g_terms),
+        string=ScalarQSeries(space, D, s_terms),
         divisor_part=tuple(ScalarQSeries(space, D, t) for t in div_terms),
     )
 
 
-def apply_transform(
-    S: QSeries, m: MirrorMap, string: ScalarQSeries | None = None
-) -> QSeries:
+def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     """Apply the change of variables to a series.
 
     Returns e^{f0 + (s + sum_i p_i f1^i)/hbar} * S(q e^{f1}), truncated at the
-    series' degree, with the optional ``string`` dial s.  The prefactor is one
+    series' degree, with s the map's string dial.  The prefactor is one
     class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
     in one pass and applied with one product; it is a finite sum because its
-    exponent has no q = 0 term.  Dials on another space or degree, or with a
-    constant term, are refused.
+    exponent has no q = 0 term.  Dials on another space or degree are
+    refused.
     """
     space, D = S.space, S.max_degree
-    if string is None:
-        string = ScalarQSeries.zero(space, D)
-    _check_dials(space, D, [m.f0, string])
+    _check_dials(space, D, [m.f0, m.string])
     result = qs_substitute(S, list(m.f1))
     unit = space.unit()
     exponent = {
@@ -234,7 +169,7 @@ def apply_transform(
             space,
             {
                 0: unit.scale(m.f0.coeff(beta)),
-                -1: unit.scale(string.coeff(beta)) + space.divisor([f.coeff(beta) for f in m.f1]),
+                -1: unit.scale(m.string.coeff(beta)) + space.divisor([f.coeff(beta) for f in m.f1]),
             },
         )
         for beta in result.curve_classes()[1:]
@@ -245,25 +180,27 @@ def apply_transform(
     return qs_exp_full(prefactor) * result
 
 
-def solve_mirror_map(S: QSeries, ctop: CohClass) -> MirrorMap:
+def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     """Find the change of variables normalizing S, in closed form.
 
-    With g and div read off one normal form of S, the transform leaves the
-    hbar^0 part of S(q e^{f1}) alone and adds (p . f1) g(q e^{f1}) ctop at
-    hbar^{-1}, because S has no positive hbar powers.  So normalized means
+    With g, s and div read off one normal form of S, normalized means
 
-        e^{f0} g(q e^{f1}) = 1   and   f1 + (div/g)(q e^{f1}) = 0,
+        e^{f0} g(q e^{f1}) = 1,  string g(q e^{f1}) + s(q e^{f1}) = 0  and
+        f1 + (div/g)(q e^{f1}) = 0,
 
-    solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}).  The
-    gauge f0(0) = f1(0) = 0 makes the solution unique.  The solve does not
-    apply the map: the pipeline applies it once and checks that the result
-    is normalized (``invariants._normalize``).
+    solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}) and
+    string = -(s/g)(q e^{f1}).  The gauge of dials vanishing at q = 0 makes the
+    solution unique.  A start other than 1 gives the zero map or a refusal
+    (see ``normal_form``).  The solve does not apply the map: the pipeline
+    applies it once and checks that the result is normalized
+    (``invariants._normalize``).
     """
-    nf = normal_form(S, ctop)
+    nf = normal_form(S, start)
     inv_g = qs_exp(qs_log(nf.g).scale(-1))
     f1 = invert_substitution([d * inv_g for d in nf.divisor_part])
     f0 = qs_log(compose_substitute(nf.g, f1)).scale(-1)
-    return MirrorMap(f0=f0, f1=tuple(f1))
+    string = compose_substitute(nf.string * inv_g, f1).scale(-1)
+    return MirrorMap(f0=f0, f1=tuple(f1), string=string)
 
 
 # -- ordered-decomposition combinatorics -------------------------------------

@@ -9,7 +9,8 @@ the downstream solver relies on, and assembles the hypergeometric series
     I(beta) = J(beta) * prod_j H_beta(L_j),
 
 where J is the closed-form ambient series and each H factor is the finite
-product of linear terms attached to a summand.
+product of linear terms attached to a summand, and the same series started
+at 1 (``i_prime``), from which the change of variables is read.
 
 Both are built by degree recursion, since consecutive terms differ by a few
 linear factors: each ambient factor gets a table A_i[d] of inverse products,
@@ -208,6 +209,17 @@ def _twist_table(space: AmbientSpace, l):
     return lambda n: row(max(-n - 1, 0))
 
 
+def _prime_table(space: AmbientSpace, l):
+    """Return n -> the start-1 factor of one summand at pairing n = <L, beta>:
+    prod_{k=1}^{n} (c1 + k hbar) if convex, and prod_{k=n+1}^{0} (c1 + k hbar),
+    the k = 0 factor c1 included, if concave (where n < 0 for beta != 0)."""
+    c1 = space.divisor(l)
+    if classify(l) == CONVEX:
+        return _linear_products(space, c1, 1, 1)
+    row = _linear_products(space, c1, 0, -1)
+    return lambda n: row(-n)
+
+
 def _pairing(l, beta) -> int:
     return sum(li * di for li, di in zip(l, beta))
 
@@ -287,6 +299,15 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     space = g.space
     tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]
     return _twisted(_ambient_series(g, max_degree), tables, euler_class(space, g.bundle))
+
+
+def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
+    """The twisted series I' that starts at 1 (Coates-Givental): J(beta)
+    times each summand's ``_prime_table`` factor for beta != 0.  Without
+    concave summands, e(E) I' is ``i_function`` exactly."""
+    space = g.space
+    tables = [(l, _prime_table(space, l)) for l in g.bundle.lines]
+    return _twisted(_ambient_series(g, max_degree), tables, space.unit())
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,9 @@ SHA-256 of its exit code, standard output and standard error with a pinned
 digest.  The digests were computed before the integer-numerator class kernel
 and the one-pass exp/log replaced the dense ``Fraction`` kernel and the
 power sums, so a change to the exact arithmetic that alters any report,
-error payload or exit code fails here.
+error payload or exit code fails here.  One digest was recomputed since:
+``mirror-map:p1-o1``, whose report gained the string dial -q that the map
+applies (P1 with O(1) has Fano index 1).
 """
 
 import hashlib
@@ -73,7 +75,7 @@ DIGESTS = {
     "invariants:quintic": "008fc16bd8aadbc9e4b8d649ecd4f1da074a86ef7fa346175c38472c898f9bf9",
     "mirror-map:bicubic": "02bd8c7d77773e0c81a9b9a1acf4f6e406e38cf5000b57be47b87b455c908056",
     "mirror-map:local-p1": "64fce4c805e9fbf8e5fbb54d88f0d9c6a485926cf20a2c27a4ed4137c53a8d78",
-    "mirror-map:p1-o1": "64fce4c805e9fbf8e5fbb54d88f0d9c6a485926cf20a2c27a4ed4137c53a8d78",
+    "mirror-map:p1-o1": "bce6306f7358abf6845d7f8999b8d6a55234ff229f235569de390484e25cb2ee",
     "mirror-map:p3-o1-o1": "64fce4c805e9fbf8e5fbb54d88f0d9c6a485926cf20a2c27a4ed4137c53a8d78",
     "mirror-map:p4-o1": "64fce4c805e9fbf8e5fbb54d88f0d9c6a485926cf20a2c27a4ed4137c53a8d78",
     "mirror-map:p5-o-1-o-5": "64fce4c805e9fbf8e5fbb54d88f0d9c6a485926cf20a2c27a4ed4137c53a8d78",

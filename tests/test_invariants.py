@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from gwtwist import (
     TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
+    geometry_from_obj,
     j_ambient,
     n_numbers,
     normalized_series,
@@ -30,6 +33,8 @@ from gwtwist.series import HbarLaurent
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _promote, _reference_apply_transform
 from test_yukawa import yukawa_n_numbers
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 P1 = AmbientSpace((1,))
 P3 = AmbientSpace((3,))
@@ -56,6 +61,41 @@ def test_local_geometry_numbers():
     N = n_numbers(LOCAL_P1, 4)
     for d in range(1, 5):
         assert N[(d,)] == Fraction(1, d**3)
+
+
+def test_local_p2_counts():
+    # K_P2, read off the start-1 series: Chiang-Klemm-Yau-Zaslow
+    # (hep-th/9903053) give n = 3, -6, 27, -192, 1695
+    with open(os.path.join(_ROOT, "geometries", "local-p2.json")) as fh:
+        g = geometry_from_obj(json.load(fh))
+    N = n_numbers(g, 5)
+    want = ["3", "-45/8", "244/9", "-12333/64", "211878/125"]
+    assert [N[(d,)] for d in range(1, 6)] == [Fraction(v) for v in want]
+    n = aspinwall_morrison(g, N)
+    assert [n[d] for d in range(1, 6)] == [3, -6, 27, -192, 1695]
+    # the map is non-zero, and under it i_function (start ctop, no k = 0
+    # factor) is not normalized: normalized_series refuses, never guesses
+    with pytest.raises(StructureViolation):
+        normalized_series(g, 2)
+
+
+@pytest.mark.parametrize(
+    "r, lines, want",
+    [
+        # Fano index 1: the string dial alone; 27 lines on the cubic surface
+        (3, (3,), [27, 0, 0]),
+        # a local degree-4 del Pezzo; degrees 3 and up are left unpinned
+        (4, (2, 2, -1), [16, -18]),
+        # e(E_conc) = p^2: a_2 / e(E_conc) first, then times e(E_conv) = p;
+        # the other order overflows the top degree and reads 0, 0
+        (2, (-1, -1, 1), [1, Fraction(1, 8)]),
+    ],
+    ids=str,
+)
+def test_start_one_counts(r, lines, want):
+    g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
+    N = n_numbers(g, len(want))
+    assert [N[(d,)] for d in range(1, len(want) + 1)] == want
 
 
 def test_multiple_cover_correction_quintic():
@@ -251,7 +291,8 @@ def test_dual_pair_tables_match_from_scratch_loops(name):
 
 
 def _reference_assemble(pair: SerrePair, phi, string, m):
-    transformed = _reference_apply_transform(pair.i_prime, m, string=string)
+    dials = MirrorMap(f0=m.f0, f1=m.f1, string=string)
+    transformed = _reference_apply_transform(pair.i_prime, dials)
     return _promote(pair.i_prime.space, phi) * transformed
 
 
@@ -344,7 +385,9 @@ def test_serre_factor_matches_two_assembles_per_level(name, monkeypatch):
 
 # The pipeline against the Yukawa-coupling route, which shares no code with
 # it, at every degree through 8; the fixed-point oracle reaches only 2.
-@pytest.mark.parametrize("r, lines", [(4, (5,)), (5, (3, 3)), (5, (4, 2))], ids=str)
+@pytest.mark.parametrize(
+    "r, lines", [(4, (5,)), (5, (3, 3)), (5, (4, 2)), (6, (3, 2, 2)), (7, (2, 2, 2, 2))], ids=str
+)
 def test_pipeline_matches_yukawa_route_through_degree_8(r, lines):
     g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
     n = aspinwall_morrison(g, n_numbers(g, 8))

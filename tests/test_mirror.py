@@ -16,7 +16,9 @@ from gwtwist import (
     apply_transform,
     euler_class,
     i_function,
+    i_prime,
     j_ambient,
+    n_numbers,
     normal_form,
     qs_exp,
     qs_substitute,
@@ -31,44 +33,66 @@ P4 = AmbientSpace((4,))
 
 
 def _quintic(max_degree):
+    """The quintic's start-1 series and its start, the unit class."""
     g = GeometrySpec(P4, BundleSpec(((5,),)))
-    return i_function(g, max_degree), euler_class(P4, g.bundle)
+    return i_prime(g, max_degree), P4.unit()
+
+
+def _is_normalized(nf):
+    """g = 1, with no string or divisor part."""
+    one = ScalarQSeries.one(nf.g.space, nf.g.max_degree)
+    return nf.g == one and nf.string.is_zero and all(d.is_zero for d in nf.divisor_part)
 
 
 def test_normal_form_of_ambient_series():
     nf = normal_form(j_ambient(P4, 3), P4.unit())
-    assert nf.is_normalized
+    assert _is_normalized(nf)
     assert all(s.is_zero for s in nf.divisor_part)
 
 
 def test_normal_form_quintic_values():
-    S, ctop = _quintic(2)
-    nf = normal_form(S, ctop)
+    S, start = _quintic(2)
+    nf = normal_form(S, start)
     assert nf.g.coeff((1,)) == Fraction(120)
     assert nf.g.coeff((2,)) == Fraction(113400)
     assert nf.divisor_part[0].coeff((1,)) == Fraction(770)
     assert nf.divisor_part[0].coeff((2,)) == Fraction(810225)
-    assert not nf.is_normalized
+    assert not _is_normalized(nf)
 
 
 def test_normal_form_rejects_nonmultiple_scalar_part():
-    S, ctop = _quintic(1)
+    S, start = _quintic(1)
     spoiled = dict(S.terms)
     bump = HbarLaurent(P4, {0: P4.monomial((2,), Fraction(1))})
     spoiled[(1,)] = spoiled[(1,)] + bump
     bad = type(S)(P4, S.max_degree, spoiled)
     with pytest.raises(StructureViolation):
-        normal_form(bad, ctop)
+        normal_form(bad, start)
 
 
 def test_normal_form_rejects_bad_divisor_residual():
-    # on P1 x P1 with a (1,1) section the hbar^-1 part is p1+p2, and
-    # (p1+p2) * ctop = 2 p1 p2 cannot be written as ctop * (divisor)
+    # an hbar^-1 part outside the span of 1 and the p_i is refused; so is any
+    # hbar^-1 part of a series that starts at ctop, such as p1 + p2 in I on
+    # P1 x P1 with a (1,1) section
+    S, start = _quintic(1)
+    spoiled = dict(S.terms)
+    spoiled[(1,)] = spoiled[(1,)] + HbarLaurent(P4, {-1: P4.monomial((2,), Fraction(1))})
+    with pytest.raises(StructureViolation) as info:
+        normal_form(QSeries(P4, 1, spoiled), start)
+    assert info.value.context["beta"] == [1]
     sp = AmbientSpace((1, 1))
     g = GeometrySpec(sp, BundleSpec(((1, 1),)))
     S = i_function(g, 1)
     with pytest.raises(StructureViolation):
         normal_form(S, euler_class(sp, g.bundle))
+
+
+def test_solve_against_ctop_never_returns_a_silent_zero():
+    # the quintic's I has a non-zero map, so a start at ctop is refused
+    g = GeometrySpec(P4, BundleSpec(((5,),)))
+    with pytest.raises(StructureViolation) as info:
+        solve_mirror_map(i_function(g, 2), euler_class(P4, g.bundle))
+    assert info.value.context["beta"] == [1]
 
 
 def test_normal_form_rejects_positive_hbar_power():
@@ -83,12 +107,16 @@ def test_normal_form_rejects_positive_hbar_power():
 
 
 def test_normal_form_allows_annihilated_residual():
-    # with a (1,0) section the residual p2 component is killed by ctop = p1
+    # with a (1,0) section, I'_(1,0) = 1/(p1 + hbar): the hbar^-1 scalar that
+    # ctop = p1 annihilated in I_(1,0) = p1/hbar is read as the string dial
     sp = AmbientSpace((1, 1))
     g = GeometrySpec(sp, BundleSpec(((1, 0),)))
-    S = i_function(g, 2)
-    nf = normal_form(S, euler_class(sp, g.bundle))
-    assert nf.is_normalized
+    nf = normal_form(i_prime(g, 2), sp.unit())
+    assert nf.string == ScalarQSeries(sp, 2, {(1, 0): 1})
+    assert nf.g == ScalarQSeries.one(sp, 2)
+    assert all(d.is_zero for d in nf.divisor_part)
+    with pytest.raises(StructureViolation):
+        normal_form(i_function(g, 2), euler_class(sp, g.bundle))
 
 
 def test_apply_transform_identity():
@@ -105,7 +133,7 @@ def _promote(space, f):
     return QSeries(space, f.max_degree, terms)
 
 
-def _reference_apply_transform(S, m, string=None):
+def _reference_apply_transform(S, m):
     """The transform as two exponentials and two products: e^{(s + p . f1)/hbar}
     as a class-valued exp, then e^{f0} through a promoted scalar series."""
     space, D = S.space, S.max_degree
@@ -119,10 +147,9 @@ def _reference_apply_transform(S, m, string=None):
             c = f.coeff(beta)
             if c != 0:
                 cls = cls + space.hyperplane(i).scale(c)
-        if string is not None:
-            c = string.coeff(beta)
-            if c != 0:
-                cls = cls + space.unit().scale(c)
+        c = m.string.coeff(beta)
+        if c != 0:
+            cls = cls + space.unit().scale(c)
         if not cls.is_zero:
             shift_terms[beta] = HbarLaurent(space, {-1: cls})
     if shift_terms:
@@ -144,9 +171,9 @@ def _random_dial(rng, space, D):
 def test_apply_transform_matches_reference_on_solved_maps(factors, lines, D):
     sp = AmbientSpace(factors)
     g = GeometrySpec(sp, BundleSpec(lines))
-    S = i_function(g, D)
-    m = solve_mirror_map(S, euler_class(sp, g.bundle))
+    m = solve_mirror_map(i_prime(g, D), sp.unit())
     assert not m.f0.is_zero
+    S = i_function(g, D)
     assert apply_transform(S, m) == _reference_apply_transform(S, m)
 
 
@@ -162,8 +189,8 @@ def test_apply_transform_matches_reference_on_random_maps(factors, D):
         string = _random_dial(rng, sp, D)
         m = MirrorMap(f0=f0, f1=f1)
         assert apply_transform(S, m) == _reference_apply_transform(S, m)
-        got = apply_transform(S, m, string=string)
-        assert got == _reference_apply_transform(S, m, string=string)
+        m = MirrorMap(f0=f0, f1=f1, string=string)
+        assert apply_transform(S, m) == _reference_apply_transform(S, m)
 
 
 @pytest.mark.parametrize("dial", ["f0", "string"])
@@ -184,16 +211,16 @@ def test_apply_transform_refuses_bad_dials(dial, bad, error):
         if dial == "f0":
             apply_transform(S, MirrorMap(f0=bad, f1=(zero,)))
         else:
-            apply_transform(S, MirrorMap(f0=zero, f1=(zero,)), string=bad)
+            apply_transform(S, MirrorMap(f0=zero, f1=(zero,), string=bad))
 
 
 def test_solve_mirror_map_quintic():
-    S, ctop = _quintic(3)
-    m = solve_mirror_map(S, ctop)
+    S, start = _quintic(3)
+    m = solve_mirror_map(S, start)
     assert m.f0.coeff((1,)) == Fraction(-120)
     assert m.f1[0].coeff((1,)) == Fraction(-770)
     T = apply_transform(S, m)
-    assert normal_form(T, ctop).is_normalized
+    assert _is_normalized(normal_form(T, start))
 
 
 def test_solve_mirror_map_zero_for_trivial_cases():
@@ -210,18 +237,22 @@ def test_solve_mirror_map_zero_for_trivial_cases():
         assert m.is_zero, (factors, lines)
 
 
-def _reference_solve_mirror_map(S, ctop):
+def _reference_solve_mirror_map(S, start):
     """The order-by-order solver: one full transform per degree."""
     space, D = S.space, S.max_degree
     m = MirrorMap.zero(space, D)
     for level in range(1, D + 1):
-        nf = normal_form(apply_transform(S, m), ctop)
-        f0 = m.f0
+        nf = normal_form(apply_transform(S, m), start)
+        f0, string = m.f0, m.string
         f1 = list(m.f1)
         changed = False
         for beta, g_beta in nf.g.terms.items():
             if sum(beta) == level and g_beta != 0:
                 f0 = f0.set_coeff(beta, -g_beta)
+                changed = True
+        for beta, s_beta in nf.string.terms.items():
+            if sum(beta) == level:
+                string = string.set_coeff(beta, -s_beta)
                 changed = True
         for i, part in enumerate(nf.divisor_part):
             for beta, c in part.terms.items():
@@ -229,9 +260,9 @@ def _reference_solve_mirror_map(S, ctop):
                     f1[i] = f1[i].set_coeff(beta, -c)
                     changed = True
         if changed:
-            m = MirrorMap(f0=f0, f1=tuple(f1))
-    final = normal_form(apply_transform(S, m), ctop)
-    if not final.is_normalized:
+            m = MirrorMap(f0=f0, f1=tuple(f1), string=string)
+    final = normal_form(apply_transform(S, m), start)
+    if not _is_normalized(final):
         raise StructureViolation("solver failed to normalize the series")
     return m
 
@@ -246,31 +277,30 @@ def _reference_solve_mirror_map(S, ctop):
         ((1,), ((-1,), (-1,)), 6),
         ((4,), ((1,),), 6),
         ((3,), ((1,), (1,)), 6),
+        ((3,), ((3,),), 4),
+        ((2,), ((-3,),), 5),
     ],
 )
 def test_closed_form_matches_order_by_order_solver(factors, lines, max_degree):
     sp = AmbientSpace(factors)
     g = GeometrySpec(sp, BundleSpec(lines))
-    S = i_function(g, max_degree)
-    ctop = euler_class(sp, g.bundle)
+    S = i_prime(g, max_degree)
+    m = solve_mirror_map(S, sp.unit())
+    assert m == _reference_solve_mirror_map(S, sp.unit())
     if (factors, lines) == ((1, 1), ((2, 2),)):
-        # ctop = 2p1 + 2p2 has ctop^2 p_i = 0, so the normal form cannot
-        # read the divisor part of the non-zero hbar^-1 coefficient 16 p1 p2
-        # at (0, 1); both solvers would record zero, and both now refuse
-        for solve in (solve_mirror_map, _reference_solve_mirror_map):
-            with pytest.raises(StructureViolation) as exc:
-                solve(S, ctop)
-            assert exc.value.context == {"beta": [0, 1], "vanishing_factors": [0, 1]}
-        return
-    assert solve_mirror_map(S, ctop) == _reference_solve_mirror_map(S, ctop)
+        # ctop = 2p1 + 2p2 has ctop^2 p_i = 0, so a read against ctop could
+        # not see the divisor part of the hbar^-1 coefficient 16 p1 p2 at
+        # (0, 1); the start-1 read does, and the curve is elliptic
+        assert not m.f1[0].is_zero
+        assert set(n_numbers(g, 3).values()) == {0}
 
 
 def test_solved_transform_is_stable():
     # applying the solved map twice changes nothing further
-    S, ctop = _quintic(2)
-    m = solve_mirror_map(S, ctop)
+    S, start = _quintic(2)
+    m = solve_mirror_map(S, start)
     T = apply_transform(S, m)
-    again = solve_mirror_map(T, ctop)
+    again = solve_mirror_map(T, start)
     assert again.is_zero
 
 
@@ -278,8 +308,8 @@ def test_mirror_map_serialization_round_trip():
     # by hand from g = 1 + 120q + 113400q^2 and div = 770q + 810225q^2
     # (test_normal_form_quintic_values): f1 inverts q -> q e^{div/g}, and
     # f0 = -log g(q e^{f1}) = -log(1 + 120q + 21000q^2)
-    S, ctop = _quintic(2)
-    m = solve_mirror_map(S, ctop)
+    S, start = _quintic(2)
+    m = solve_mirror_map(S, start)
     assert m.to_obj() == {
         "f0": [{"beta": [1], "coeff": "-120/1"}, {"beta": [2], "coeff": "-13800/1"}],
         "f1": [[{"beta": [1], "coeff": "-770/1"}, {"beta": [2], "coeff": "-124925/1"}]],
@@ -289,6 +319,21 @@ def test_mirror_map_serialization_round_trip():
 def test_mirror_map_rejects_constant_term():
     with pytest.raises(ValueError):
         MirrorMap(ScalarQSeries.one(P1, 2), (ScalarQSeries.zero(P1, 2),))
+    zero = ScalarQSeries.zero(P1, 2)
+    with pytest.raises(ValueError):
+        MirrorMap(zero, (zero,), string=ScalarQSeries.one(P1, 2))
+
+
+def test_string_dial_of_fano_index_one():
+    # P3 with O(3): I'_1 = J_1 prod_{k=1}^{3} (3H + k hbar) has hbar^-1 scalar
+    # 3! = 6 and nothing at hbar^0 or on H, so the map is the string dial -6q
+    # alone, and the report names it
+    g = GeometrySpec(AmbientSpace((3,)), BundleSpec(((3,),)))
+    m = solve_mirror_map(i_prime(g, 3), g.space.unit())
+    assert m.f0.is_zero and m.f1[0].is_zero
+    assert m.string == ScalarQSeries(g.space, 3, {(1,): -6})
+    assert m.to_obj()["string"] == [{"beta": [1], "coeff": "-6/1"}]
+    assert "string" not in MirrorMap.zero(g.space, 3).to_obj()
 
 
 def _scalar(space, max_degree, coeffs):

@@ -15,10 +15,9 @@ from gwtwist import (
     ScalarQSeries,
     SpaceMismatch,
     TruncationMismatch,
-    euler_class,
     hl_invert,
-    i_function,
     hl_mul,
+    i_prime,
     invert_substitution,
     qs_exp,
     qs_log,
@@ -471,7 +470,7 @@ def test_solved_map_inversion_factors_are_truncated_exps(monkeypatch, factors, l
         return invert_substitution(f1)
 
     monkeypatch.setattr(mirror, "invert_substitution", capture)
-    solve_mirror_map(i_function(g, D), euler_class(sp, g.bundle))
+    solve_mirror_map(i_prime(g, D), sp.unit())
     monkeypatch.undo()
     [f1] = seen
     assert all(not f.is_zero for f in f1)
