@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Infeasible, StructureViolation, Unsupported
-from .mirror import MirrorMap, apply_transform, solve_mirror_map
+from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, qs_log, qseries_to_obj, scalar_to_obj
+from .series import QSeries, ScalarQSeries, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
@@ -47,16 +47,21 @@ def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[Mirro
     map and the normalized series."""
     _require_nonneg(g)
     space = g.space
-    I1 = i_prime(g, max_degree)
-    m = solve_mirror_map(I1, space.unit())
-    if start_one:
-        S = I1
-    elif g.concave_lines():
-        S = i_function(g, max_degree)
+    conc = g.concave_lines()
+    if not start_one and conc and euler_class(space, BundleSpec(conc)).is_zero:
+        # I' = 1, its beta != 0 terms all carrying the factor e(E_conc) = 0
+        m, S = MirrorMap.zero(space, max_degree), i_function(g, max_degree)
     else:
-        # e(E) I' is i_function exactly, without a second build
-        ctop = euler_class(space, g.bundle)
-        S = QSeries(space, max_degree, {b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
+        I1 = i_prime(g, max_degree)
+        m = solve_mirror_map(I1, space.unit())
+        if start_one:
+            S = I1
+        elif conc:
+            S = i_function(g, max_degree)
+        else:
+            # e(E) I' is i_function exactly, without a second build
+            ctop = euler_class(space, g.bundle)
+            S = QSeries(space, max_degree, {b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
     T = apply_transform(S, m)
     for beta in T.curve_classes()[1:]:
         hl = T.term(beta)
@@ -214,22 +219,23 @@ class SerreFactorSolution:
         }
 
 
-def _assemble(pair: SerrePair, phi, string, f1):
-    """phi * e^{string/hbar} * I'(q e^{f1}), with phi entering the transform
-    as the dial f0 = log(sign phi); phi starts at the sign."""
-    dials = MirrorMap(f0=qs_log(phi.scale(pair.sign)), f1=f1, string=string)
-    return apply_transform(pair.i_prime, dials).scale(pair.sign)
-
-
 def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
-    """Solve phi * e^{string/hbar} * transform(I') = I'_dual order by order.
+    """Solve phi * e^{string/hbar} * transform(I') = I'_dual in closed form.
 
-    Unknowns per curve class: the scalar factor coefficient (unit at hbar^0),
-    the string shift (unit at hbar^-1), and the divisor shifts (p_i at
-    hbar^-1), each acting once through the q = 0 term.  A factorization
-    therefore exists only when the correction needed at each degree lies in
-    the hbar^0 / hbar^-1 span of the dials.  Any residual outside that span
-    is an obstruction: Infeasible reports the first degree where one appears.
+    The dials are a scalar factor phi = sign e^{f0}, the string shift and the
+    divisor shifts f1^i, all vanishing at q = 0 but for phi's sign.  With
+    (g_a, s_a, div_a) read off the normal form of I' and (g_b, s_b, div_b)
+    off that of sign * I'_dual, let h = div_a/g_a, k = div_b/g_b and
+    G = invert_substitution(h).  Matching the hbar^0 and hbar^-1 layers gives
+
+        f1 = k + G(q e^{k}),  f0 = log g_b - log g_a(q e^{f1})  and
+        string = s_b/g_b - (s_a/g_a)(q e^{f1}).
+
+    A dial at degree n touches only degrees >= n, and those two layers of a
+    transform depend only on those layers, so these are the only candidate
+    dials.  The map is applied once; a factorization exists only when the
+    result is I'_dual.  Infeasible reports the first curve class, in graded
+    order, where a residual remains: it lies outside the dials' reach.
 
     Worked counterexample, P3 with O(1)+O(1) at degree 1: J_1 = (p+hbar)^-4,
     so I'_1 = (p+hbar)^-2 and I'^dual_1 = p^2 (p+hbar)^-4, and their
@@ -237,49 +243,24 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     dials' reach.  The pair is related by quantum Serre duality instead (see
     ``serre_dual_pair``).
     """
-    space = pair.i_prime.space
-    D = pair.i_prime.max_degree
-    phi = ScalarQSeries.one(space, D).scale(pair.sign)
-    string = ScalarQSeries.zero(space, D)
-    m = MirrorMap.zero(space, D)
-    sign = Fraction(pair.sign)
-    # each level's check assemble is the next level's start and, after the
-    # last level, the final one: D+1 transforms in all
-    current = _assemble(pair, phi, string, m.f1)
-    for level in range(1, D + 1):
-        f1 = list(m.f1)
-        for beta in pair.i_prime.curve_classes():
-            if sum(beta) != level:
-                continue
-            R = pair.i_prime_dual.term(beta) - current.term(beta)
-            if R.is_zero:
-                continue
-            r0 = R.coefficient(0)
-            r1 = R.coefficient(-1)
-            if r0.scalar_part != 0:
-                phi = phi.set_coeff(beta, r0.scalar_part)
-            if r1.scalar_part != 0:
-                string = string.set_coeff(beta, r1.scalar_part / sign)
-            for i in range(space.nfactors):
-                e = tuple(1 if j == i else 0 for j in range(space.nfactors))
-                c = r1.coeff(e)
-                if c != 0:
-                    f1[i] = f1[i].set_coeff(beta, c / sign)
-        m = MirrorMap(f0=m.f0, f1=tuple(f1))
-        current = _assemble(pair, phi, string, m.f1)
-        for beta in pair.i_prime.curve_classes():
-            if sum(beta) != level:
-                continue
-            R = pair.i_prime_dual.term(beta) - current.term(beta)
-            if not R.is_zero:
-                raise Infeasible(
-                    "dual factorization obstructed",
-                    first_obstructed_degree=level,
-                    beta=list(beta),
-                    residual=[
-                        {"pow": k, "class": [format_fraction(c) for c in R.terms[k].coeffs]}
-                        for k in R.exponents()
-                    ],
-                )
+    space, D = pair.i_prime.space, pair.i_prime.max_degree
+    m, ratio = _solve_relative_map(pair.i_prime, pair.i_prime_dual.scale(pair.sign))
+    current = apply_transform(pair.i_prime, m).scale(pair.sign)
     residual = pair.i_prime_dual - current
-    return SerreFactorSolution(phi=phi, map=m, string=string, residual=residual)
+    for beta in residual.curve_classes():
+        R = residual.term(beta)
+        if not R.is_zero:
+            raise Infeasible(
+                "dual factorization obstructed",
+                first_obstructed_degree=sum(beta),
+                beta=list(beta),
+                residual=[
+                    {"pow": e, "class": [format_fraction(c) for c in R.terms[e].coeffs]}
+                    for e in R.exponents()
+                ],
+            )
+    # the reported map carries f1 alone; phi and string are reported apart
+    dials = MirrorMap(f0=ScalarQSeries.zero(space, D), f1=m.f1)
+    return SerreFactorSolution(
+        phi=ratio.scale(pair.sign), map=dials, string=m.string, residual=residual
+    )

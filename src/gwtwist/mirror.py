@@ -203,6 +203,22 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     return MirrorMap(f0=f0, f1=tuple(f1), string=string)
 
 
+def _solve_relative_map(S: QSeries, target: QSeries) -> tuple[MirrorMap, ScalarQSeries]:
+    """The map m with apply_transform(S, m) equal to ``target`` in the hbar^0
+    and hbar^-1 layers, and e^{f0}, in closed form; both series start at 1.
+    ``invariants.solve_serre_factor`` gives the formulas; ``solve_mirror_map``
+    is the case target = 1, solved there without reading the target."""
+    unit = S.space.unit()
+    a, b = normal_form(S, unit), normal_form(target, unit)
+    inv_ga, inv_gb = (qs_exp(qs_log(nf.g).scale(-1)) for nf in (a, b))
+    k = [d * inv_gb for d in b.divisor_part]
+    G = invert_substitution([d * inv_ga for d in a.divisor_part])
+    f1 = tuple(ki + compose_substitute(Gi, k) for ki, Gi in zip(k, G))
+    ratio = b.g * compose_substitute(inv_ga, f1)
+    string = b.string * inv_gb - compose_substitute(a.string * inv_ga, f1)
+    return MirrorMap(f0=qs_log(ratio), f1=f1, string=string), ratio
+
+
 # -- ordered-decomposition combinatorics -------------------------------------
 
 

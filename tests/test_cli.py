@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import gwtwist
-from gwtwist import AmbientSpace, j_ambient, qseries_to_obj
+from gwtwist import AmbientSpace, QSeries, j_ambient, qseries_to_obj
 from gwtwist.cli import main
+from gwtwist.series import HbarLaurent
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUINTIC = os.path.join(_ROOT, "geometries", "quintic.json")
@@ -279,6 +280,29 @@ def test_serre_refuses_short_external_j(tmp_path, capsys):
     assert payload["error"] == "TruncationMismatch"
     assert payload["have"] == 2
     assert payload["want"] == 4
+
+
+def test_serre_refuses_inhomogeneous_external_j(tmp_path, capsys):
+    # J_1 = hbar^-2 + p: no graded X has it.  I'_1 = J_1 (p + hbar) carries
+    # p hbar, so the normal form refuses it before any dial is solved
+    space = AmbientSpace((1,))
+    p = space.hyperplane(0)
+    J1 = HbarLaurent(space, {-2: space.unit(), 0: p})
+    J = QSeries(space, 1, {(0,): HbarLaurent.unit(space), (1,): J1})
+    path = tmp_path / "p1-o1-inhomogeneous-j.json"
+    path.write_text(
+        json.dumps({"ambient": [1], "bundle": [{"l": [1]}], "external_j": qseries_to_obj(J)})
+    )
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "serre", "--max-degree", "1"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "StructureViolation"
+    assert payload["module"] == "mirror"
+    assert payload["beta"] == [1]
+    assert payload["power"] == 1
 
 
 def test_error_payload_names_raising_module(tmp_path):

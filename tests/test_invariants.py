@@ -29,7 +29,7 @@ from gwtwist.cli import main
 from gwtwist.invariants import SerreFactorSolution, SerrePair
 from gwtwist.mirror import apply_transform
 from gwtwist.ring import format_fraction
-from gwtwist.series import HbarLaurent
+from gwtwist.series import HbarLaurent, qs_exp
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _promote, _reference_apply_transform
 from test_yukawa import yukawa_n_numbers
@@ -61,6 +61,45 @@ def test_local_geometry_numbers():
     N = n_numbers(LOCAL_P1, 4)
     for d in range(1, 5):
         assert N[(d,)] == Fraction(1, d**3)
+
+
+def test_local_p1_counts_do_not_build_the_start_one_series(monkeypatch):
+    # e(E_conc) = p^2 vanishes on P1, so I' = 1 and the map is zero
+    calls = []
+    build = invariants.i_prime
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(invariants, "i_prime", counted)
+    N = n_numbers(LOCAL_P1, 10)
+    assert calls == []
+    assert [N[(d,)] for d in range(1, 11)] == [Fraction(1, d**3) for d in range(1, 11)]
+    # mirror-map reads the map off I' itself
+    m, _ = invariants._normalize(LOCAL_P1, 3, True)
+    assert calls == [1]
+    assert m.is_zero
+
+
+def test_local_p1_refuses_short_external_j():
+    g = GeometrySpec(P1, BundleSpec(((-1,), (-1,))), external_j=j_ambient(P1, 2))
+    with pytest.raises(TruncationMismatch) as info:
+        n_numbers(g, 4)
+    assert info.value.context == {"have": 2, "want": 4}
+
+
+def test_local_p1_still_checks_the_normalized_series(monkeypatch):
+    build = invariants.i_function
+
+    def skewed(g, max_degree):
+        S = build(g, max_degree)
+        return S + QSeries(P1, max_degree, {(2,): HbarLaurent.unit(P1)})
+
+    monkeypatch.setattr(invariants, "i_function", skewed)
+    with pytest.raises(StructureViolation) as info:
+        n_numbers(LOCAL_P1, 3)
+    assert info.value.context == {"beta": [2]}
 
 
 def test_local_p2_counts():
@@ -349,6 +388,11 @@ SERRE_FACTOR_CASES = {
     "p3-o1-o1": ((3,), ((1,), (1,))),
     "p4-o1": ((4,), ((1,),)),
     "p1xp1-o11": ((1, 1), ((1, 1),)),
+    "p1xp1-o10": ((1, 1), ((1, 0),)),
+    "p1xp1xp1-o100": ((1, 1, 1), ((1, 0, 0),)),
+    "p1-o2": ((1,), ((2,),)),
+    "p5-o2-o2": ((5,), ((2,), (2,))),
+    "p2xp2-o11": ((2, 2), ((1, 1),)),
 }
 
 
@@ -376,11 +420,67 @@ def test_serre_factor_matches_two_assembles_per_level(name, monkeypatch):
         assert got.pop("module") == "invariants"
         ref.pop("module")
         assert got == ref
-        # one start, one check per level reached
-        assert len(calls) == got["first_obstructed_degree"] + 1
     else:
         assert solve_serre_factor(pair).to_obj() == want.to_obj()
-        assert len(calls) == D + 1
+    # the closed form applies its map once, solved or obstructed
+    assert len(calls) == 1
+
+
+def _truncated(sol: SerreFactorSolution, D: int) -> SerreFactorSolution:
+    return SerreFactorSolution(
+        phi=sol.phi.truncate(D),
+        map=MirrorMap(f0=sol.map.f0.truncate(D), f1=[f.truncate(D) for f in sol.map.f1]),
+        string=sol.string.truncate(D),
+        residual=sol.residual.truncate(D),
+    )
+
+
+def test_serre_obstruction_is_truncation_stable():
+    # the closed form solves through D before it looks for the obstruction
+    g = GeometrySpec(P3, BundleSpec(((1,), (1,))))
+    payloads = []
+    for D in range(1, 7):
+        with pytest.raises(Infeasible) as info:
+            solve_serre_factor(serre_dual_pair(g, D))
+        payloads.append(info.value.payload())
+    assert all(p == payloads[0] for p in payloads)
+    assert payloads[0]["first_obstructed_degree"] == 1
+
+
+@pytest.mark.parametrize(
+    "factors, lines", [((1, 1), ((1, 0),)), ((1,), ((2,),))], ids=["p1xp1-o10", "p1-o2"]
+)
+def test_serre_solution_is_truncation_stable(factors, lines):
+    g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+    low = solve_serre_factor(serre_dual_pair(g, 4))
+    high = solve_serre_factor(serre_dual_pair(g, 6))
+    assert _truncated(high, 4).to_obj() == low.to_obj()
+    # a dial beyond phi's constant sign, so the comparison is not vacuous
+    assert len(low.phi.terms) + len(low.string.terms) > 1
+
+
+def test_serre_factor_recovers_known_dials():
+    # a dual built from I' by known dials, f1 included, on a product ambient:
+    # the closed J gives f1 = 0 on every solved pair, so this is the case
+    # that reaches the substitution inverse.  On P1xP1 with O(2,1), I' has
+    # non-trivial hbar^0, string and divisor layers.
+    space = AmbientSpace((1, 1))
+    D = 4
+    pair = serre_dual_pair(GeometrySpec(space, BundleSpec(((2, 1),))), D)
+    f0 = ScalarQSeries(space, D, {(0, 1): Fraction(3), (1, 1): Fraction(-2, 5)})
+    f1 = (
+        ScalarQSeries(space, D, {(1, 0): Fraction(2), (1, 1): Fraction(-1, 3)}),
+        ScalarQSeries(space, D, {(0, 1): Fraction(1, 2), (2, 0): Fraction(7)}),
+    )
+    string = ScalarQSeries(space, D, {(1, 0): Fraction(-1), (0, 2): Fraction(5)})
+    dual = apply_transform(pair.i_prime, MirrorMap(f0, f1, string)).scale(pair.sign)
+    synthetic = SerrePair(i_prime=pair.i_prime, i_prime_dual=dual, sign=pair.sign)
+    sol = solve_serre_factor(synthetic)
+    assert sol.residual.is_zero
+    assert sol.map.f1 == f1
+    assert sol.string == string
+    assert sol.phi == qs_exp(f0).scale(pair.sign)
+    assert sol.to_obj() == _reference_solve_serre_factor(synthetic).to_obj()
 
 
 # The pipeline against the Yukawa-coupling route, which shares no code with
