@@ -255,8 +255,8 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
                 first_obstructed_degree=sum(beta),
                 beta=list(beta),
                 residual=[
-                    {"pow": e, "class": [format_fraction(c) for c in R.terms[e].coeffs]}
-                    for e in R.exponents()
+                    {"pow": e, "class": [format_fraction(c) for c in cls.coeffs]}
+                    for e, cls in sorted(R.terms.items())
                 ],
             )
     # the reported map carries f1 alone; phi and string are reported apart

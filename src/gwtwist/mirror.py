@@ -117,7 +117,7 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
     for beta, hl in S.terms.items():
         if sum(beta) == 0:
             continue
-        top = max(hl.terms)
+        top = hl.exponents()[-1]
         if top > 0:
             raise StructureViolation(
                 "series carries a positive hbar power", beta=list(beta), power=top

@@ -6,7 +6,7 @@ pulled back from the i-th factor.  Classes are stored densely over the full
 monomial basis in graded-lexicographic order, as integer numerators over one
 positive common denominator in lowest terms, so the arithmetic runs on
 integers; every coefficient handed out is a ``Fraction``.  There is no
-floating point anywhere in this package.
+floating point anywhere in this package, and a float handed in is refused.
 
 Curve classes are bare tuples of non-negative integers, one entry per factor.
 """
@@ -29,6 +29,13 @@ def format_fraction(x: Fraction) -> str:
     """Render a rational as "num/den", always with an explicit denominator."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float is refused, its binary value not being exact."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} in exact arithmetic; use an int, Fraction or string")
+    return Fraction(x)
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -82,7 +89,7 @@ class AmbientSpace:
         idx = self.basis_index.get(exponents)
         if idx is None:
             raise ValueError(f"exponents {exponents} out of range for {self}")
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         num = [0] * len(self.basis)
         num[idx] = coeff.numerator
         return CohClass(self, num, coeff.denominator)
@@ -98,7 +105,7 @@ class AmbientSpace:
         out = self.zero()
         for i, l in enumerate(multidegree):
             if l:
-                out = out + self.hyperplane(i) * Fraction(l)
+                out = out + self.hyperplane(i).scale(l)
         return out
 
     def divisor_sum(self) -> "CohClass":
@@ -160,7 +167,7 @@ class CohClass:
 
     def __init__(self, space: AmbientSpace, coeffs, den: int | None = None):
         if den is None:
-            fracs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+            fracs = [c if type(c) is Fraction else _exact(c) for c in coeffs]
             den = lcm(*[f.denominator for f in fracs])
             num = [f.numerator * (den // f.denominator) for f in fracs]
         elif den == 0:
@@ -237,7 +244,7 @@ class CohClass:
 
     def scale(self, k) -> "CohClass":
         if type(k) is not int:
-            k = Fraction(k)
+            k = k if type(k) is Fraction else _exact(k)
             kn, kd = k.numerator, k.denominator
             return CohClass(self.space, [kn * a for a in self.num], kd * self.den)
         return CohClass(self.space, [k * a for a in self.num], self.den)

@@ -3,7 +3,8 @@
 Two layers sit on top of the cohomology ring:
 
 * ``HbarLaurent``: a finite Laurent polynomial in the formal symbol hbar
-  whose coefficients are cohomology classes.
+  with cohomology-class coefficients, stored by total degree (one class
+  in x = p/hbar per degree), so homogeneous ones multiply in one product.
 * A power series in the curve-class variables q_1..q_N, truncated at a total
   degree D.  One implementation serves two coefficient kinds: ``QSeries``
   holds ``HbarLaurent`` values (the twisted series and its transforms) and
@@ -28,6 +29,7 @@ from .ring import (
     ONE,
     ZERO,
     _check_fields,
+    _exact,
     _int_list,
     coh_from_obj,
     coh_to_obj,
@@ -35,51 +37,100 @@ from .ring import (
 )
 
 
+def _component(c: CohClass, j: int) -> CohClass:
+    """The degree-j component of a class."""
+    num = [x if sum(e) == j else 0 for e, x in zip(c.space.basis, c.num)]
+    return CohClass(c.space, num, c.den)
+
+
+def _split(c: CohClass) -> dict:
+    """The non-zero homogeneous components of a class, {degree: class}; a
+    homogeneous class is returned as it is."""
+    found = {sum(e) for e, x in zip(c.space.basis, c.num) if x}
+    return dict.fromkeys(found, c) if len(found) == 1 else {j: _component(c, j) for j in found}
+
+
+def _add_into(out: dict, key, value):
+    prev = out.get(key)
+    out[key] = value if prev is None else prev + value
+
+
+def _regroup(levels: dict, sign: int) -> dict:
+    """Move the degree-j component of the class at each level n to level
+    n + sign*j: hbar-power coefficients to degree parts for sign 1, back
+    for sign -1."""
+    out: dict = {}
+    for n, cls in levels.items():
+        for j, comp in _split(cls).items():
+            _add_into(out, n + sign * j, comp)
+    return out
+
+
 class HbarLaurent:
     """Finite Laurent polynomial in hbar with ``CohClass`` coefficients.
 
-    Zero coefficients are pruned on construction, so equality compares the
-    stored terms.
+    Stored by total degree: ``parts`` maps delta to a class c, the element
+    being sum_delta hbar^delta c(p/hbar), so a monomial p^m of c sits at
+    hbar^(delta - |m|).  A homogeneous element, such as each coefficient of
+    the twisted series, has one part and multiplies with one class product.
+    The constructor, ``terms``, ``coefficient`` and ``exponents`` speak
+    hbar powers.  Zero parts are pruned, so equality compares the parts.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "parts")
 
     def __init__(self, space: AmbientSpace, terms: dict):
+        if any(cls.space != space for cls in terms.values()):
+            raise SpaceMismatch("coefficient class on a different ambient space")
         self.space = space
-        pruned = {}
-        for k, cls in terms.items():
-            if cls.space != space:
-                raise SpaceMismatch("coefficient class on a different ambient space")
-            if not cls.is_zero:
-                pruned[int(k)] = cls
-        self.terms = pruned
+        self.parts = _regroup({int(k): cls for k, cls in terms.items()}, 1)
+
+    @classmethod
+    def _of(cls, space: AmbientSpace, parts: dict) -> "HbarLaurent":
+        """The element with these degree parts, zero ones pruned."""
+        self = object.__new__(cls)
+        self.space = space
+        self.parts = {d: c for d, c in parts.items() if not c.is_zero}
+        return self
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def unit(cls, space: AmbientSpace) -> "HbarLaurent":
-        return cls(space, {0: space.unit()})
+        return cls._of(space, {0: space.unit()})
 
     @classmethod
     def zero(cls, space: AmbientSpace) -> "HbarLaurent":
-        return cls(space, {})
+        return cls._of(space, {})
 
     @classmethod
     def linear(cls, space: AmbientSpace, divisor: CohClass, k) -> "HbarLaurent":
-        """The degree-one element ``divisor + k*hbar``."""
-        return cls(space, {0: divisor, 1: space.unit().scale(k)})
+        """The degree-one element ``divisor + k*hbar``: for a divisor, the
+        one part hbar (divisor(x) + k)."""
+        parts = _split(divisor)
+        _add_into(parts, 1, space.unit().scale(k))
+        return cls._of(space, parts)
 
     # -- inspection ----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The non-zero hbar-power coefficients, {power: class}."""
+        return _regroup(self.parts, -1)
+
     def coefficient(self, k: int) -> CohClass:
-        return self.terms.get(k, self.space.zero())
+        comps = [_component(cls, d - k) for d, cls in self.parts.items()] or [self.space.zero()]
+        return sum(comps[1:], comps[0])
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.parts
 
     def exponents(self):
-        return sorted(self.terms)
+        basis = self.space.basis
+        return sorted(
+            {d - sum(e) for d, cls in self.parts.items() for e, x in zip(basis, cls.num) if x}
+        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -89,92 +140,73 @@ class HbarLaurent:
 
     def __add__(self, other: "HbarLaurent") -> "HbarLaurent":
         self._check(other)
-        terms = dict(self.terms)
-        for k, cls in other.terms.items():
-            prev = terms.get(k)
-            terms[k] = cls if prev is None else prev + cls
-        return HbarLaurent(self.space, terms)
+        parts = dict(self.parts)
+        for d, cls in other.parts.items():
+            _add_into(parts, d, cls)
+        return HbarLaurent._of(self.space, parts)
 
     def __sub__(self, other: "HbarLaurent") -> "HbarLaurent":
         return self + other.scale(-1)
 
     def scale(self, k) -> "HbarLaurent":
-        k = Fraction(k)
-        if k == 0:
-            return HbarLaurent(self.space, {})
-        return HbarLaurent(self.space, {e: cls.scale(k) for e, cls in self.terms.items()})
+        return HbarLaurent._of(self.space, {d: cls.scale(k) for d, cls in self.parts.items()})
 
     def scale_class(self, c: CohClass) -> "HbarLaurent":
-        return HbarLaurent(self.space, {e: cls * c for e, cls in self.terms.items()})
+        return self * HbarLaurent(self.space, {0: c})
 
     def times_hbar(self, shift: int) -> "HbarLaurent":
-        return HbarLaurent(self.space, {e + shift: cls for e, cls in self.terms.items()})
+        return HbarLaurent._of(self.space, {d + shift: cls for d, cls in self.parts.items()})
 
     def __mul__(self, other: "HbarLaurent") -> "HbarLaurent":
         self._check(other)
-        out: dict[int, CohClass] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                prod = ca * cb
-                if prod.is_zero:
-                    continue
-                k = ka + kb
-                prev = out.get(k)
-                out[k] = prod if prev is None else prev + prod
-        return HbarLaurent(self.space, out)
+        out: dict = {}
+        for da, ca in self.parts.items():
+            for db, cb in other.parts.items():
+                _add_into(out, da + db, ca * cb)
+        return HbarLaurent._of(self.space, out)
 
     def invert(self) -> "HbarLaurent":
         """Exact inverse over the nilpotent coefficient ring.
 
-        The scalar part must sit at a single hbar level m, as it does for the
-        products (p_i + d hbar)^(r_i+1) the pipeline inverts.  Writing the
-        element as c hbar^m (1 + u), every coefficient of u is nilpotent, so
-        the geometric series in u stops at u^(sum r_i).  Scalar parts
-        at several levels would give an infinite series: NonInvertible with
-        ``levels``.
+        The scalar part must sit at a single hbar level m, that is in one
+        degree part, as it does for the products (p_i + d hbar)^(r_i+1)
+        the pipeline inverts.  Writing the element as c hbar^m (1 - w),
+        every part of w is nilpotent, so the geometric series in w stops
+        at w^(sum r_i); with one part it is a series in one class.  Scalar
+        parts at several levels would give an infinite series:
+        NonInvertible with ``levels``.
         """
-        scalar_levels = {
-            k: cls.scalar_part for k, cls in self.terms.items() if cls.scalar_part != 0
-        }
-        if not scalar_levels:
-            raise NonInvertible(
-                "every hbar coefficient is nilpotent", exponents=self.exponents()
-            )
-        if len(scalar_levels) > 1:
+        levels = {d: cls.scalar_part for d, cls in self.parts.items() if cls.num[0]}
+        if not levels:
+            raise NonInvertible("every hbar coefficient is nilpotent", exponents=self.exponents())
+        if len(levels) > 1:
             raise NonInvertible(
                 "scalar parts at several hbar levels have no finite inverse",
-                levels=sorted(scalar_levels),
+                levels=sorted(levels),
             )
-        m = min(scalar_levels)
-        c = scalar_levels[m]
-        space = self.space
-        # u := a / (c hbar^m) - 1 has nilpotent coefficients only
-        u_terms = {k - m: cls.scale(ONE / c) for k, cls in self.terms.items()}
-        u_terms[0] = u_terms.get(0, space.zero()) - space.unit()
-        u = HbarLaurent(space, u_terms)
-        total = HbarLaurent.zero(space)
-        power = HbarLaurent.unit(space)
-        sign = ONE
-        for _ in range(sum(space.factors) + 1):
-            total = total + power.scale(sign / c).times_hbar(-m)
+        [(m, c)] = levels.items()
+        unit = HbarLaurent.unit(self.space)
+        w = unit - self.times_hbar(-m).scale(ONE / c)
+        total = power = unit
+        for _ in range(self.space.dim):
+            power = power * w
             if power.is_zero:
                 break
-            power = power * u
-            sign = -sign
-        return total
+            total = total + power
+        return total.scale(ONE / c).times_hbar(-m)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HbarLaurent)
             and self.space == other.space
-            and self.terms == other.terms
+            and self.parts == other.parts
         )
 
     def __hash__(self):
         return hash((self.space, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.parts:
             return "HbarLaurent(0)"
         bits = [f"hbar^{k}:{cls!r}" for k, cls in sorted(self.terms.items())]
         return "HbarLaurent(" + ", ".join(bits) + ")"
@@ -219,7 +251,7 @@ class _TruncatedSeries:
             beta = space.check_curve_class(beta)
             if _degree(beta) > self.max_degree:
                 raise ValueError(f"term {beta} beyond truncation degree {max_degree}")
-            c = coerce(c)
+            c = coerce(beta, c)
             if c is not None:
                 clean[beta] = c
         self.terms = clean
@@ -255,15 +287,14 @@ class _TruncatedSeries:
         self._check(other)
         terms = dict(self.terms)
         for beta, c in other.terms.items():
-            prev = terms.get(beta)
-            terms[beta] = c if prev is None else prev + c
+            _add_into(terms, beta, c)
         return self._new(terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, k):
-        k = Fraction(k)
+        k = _exact(k)
         return self._new({b: self._scale_coeff(c, k) for b, c in self.terms.items()})
 
     def _product(self, other):
@@ -275,10 +306,7 @@ class _TruncatedSeries:
             for bb, cb in other.terms.items():
                 if da + _degree(bb) > D:
                     continue
-                beta = tuple(x + y for x, y in zip(ba, bb))
-                prod = ca * cb
-                prev = out.get(beta)
-                out[beta] = prod if prev is None else prev + prod
+                _add_into(out, tuple(x + y for x, y in zip(ba, bb)), ca * cb)
         return self._new(out)
 
     def truncate(self, max_degree: int):
@@ -313,7 +341,9 @@ class QSeries(_TruncatedSeries):
     # benchmark's tracer looks it up by name
     __mul__ = _TruncatedSeries._product
 
-    def _coerce(self, hl: HbarLaurent):
+    def _coerce(self, beta, hl: HbarLaurent):
+        if not isinstance(hl, HbarLaurent):
+            raise TypeError(f"coefficient at beta = {list(beta)} is not an HbarLaurent: {hl!r}")
         if hl.space != self.space:
             raise SpaceMismatch("coefficient on a different ambient space")
         return None if hl.is_zero else hl
@@ -333,17 +363,13 @@ class ScalarQSeries(_TruncatedSeries):
     _scale_coeff = staticmethod(mul)
     __mul__ = _TruncatedSeries._product
 
-    def _coerce(self, c):
-        c = Fraction(c)
+    def _coerce(self, beta, c):
+        c = c if type(c) is Fraction else _exact(c)
         return c if c else None
 
     @classmethod
     def zero(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
         return cls(space, max_degree, {})
-
-    @classmethod
-    def one(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
-        return cls(space, max_degree, {(0,) * space.nfactors: ONE})
 
     @property
     def constant_term(self) -> Fraction:
@@ -500,10 +526,7 @@ def _substitute(S, f1: list[ScalarQSeries]):
     out: dict = {}
     for beta, c in S.terms.items():
         for gamma, e in _pairing_factor(f1, beta, D).terms.items():
-            total = tuple(x + y for x, y in zip(beta, gamma))
-            contrib = S._scale_coeff(c, e)
-            prev = out.get(total)
-            out[total] = contrib if prev is None else prev + contrib
+            _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), S._scale_coeff(c, e))
     return S._new(out)
 
 

@@ -31,7 +31,7 @@ from gwtwist.mirror import apply_transform
 from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent, qs_exp
 from gwtwist.twist import CONVEX, classify
-from test_mirror import _promote, _reference_apply_transform
+from test_mirror import _promote, _reference_apply_transform, _scalar_one
 from test_yukawa import yukawa_n_numbers
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -338,7 +338,7 @@ def _reference_assemble(pair: SerrePair, phi, string, m):
 def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     space = pair.i_prime.space
     D = pair.i_prime.max_degree
-    phi = ScalarQSeries.one(space, D).scale(pair.sign)
+    phi = _scalar_one(space, D).scale(pair.sign)
     string = ScalarQSeries.zero(space, D)
     m = MirrorMap.zero(space, D)
     sign = Fraction(pair.sign)

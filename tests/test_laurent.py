@@ -1,0 +1,247 @@
+"""The graded ``HbarLaurent`` against a plain hbar-power reference, and the
+homogeneity of the series the pipeline builds.
+
+``HbarLaurent`` stores one class per total degree.  The reference below
+stores one class per hbar power, the representation it replaced: its
+product is the double loop over powers and its inverse the geometric
+series in u = a / (c hbar^m) - 1.  Every operation is checked on random
+elements, most of them spread over several degree parts.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gwtwist import (
+    AmbientSpace,
+    BundleSpec,
+    CohClass,
+    GeometrySpec,
+    HbarLaurent,
+    NonInvertible,
+    hl_invert,
+    hl_mul,
+    i_prime,
+    invariants,
+    n_numbers,
+)
+from gwtwist.ring import coh_to_obj
+from gwtwist.series import hl_from_obj, hl_to_obj
+from gwtwist.twist import _combined_degrees
+
+SPACES = [AmbientSpace(f) for f in ((1,), (2,), (3,), (1, 1), (2, 1))]
+
+
+# -- the hbar-power reference --------------------------------------------------
+
+
+def _pruned(terms):
+    return {k: c for k, c in terms.items() if not c.is_zero}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return _pruned(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            prod = ca * cb
+            k = ka + kb
+            out[k] = out[k] + prod if k in out else prod
+    return _pruned(out)
+
+
+def _ref_invert(space, a):
+    """The inverse as c^-1 hbar^-m sum_i (-u)^i, or the NonInvertible the
+    reference raises: no scalar level, or scalars at several levels."""
+    levels = {k: c.scalar_part for k, c in a.items() if c.scalar_part != 0}
+    if not levels:
+        raise NonInvertible("every hbar coefficient is nilpotent", exponents=sorted(a))
+    if len(levels) > 1:
+        raise NonInvertible("several scalar levels", levels=sorted(levels))
+    [(m, c)] = levels.items()
+    u = {k - m: cls.scale(1 / c) for k, cls in a.items()}
+    u = _ref_add(u, {0: space.unit().scale(-1)})
+    total, power, sign = {}, {0: space.unit()}, Fraction(1)
+    for _ in range(space.dim + 1):
+        total = _ref_add(total, {k - m: cls.scale(sign / c) for k, cls in power.items()})
+        power = _ref_mul(power, u)
+        sign = -sign
+    assert not power, "u is nilpotent"
+    return total
+
+
+# -- random elements -----------------------------------------------------------
+
+
+def _random_class(rng, space, scalar=True):
+    coeffs = [
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+        for _ in space.basis
+    ]
+    if not scalar:
+        coeffs[0] = 0
+    return CohClass(space, coeffs)
+
+
+def _random_terms(rng, space, scalar_levels=None):
+    """1-4 hbar powers in [-3, 2]; with ``scalar_levels`` given, exactly
+    those powers carry a non-zero scalar part (none for an empty list)."""
+    powers = rng.sample(range(-3, 3), rng.randint(1, 4))
+    if scalar_levels is not None:
+        powers = sorted(set(powers) | set(scalar_levels))
+    terms = {}
+    for k in powers:
+        cls = _random_class(rng, space, scalar=scalar_levels is None)
+        if scalar_levels is not None and k in scalar_levels:
+            cls = cls + space.unit().scale(rng.choice((-3, -1, 1, 2, 5)))
+        terms[k] = cls
+    return terms
+
+
+def _cases(seed, n=40):
+    rng = random.Random(seed)
+    for i in range(n):
+        yield rng, SPACES[i % len(SPACES)]
+
+
+def test_random_elements_span_several_degree_parts():
+    multi = sum(
+        len(HbarLaurent(sp, _random_terms(rng, sp)).parts) > 1 for rng, sp in _cases(1)
+    )
+    assert multi >= 30
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inspection_matches_hbar_powers(seed):
+    for rng, sp in _cases(100 + seed):
+        terms = _random_terms(rng, sp)
+        ref = _pruned(terms)
+        a = HbarLaurent(sp, terms)
+        assert a.terms == ref
+        assert a.exponents() == sorted(ref)
+        assert a.is_zero == (not ref)
+        for k in range(-8, 6):
+            assert a.coefficient(k) == ref.get(k, sp.zero()), k
+        # equal however the powers are listed, and hashed from them
+        again = HbarLaurent(sp, dict(reversed(list(terms.items()))))
+        assert again == a
+        assert hash(again) == hash(a) == hash((sp, tuple(sorted(ref.items()))))
+        other = _random_terms(rng, sp)
+        assert (HbarLaurent(sp, other) == a) == (_pruned(other) == ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_arithmetic_matches_hbar_powers(seed):
+    for rng, sp in _cases(200 + seed):
+        ta, tb = _pruned(_random_terms(rng, sp)), _pruned(_random_terms(rng, sp))
+        a, b = HbarLaurent(sp, ta), HbarLaurent(sp, tb)
+        assert (a + b).terms == _ref_add(ta, tb)
+        assert (a - b).terms == _ref_add(ta, {k: c.scale(-1) for k, c in tb.items()})
+        assert (a * b).terms == _ref_mul(ta, tb)
+        assert hl_mul(a, b) == a * b == b * a
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        assert a.scale(q).terms == _pruned({k: c.scale(q) for k, c in ta.items()})
+        c = _random_class(rng, sp)
+        assert a.scale_class(c).terms == _pruned({k: cls * c for k, cls in ta.items()})
+        shift = rng.randint(-3, 3)
+        assert a.times_hbar(shift).terms == {k + shift: cls for k, cls in ta.items()}
+        for k in rng.sample(range(-2, 3), 2):
+            d = sp.divisor([rng.randint(-2, 2) for _ in sp.factors])
+            lin = HbarLaurent.linear(sp, d, k)
+            assert lin.terms == _pruned({0: d, 1: sp.unit().scale(k)})
+            assert (a * lin).terms == _ref_mul(ta, lin.terms)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_serialization_matches_hbar_powers(seed):
+    for rng, sp in _cases(300 + seed):
+        terms = _random_terms(rng, sp)
+        a = HbarLaurent(sp, terms)
+        obj = hl_to_obj(a)
+        ref = sorted(_pruned(terms).items())
+        assert obj == [{"pow": k, "class": coh_to_obj(c)} for k, c in ref]
+        assert hl_from_obj(sp, obj) == a
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_invert_matches_geometric_series(seed):
+    for rng, sp in _cases(400 + seed):
+        m = rng.randint(-3, 2)
+        terms = _random_terms(rng, sp, scalar_levels=[m])
+        a = HbarLaurent(sp, terms)
+        inv = hl_invert(a)
+        assert inv.terms == _ref_invert(sp, _pruned(terms))
+        assert a * inv == HbarLaurent.unit(sp)
+
+
+def _raised(fn, *args):
+    with pytest.raises(NonInvertible) as info:
+        fn(*args)
+    return info.value.context
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_invert_refusals_match_reference(seed):
+    for rng, sp in _cases(500 + seed, n=20):
+        levels = rng.sample(range(-3, 3), rng.randint(2, 3))
+        terms = _pruned(_random_terms(rng, sp, scalar_levels=levels))
+        context = _raised(HbarLaurent(sp, terms).invert)
+        assert context == _raised(_ref_invert, sp, terms)
+        assert context["levels"] == sorted(levels)
+        nilpotent = _pruned(_random_terms(rng, sp, scalar_levels=[]))
+        if nilpotent:
+            context = _raised(HbarLaurent(sp, nilpotent).invert)
+            assert context == _raised(_ref_invert, sp, nilpotent)
+            assert context["exponents"] == sorted(nilpotent)
+
+
+# -- homogeneity of the pipeline's series ---------------------------------------
+
+PIPELINE_CASES = [
+    ("quintic", (4,), ((5,),), 12),
+    ("bicubic", (2, 2), ((3, 3),), 5),
+    ("P5 O(-1)+O(-5)", (5,), ((-1,), (-5,)), 6),
+    ("local P1", (1,), ((-1,), (-1,)), 6),
+    ("K_P2", (2,), ((-3,),), 6),
+]
+
+
+def _assert_one_part_per_class(g, S):
+    # one degree part per q^beta, at a degree that q^beta shifts by
+    # -<c1(T) - c1(E_conv) + c1(E_conc), beta>
+    combined = _combined_degrees(g)
+    shifted = set()
+    for beta, hl in S.terms.items():
+        assert len(hl.parts) == 1, (beta, sorted(hl.parts))
+        [delta] = hl.parts
+        shifted.add(delta + sum(c * d for c, d in zip(combined, beta)))
+    assert len(shifted) == 1
+
+
+@pytest.mark.parametrize(
+    "factors, lines, D", [c[1:] for c in PIPELINE_CASES], ids=[c[0] for c in PIPELINE_CASES]
+)
+def test_pipeline_series_have_one_degree_part_per_class(monkeypatch, factors, lines, D):
+    g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+    I1 = i_prime(g, D)
+    _assert_one_part_per_class(g, I1)
+    normalized = []
+    normalize = invariants._normalize
+
+    def capture(*args):
+        out = normalize(*args)
+        normalized.append(out[1])
+        return out
+
+    monkeypatch.setattr(invariants, "_normalize", capture)
+    n_numbers(g, D)
+    [T] = normalized
+    assert len(T.terms) >= D
+    _assert_one_part_per_class(g, T)

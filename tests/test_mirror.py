@@ -40,7 +40,7 @@ def _quintic(max_degree):
 
 def _is_normalized(nf):
     """g = 1, with no string or divisor part."""
-    one = ScalarQSeries.one(nf.g.space, nf.g.max_degree)
+    one = _scalar_one(nf.g.space, nf.g.max_degree)
     return nf.g == one and nf.string.is_zero and all(d.is_zero for d in nf.divisor_part)
 
 
@@ -113,7 +113,7 @@ def test_normal_form_allows_annihilated_residual():
     g = GeometrySpec(sp, BundleSpec(((1, 0),)))
     nf = normal_form(i_prime(g, 2), sp.unit())
     assert nf.string == ScalarQSeries(sp, 2, {(1, 0): 1})
-    assert nf.g == ScalarQSeries.one(sp, 2)
+    assert nf.g == _scalar_one(sp, 2)
     assert all(d.is_zero for d in nf.divisor_part)
     with pytest.raises(StructureViolation):
         normal_form(i_function(g, 2), euler_class(sp, g.bundle))
@@ -122,6 +122,11 @@ def test_normal_form_allows_annihilated_residual():
 def test_apply_transform_identity():
     S, _ = _quintic(2)
     assert apply_transform(S, MirrorMap.zero(P4, 2)) == S
+
+
+def _scalar_one(space, D):
+    """The scalar series 1 truncated at D."""
+    return ScalarQSeries(space, D, {(0,) * space.nfactors: 1})
 
 
 def _promote(space, f):
@@ -161,7 +166,7 @@ def _reference_apply_transform(S, m):
 
 def _random_dial(rng, space, D):
     terms = {}
-    for beta in ScalarQSeries.one(space, D).curve_classes()[1:]:
+    for beta in _scalar_one(space, D).curve_classes()[1:]:
         if rng.random() < 0.7:
             terms[beta] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
     return ScalarQSeries(space, D, terms)
@@ -318,10 +323,10 @@ def test_mirror_map_serialization_round_trip():
 
 def test_mirror_map_rejects_constant_term():
     with pytest.raises(ValueError):
-        MirrorMap(ScalarQSeries.one(P1, 2), (ScalarQSeries.zero(P1, 2),))
+        MirrorMap(_scalar_one(P1, 2), (ScalarQSeries.zero(P1, 2),))
     zero = ScalarQSeries.zero(P1, 2)
     with pytest.raises(ValueError):
-        MirrorMap(zero, (zero,), string=ScalarQSeries.one(P1, 2))
+        MirrorMap(zero, (zero,), string=_scalar_one(P1, 2))
 
 
 def test_string_dial_of_fano_index_one():

@@ -256,3 +256,21 @@ def test_class_accessors_return_fractions():
     values += [x for _, x in c.items()]
     assert all(type(x) is Fraction for x in values)
     assert [e for e, _ in c.items()] == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_floats_refused():
+    # a float's binary value is not the decimal it was written as: 0.1
+    # would become 3602879701896397/36028797018963968
+    sp = AmbientSpace((1,))
+    with pytest.raises(TypeError, match="float"):
+        CohClass(sp, [0.1, 0])
+    with pytest.raises(TypeError, match="float"):
+        sp.unit().scale(0.1)
+    with pytest.raises(TypeError, match="float"):
+        sp.monomial((1,), 0.5)
+    with pytest.raises(TypeError, match="float"):
+        sp.divisor([0.5])
+    # exact values of every other kind are still taken
+    assert CohClass(sp, [1, "1/10"]) == CohClass(sp, [Fraction(1), Fraction(1, 10)])
+    assert sp.unit().scale("1/10") == sp.unit().scale(Fraction(1, 10))
+    assert sp.unit().scale(Fraction(1, 10)).scalar_part == Fraction(1, 10)

@@ -35,7 +35,7 @@ from gwtwist.series import (
     qs_exp_full,
     scalar_to_obj,
 )
-from test_mirror import _promote
+from test_mirror import _promote, _scalar_one
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -99,16 +99,38 @@ def test_hl_invert_round_trip_randomized():
         assert hl_mul(a, inv) == HbarLaurent.unit(sp)
 
 
+@pytest.mark.parametrize(
+    "value", [P1.unit(), Fraction(1), 1], ids=["class", "fraction", "int"]
+)
+def test_qseries_refuses_other_coefficient_kinds(value):
+    # a class or scalar where an HbarLaurent belongs is refused on
+    # construction, naming the curve class, not later inside * or normal_form
+    with pytest.raises(TypeError, match=r"beta = \[2\]"):
+        QSeries(P1, 2, {(1,): HbarLaurent.unit(P1), (2,): value})
+
+
+def test_floats_refused_by_the_series():
+    with pytest.raises(TypeError, match="float"):
+        ScalarQSeries(P1, 1, {(1,): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        ScalarQSeries(P1, 1, {(1,): 1}).scale(0.5)
+    with pytest.raises(TypeError, match="float"):
+        HbarLaurent.unit(P1).scale(0.5)
+    with pytest.raises(TypeError, match="float"):
+        QSeries.unit(P1, 1).scale(0.5)
+    assert ScalarQSeries(P1, 1, {(1,): "1/10"}).coeff((1,)) == Fraction(1, 10)
+
+
 def test_qseries_mixed_truncation_refused():
     # both kinds of q-series, through the shared check
-    for make in (QSeries.unit, ScalarQSeries.one):
+    for make in (QSeries.unit, _scalar_one):
         for op in (operator.add, operator.mul):
             with pytest.raises(TruncationMismatch):
                 op(make(P1, 3), make(P1, 4))
 
 
 def test_qseries_mixed_space_refused():
-    for make in (QSeries.unit, ScalarQSeries.one):
+    for make in (QSeries.unit, _scalar_one):
         for op in (operator.add, operator.mul):
             with pytest.raises(SpaceMismatch):
                 op(make(P1, 3), make(P4, 3))
@@ -117,7 +139,7 @@ def test_qseries_mixed_space_refused():
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
 @pytest.mark.parametrize("scalar_first", [False, True], ids=["class-scalar", "scalar-class"])
 def test_mixed_kinds_refused(op, scalar_first):
-    a, b = QSeries.unit(P1, 2), ScalarQSeries.one(P1, 2)
+    a, b = QSeries.unit(P1, 2), _scalar_one(P1, 2)
     if scalar_first:
         a, b = b, a
     with pytest.raises(SpaceMismatch):
@@ -137,7 +159,7 @@ def test_negative_truncation_refused(cls):
         ([ScalarQSeries.zero(P1, 2)] * 2, SpaceMismatch),
         ([QSeries(P1, 2)], SpaceMismatch),
         ([ScalarQSeries.zero(P1, 3)], TruncationMismatch),
-        ([ScalarQSeries.one(P1, 2)], ValueError),
+        ([_scalar_one(P1, 2)], ValueError),
     ],
     ids=["none", "two", "class-valued", "degree", "constant-term"],
 )
@@ -185,7 +207,7 @@ def test_class_exp_matches_scalar_exp():
 
 def test_qs_exp_requires_zero_constant():
     with pytest.raises(ValueError):
-        qs_exp(ScalarQSeries.one(P1, 2))
+        qs_exp(_scalar_one(P1, 2))
 
 
 def test_qs_log_requires_unit_constant():
@@ -317,7 +339,7 @@ def _reference_qs_exp(a: ScalarQSeries) -> ScalarQSeries:
     """exp of a series with zero constant term, as the finite truncated sum."""
     if a.constant_term != 0:
         raise ValueError("qs_exp needs a zero constant term")
-    one = ScalarQSeries.one(a.space, a.max_degree)
+    one = _scalar_one(a.space, a.max_degree)
     return _power_sum(a, one, one, _exp_coeff)
 
 
@@ -325,7 +347,7 @@ def _reference_qs_log(a: ScalarQSeries) -> ScalarQSeries:
     """log of a series with constant term 1."""
     if a.constant_term != 1:
         raise ValueError("qs_log needs constant term exactly 1")
-    one = ScalarQSeries.one(a.space, a.max_degree)
+    one = _scalar_one(a.space, a.max_degree)
     zero = ScalarQSeries.zero(a.space, a.max_degree)
     return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k))
 
@@ -368,7 +390,7 @@ def _case_id(case):
 def _random_scalar(rng, sp, D, density=0.7):
     """A scalar series with zero constant term and some missing terms."""
     terms = {}
-    for beta in ScalarQSeries.one(sp, D).curve_classes()[1:]:
+    for beta in _scalar_one(sp, D).curve_classes()[1:]:
         if rng.random() < density:
             terms[beta] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
     return ScalarQSeries(sp, D, terms)
@@ -384,7 +406,7 @@ def test_exp_log_match_power_sums(case):
         assert e == _reference_qs_exp(f)
         assert qs_log(e) == _reference_qs_log(e) == f
         # a constant-1 series that is not an exp of anything simple
-        a = ScalarQSeries.one(sp, D) + _random_scalar(rng, sp, D, density=0.4)
+        a = _scalar_one(sp, D) + _random_scalar(rng, sp, D, density=0.4)
         assert qs_log(a) == _reference_qs_log(a)
 
 
