@@ -20,7 +20,7 @@ generating-product oracle and the matching closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -32,6 +32,7 @@ from .series import (
     QSeries,
     ScalarQSeries,
     _check_dials,
+    _invert_with_factors,
     compose_substitute,
     invert_substitution,
     qs_exp,
@@ -45,11 +46,13 @@ from .series import (
 @dataclass(frozen=True)
 class MirrorMap:
     """Change-of-variables data: a scalar dial f0, one dial f1^i per factor,
-    and the string dial (zero unless given)."""
+    and the string dial (zero unless given).  A solved map also keeps its
+    solve's exp(beta . f1) table, left out of ==, repr and ``to_obj``."""
 
     f0: ScalarQSeries
     f1: tuple[ScalarQSeries, ...]
     string: ScalarQSeries | None = None
+    _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f1", tuple(self.f1))
@@ -157,12 +160,12 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     series' degree, with s the map's string dial.  The prefactor is one
     class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
     in one pass and applied with one product; it is a finite sum because its
-    exponent has no q = 0 term.  Dials on another space or degree are
-    refused.
+    exponent has no q = 0 term.  A solved map's exp(beta . f1) factors are
+    read off its solve's table.  Dials on another space or degree are refused.
     """
     space, D = S.space, S.max_degree
     _check_dials(space, D, [m.f0, m.string])
-    result = qs_substitute(S, list(m.f1))
+    result = qs_substitute(S, list(m.f1), m._factors)
     unit = space.unit()
     exponent = {
         beta: HbarLaurent(
@@ -191,16 +194,19 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}) and
     string = -(s/g)(q e^{f1}).  The gauge of dials vanishing at q = 0 makes the
     solution unique.  A start other than 1 gives the zero map or a refusal
-    (see ``normal_form``).  The solve does not apply the map: the pipeline
-    applies it once and checks that the result is normalized
-    (``invariants._normalize``).
+    (see ``normal_form``).  The inversion builds each exp(beta . f1) once;
+    both substitutions and ``apply_transform`` read them off its table.  The
+    solve does not apply the map: the pipeline applies it once and checks
+    that the result is normalized (``invariants._normalize``).
     """
     nf = normal_form(S, start)
     inv_g = qs_exp(qs_log(nf.g).scale(-1))
-    f1 = invert_substitution([d * inv_g for d in nf.divisor_part])
-    f0 = qs_log(compose_substitute(nf.g, f1)).scale(-1)
-    string = compose_substitute(nf.string * inv_g, f1).scale(-1)
-    return MirrorMap(f0=f0, f1=tuple(f1), string=string)
+    f1, factors = _invert_with_factors([d * inv_g for d in nf.divisor_part])
+    f0 = qs_log(compose_substitute(nf.g, f1, factors)).scale(-1)
+    string = compose_substitute(nf.string * inv_g, f1, factors).scale(-1)
+    m = MirrorMap(f0=f0, f1=tuple(f1), string=string)
+    object.__setattr__(m, "_factors", factors)
+    return m
 
 
 def _solve_relative_map(S: QSeries, target: QSeries) -> tuple[MirrorMap, ScalarQSeries]:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from math import gcd, lcm
+from numbers import Integral
 
 from .errors import SpaceMismatch
 
@@ -82,6 +83,10 @@ class AmbientSpace:
         return CohClass(self, (0,) * len(self.basis), 1)
 
     def unit(self) -> "CohClass":
+        return self._unit
+
+    @cached_property
+    def _unit(self) -> "CohClass":
         return self.monomial((0,) * self.nfactors)
 
     def monomial(self, exponents, coeff=ONE) -> "CohClass":
@@ -118,10 +123,10 @@ class AmbientSpace:
         return c.coeff(self.factors)
 
     def check_curve_class(self, beta) -> tuple[int, ...]:
-        beta = tuple(int(d) for d in beta)
-        if len(beta) != self.nfactors or any(d < 0 for d in beta):
+        beta = tuple(beta)
+        if len(beta) != self.nfactors or not all(isinstance(d, Integral) and d >= 0 for d in beta):
             raise ValueError(f"invalid curve class {beta} for {self}")
-        return beta
+        return tuple(map(int, beta))
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ class.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral
 from operator import mul
 
 from .errors import NonInvertible, SpaceMismatch, TruncationMismatch
@@ -241,15 +242,17 @@ class _TruncatedSeries:
     __slots__ = ("space", "max_degree", "terms")
 
     def __init__(self, space: AmbientSpace, max_degree: int, terms: dict | None = None):
-        if max_degree < 0:
-            raise ValueError("truncation degree must be non-negative")
-        self.space = space
-        self.max_degree = int(max_degree)
+        if not isinstance(max_degree, Integral) or max_degree < 0:
+            raise ValueError(f"truncation degree {max_degree!r} is not a non-negative integer")
+        checked = {space.check_curve_class(b): c for b, c in (terms or {}).items()}
+        self._fill(space, int(max_degree), checked)
+
+    def _fill(self, space: AmbientSpace, max_degree: int, terms: dict):
+        self.space, self.max_degree = space, max_degree
         coerce = self._coerce
         clean = {}
-        for beta, c in (terms or {}).items():
-            beta = space.check_curve_class(beta)
-            if _degree(beta) > self.max_degree:
+        for beta, c in terms.items():
+            if _degree(beta) > max_degree:
                 raise ValueError(f"term {beta} beyond truncation degree {max_degree}")
             c = coerce(beta, c)
             if c is not None:
@@ -257,7 +260,10 @@ class _TruncatedSeries:
         self.terms = clean
 
     def _new(self, terms: dict):
-        return type(self)(self.space, self.max_degree, terms)
+        """The series of terms that engine code keyed by checked curve classes."""
+        out = object.__new__(type(self))
+        out._fill(self.space, self.max_degree, terms)
+        return out
 
     @property
     def zero_beta(self) -> tuple[int, ...]:
@@ -380,7 +386,7 @@ class ScalarQSeries(_TruncatedSeries):
 
     def set_coeff(self, beta, value) -> "ScalarQSeries":
         terms = dict(self.terms)
-        terms[tuple(beta)] = value
+        terms[self.space.check_curve_class(beta)] = value
         return self._new(terms)
 
 
@@ -515,43 +521,52 @@ def _check_substitution(space: AmbientSpace, max_degree: int, f1: list[ScalarQSe
     _check_dials(space, max_degree, f1)
 
 
-def _substitute(S, f1: list[ScalarQSeries]):
+def _substitute(S, f1: list[ScalarQSeries], factors=None):
     """S(q e^{f1}) for a series of either kind, truncated at its degree D.
 
-    Each q^beta term is multiplied by ``_pairing_factor``, so the beta = 0
-    term is never modified.
+    Each q^beta term is multiplied by exp(beta . f1), read off the table
+    ``factors`` of ``_invert_with_factors`` (refused unless built for these
+    dials) or else built by ``_pairing_factor``.
     """
     D = S.max_degree
     _check_substitution(S.space, D, f1)
+    if factors is not None and factors[0] != tuple(f1):
+        raise ValueError("exp(beta . f1) factor table was built for other dials")
+    table = factors[1] if factors is not None else {}
     out: dict = {}
     for beta, c in S.terms.items():
-        for gamma, e in _pairing_factor(f1, beta, D).terms.items():
+        for gamma, e in (table.get(beta) or _pairing_factor(f1, beta, D).terms).items():
             _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), S._scale_coeff(c, e))
     return S._new(out)
 
 
-def qs_substitute(S: QSeries, f1: list[ScalarQSeries]) -> QSeries:
+def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries:
     """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series."""
-    return _substitute(S, f1)
+    return _substitute(S, f1, _factors)
 
 
-def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries]) -> ScalarQSeries:
+def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None) -> ScalarQSeries:
     """Evaluate f(q * exp(g1)) as a truncated scalar series."""
-    return _substitute(f, g1)
+    return _substitute(f, g1, _factors)
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
-    """Inverse of q -> q*exp(f1): g with g + f(q e^g) = 0, in one pass.
+    """Inverse of q -> q*exp(f1): g with g + f(q e^g) = 0, in one pass."""
+    return _invert_with_factors(f1)[0]
+
+
+def _invert_with_factors(f1: list[ScalarQSeries]):
+    """g = invert_substitution(f1) and the factor table (g, {beta: E_beta}).
 
     The degree-n terms of f(q e^g) = sum_beta f_beta q^beta E_beta, with
     E_beta = exp(beta . g), read E_beta only through degree n - |beta| < n,
     and so g only below degree n.  Round n therefore grows each E_beta, for
     the classes beta some f^i carries, by one degree level of the ``_exp``
     recurrence, and sets g_alpha = -sum_beta f_beta E_beta[alpha - beta] for
-    every |alpha| = n.
+    every |alpha| = n.  Each E_beta ends truncated at D - |beta|; E_0 = 1.
     """
     if not f1:
-        return []
+        return [], ((), {})
     space, D = f1[0].space, f1[0].max_degree
     _check_substitution(space, D, f1)
     levels: list[list] = [[] for _ in range(D + 1)]
@@ -581,7 +596,8 @@ def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
                     c = f.terms.get(beta)
                     if c is not None:
                         terms[alpha] = terms.get(alpha, ZERO) - c * e
-    return [ScalarQSeries(space, D, t) for t in g]
+    dials = tuple(f1[0]._new(t) for t in g)
+    return list(dials), (dials, {zero: {zero: ONE}} | {b: E for b, (E, _) in factors.items()})
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from gwtwist import (
     z_closed_form,
     z_from_log,
 )
-from gwtwist.series import HbarLaurent, qs_exp_full
+from gwtwist.series import HbarLaurent, compose_substitute, qs_exp_full
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -196,6 +197,51 @@ def test_apply_transform_matches_reference_on_random_maps(factors, D):
         assert apply_transform(S, m) == _reference_apply_transform(S, m)
         m = MirrorMap(f0=f0, f1=f1, string=string)
         assert apply_transform(S, m) == _reference_apply_transform(S, m)
+
+
+@pytest.mark.parametrize(
+    "factors,lines,D",
+    [
+        ((4,), ((5,),), 8),
+        ((2, 2), ((3, 3),), 3),
+        ((1, 1), ((2, 1),), 4),
+        ((3,), ((3,),), 4),
+        ((2,), ((-3,),), 5),
+    ],
+    ids=["quintic", "bicubic", "P1xP1-O(2,1)", "P3-O(3)", "K_P2"],
+)
+def test_solved_map_factor_table_matches_rebuilt_factors(factors, lines, D):
+    # the exp(beta . f1) table a solve keeps gives what the same dials give
+    # through a plain map, whose factors are rebuilt one by one
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    S = i_prime(g, D)
+    m = solve_mirror_map(S, sp.unit())
+    plain = MirrorMap(m.f0, m.f1, m.string)
+    assert m._factors is not None and plain._factors is None
+    assert m == plain and repr(m) == repr(plain) and m.to_obj() == plain.to_obj()
+    for T in (S, i_function(g, D)):
+        assert apply_transform(T, m) == apply_transform(T, plain)
+    nf = normal_form(S, sp.unit())
+    rng = random.Random(D)
+    for f in (nf.g, nf.string, *nf.divisor_part, _random_dial(rng, sp, D)):
+        assert compose_substitute(f, m.f1, m._factors) == compose_substitute(f, m.f1)
+
+
+def test_factor_table_for_other_dials_refused():
+    S, start = _quintic(4)
+    m = solve_mirror_map(S, start)
+    other = [m.f1[0].scale(2)]
+    with pytest.raises(ValueError, match="other dials"):
+        compose_substitute(m.f0, other, m._factors)
+    with pytest.raises(ValueError, match="other dials"):
+        qs_substitute(S, other, m._factors)
+    # a map rebuilt with other dials does not carry the table along
+    swapped = dataclasses.replace(m, f1=tuple(other))
+    assert swapped._factors is None
+    object.__setattr__(swapped, "_factors", m._factors)
+    with pytest.raises(ValueError, match="other dials"):
+        apply_transform(S, swapped)
 
 
 @pytest.mark.parametrize("dial", ["f0", "string"])

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -15,10 +16,12 @@ from gwtwist import (
     ScalarQSeries,
     SpaceMismatch,
     TruncationMismatch,
+    h_factor,
     hl_invert,
     hl_mul,
     i_prime,
     invert_substitution,
+    n_numbers,
     qs_exp,
     qs_log,
     qs_substitute,
@@ -119,6 +122,26 @@ def test_floats_refused_by_the_series():
     with pytest.raises(TypeError, match="float"):
         QSeries.unit(P1, 1).scale(0.5)
     assert ScalarQSeries(P1, 1, {(1,): "1/10"}).coeff((1,)) == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScalarQSeries(P1, 2, {(1.7,): 1}), "invalid curve class (1.7,)"),
+        (lambda: ScalarQSeries(P1, 2.9, {(1,): 1}), "truncation degree 2.9 is not"),
+        (lambda: h_factor(P1, (1,), (1.5,)), "invalid curve class (1.5,)"),
+        (lambda: QSeries(P1, 2.0), "truncation degree 2.0 is not"),
+        (
+            lambda: ScalarQSeries(P1, 2).set_coeff((Fraction(3, 2),), 1),
+            "invalid curve class (Fraction(3, 2),)",
+        ),
+    ],
+    ids=["class", "truncation", "h_factor", "integral-float", "set_coeff"],
+)
+def test_non_integral_degrees_refused(build, message):
+    # they were truncated to the integer below, (1.7,) stored as (1,)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_qseries_mixed_truncation_refused():
@@ -489,14 +512,32 @@ def test_solved_map_inversion_factors_are_truncated_exps(monkeypatch, factors, l
 
     def capture(f1):
         seen.append(f1)
-        return invert_substitution(f1)
+        return series._invert_with_factors(f1)
 
-    monkeypatch.setattr(mirror, "invert_substitution", capture)
+    monkeypatch.setattr(mirror, "_invert_with_factors", capture)
     solve_mirror_map(i_prime(g, D), sp.unit())
     monkeypatch.undo()
     [f1] = seen
     assert all(not f.is_zero for f in f1)
     _assert_factors_are_exps(monkeypatch, f1)
+
+
+@pytest.mark.parametrize(
+    "factors, lines, D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)], ids=["quintic", "bicubic"]
+)
+def test_n_numbers_reads_every_factor_off_the_inversion(monkeypatch, factors, lines, D):
+    # every exp(beta . f1) the substitutions need comes from the solve's
+    # inversion table, none rebuilt by _pairing_factor (26 and 42 before)
+    calls = []
+    build = series._pairing_factor
+
+    def counting(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(series, "_pairing_factor", counting)
+    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), D)
+    assert calls == []
 
 
 def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
