@@ -78,7 +78,7 @@ class StructureViolation(EngineError):
 
 
 class Infeasible(EngineError):
-    """Order-by-order solve hit a degree where no dial reaches the residual."""
+    """The closed-form dials leave a residual that no dial reaches."""
 
 
 class DegreeOutOfScope(EngineError):

@@ -34,7 +34,6 @@ from .series import (
     _check_dials,
     _invert_with_factors,
     compose_substitute,
-    invert_substitution,
     qs_exp,
     qs_exp_full,
     qs_log,
@@ -186,43 +185,40 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
 def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     """Find the change of variables normalizing S, in closed form.
 
-    With g, s and div read off one normal form of S, normalized means
-
-        e^{f0} g(q e^{f1}) = 1,  string g(q e^{f1}) + s(q e^{f1}) = 0  and
-        f1 + (div/g)(q e^{f1}) = 0,
-
-    solved by f1 = invert_substitution(div/g), f0 = -log g(q e^{f1}) and
-    string = -(s/g)(q e^{f1}).  The gauge of dials vanishing at q = 0 makes the
-    solution unique.  A start other than 1 gives the zero map or a refusal
-    (see ``normal_form``).  The inversion builds each exp(beta . f1) once;
-    both substitutions and ``apply_transform`` read them off its table.  The
-    solve does not apply the map: the pipeline applies it once and checks
-    that the result is normalized (``invariants._normalize``).
+    Normalized means matching 1 in the hbar^0 and hbar^-1 layers, so this is
+    ``_solve_relative_map`` against the trivial target g = 1, s = 0, div = 0,
+    handed over as a normal form: f1 + (div/g)(q e^{f1}) = 0,
+    f0 = -log g(q e^{f1}) and string = -(s/g)(q e^{f1}).  A start other than 1
+    gives the zero map or a refusal (see ``normal_form``).  The pipeline
+    applies the map once and checks the result (``invariants._normalize``).
     """
-    nf = normal_form(S, start)
-    inv_g = qs_exp(qs_log(nf.g).scale(-1))
-    f1, factors = _invert_with_factors([d * inv_g for d in nf.divisor_part])
-    f0 = qs_log(compose_substitute(nf.g, f1, factors)).scale(-1)
-    string = compose_substitute(nf.string * inv_g, f1, factors).scale(-1)
-    m = MirrorMap(f0=f0, f1=tuple(f1), string=string)
-    object.__setattr__(m, "_factors", factors)
-    return m
+    zero = ScalarQSeries.zero(S.space, S.max_degree)
+    trivial = NormalForm(zero._new({S.zero_beta: ONE}), zero, (zero,) * S.space.nfactors)
+    return _solve_relative_map(normal_form(S, start), trivial)[0]
 
 
-def _solve_relative_map(S: QSeries, target: QSeries) -> tuple[MirrorMap, ScalarQSeries]:
+def _solve_relative_map(S, target) -> tuple[MirrorMap, ScalarQSeries]:
     """The map m with apply_transform(S, m) equal to ``target`` in the hbar^0
-    and hbar^-1 layers, and e^{f0}, in closed form; both series start at 1.
-    ``invariants.solve_serre_factor`` gives the formulas; ``solve_mirror_map``
-    is the case target = 1, solved there without reading the target."""
-    unit = S.space.unit()
-    a, b = normal_form(S, unit), normal_form(target, unit)
+    and hbar^-1 layers, and e^{f0}, in closed form.
+
+    S and target are series that start at 1, or their normal forms a and b.
+    With h = div_a/g_a and k = div_b/g_b, the divisor layer asks for
+    f1 + h(q e^{f1}) = k, which one shifted inversion solves; the others give
+    e^{f0} = g_b (1/g_a)(q e^{f1}) and string = s_b/g_b - (s_a/g_a)(q e^{f1}).
+    The dials vanishing at q = 0 make the solution unique.  The inversion
+    builds each exp(beta . f1) once; both substitutions here and
+    ``apply_transform`` read them off its table, which the map keeps.
+    """
+    a, b = (x if isinstance(x, NormalForm) else normal_form(x, x.space.unit()) for x in (S, target))
     inv_ga, inv_gb = (qs_exp(qs_log(nf.g).scale(-1)) for nf in (a, b))
-    k = [d * inv_gb for d in b.divisor_part]
-    G = invert_substitution([d * inv_ga for d in a.divisor_part])
-    f1 = tuple(ki + compose_substitute(Gi, k) for ki, Gi in zip(k, G))
-    ratio = b.g * compose_substitute(inv_ga, f1)
-    string = b.string * inv_gb - compose_substitute(a.string * inv_ga, f1)
-    return MirrorMap(f0=qs_log(ratio), f1=f1, string=string), ratio
+    f1, factors = _invert_with_factors(
+        [d * inv_ga for d in a.divisor_part], [d * inv_gb for d in b.divisor_part]
+    )
+    ratio = b.g * compose_substitute(inv_ga, f1, factors)
+    string = b.string * inv_gb - compose_substitute(a.string * inv_ga, f1, factors)
+    m = MirrorMap(f0=qs_log(ratio), f1=tuple(f1), string=string)
+    object.__setattr__(m, "_factors", factors)
+    return m, ratio
 
 
 # -- ordered-decomposition combinatorics -------------------------------------

@@ -487,23 +487,6 @@ def qs_exp_full(L: QSeries) -> QSeries:
     return _exp(L, HbarLaurent.unit(L.space))
 
 
-def _pairing_factor(f1: list[ScalarQSeries], beta, max_degree: int) -> ScalarQSeries:
-    """exp(sum_i beta_i f1^i), the factor picked up by q^beta, truncated at
-    max_degree - |beta|: the terms a series of degree max_degree keeps.
-
-    One pass of the ``_exp`` recurrence on the combined exponent, so no
-    power of exp(f1^i) is formed and nothing is cached across calls.
-    """
-    D = max_degree - _degree(beta)
-    terms: dict = {}
-    for b, f in zip(beta, f1):
-        if b:
-            for gamma, c in f.terms.items():
-                if _degree(gamma) <= D:
-                    terms[gamma] = terms.get(gamma, ZERO) + b * c
-    return _exp(ScalarQSeries(f1[0].space, D, terms), ONE)
-
-
 def _check_dials(space: AmbientSpace, max_degree: int, dials):
     """Refuse dials that are not scalar series on this space and degree with
     zero constant term."""
@@ -526,16 +509,18 @@ def _substitute(S, f1: list[ScalarQSeries], factors=None):
 
     Each q^beta term is multiplied by exp(beta . f1), read off the table
     ``factors`` of ``_invert_with_factors`` (refused unless built for these
-    dials) or else built by ``_pairing_factor``.
+    dials); without one, the table is built for f1 by that same routine.
     """
     D = S.max_degree
     _check_substitution(S.space, D, f1)
-    if factors is not None and factors[0] != tuple(f1):
+    if factors is None:
+        factors = _invert_with_factors([f.scale(0) for f in f1], f1)[1]
+    elif factors[0] != tuple(f1):
         raise ValueError("exp(beta . f1) factor table was built for other dials")
-    table = factors[1] if factors is not None else {}
+    table = factors[1]
     out: dict = {}
     for beta, c in S.terms.items():
-        for gamma, e in (table.get(beta) or _pairing_factor(f1, beta, D).terms).items():
+        for gamma, e in table[beta].items():
             _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), S._scale_coeff(c, e))
     return S._new(out)
 
@@ -552,52 +537,56 @@ def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None)
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
     """Inverse of q -> q*exp(f1): g with g + f(q e^g) = 0, in one pass."""
-    return _invert_with_factors(f1)[0]
+    return _invert_with_factors(f1, [f.scale(0) for f in f1])[0]
 
 
-def _invert_with_factors(f1: list[ScalarQSeries]):
-    """g = invert_substitution(f1) and the factor table (g, {beta: E_beta}).
+def _invert_with_factors(h: list[ScalarQSeries], k: list[ScalarQSeries]):
+    """g with g + h(q e^g) = k, and the factor table (g, {beta: E_beta}).
 
-    The degree-n terms of f(q e^g) = sum_beta f_beta q^beta E_beta, with
-    E_beta = exp(beta . g), read E_beta only through degree n - |beta| < n,
-    and so g only below degree n.  Round n therefore grows each E_beta, for
-    the classes beta some f^i carries, by one degree level of the ``_exp``
-    recurrence, and sets g_alpha = -sum_beta f_beta E_beta[alpha - beta] for
-    every |alpha| = n.  Each E_beta ends truncated at D - |beta|; E_0 = 1.
+    The degree-n terms of h(q e^g) = sum_beta h_beta q^beta E_beta, with
+    E_beta = exp(beta . g), read g only below degree n.  Round n therefore
+    grows each E_beta by one degree level of the ``_exp`` recurrence and sets
+    g_alpha = k_alpha - sum_beta h_beta E_beta[alpha - beta] for |alpha| = n.
+    The table holds every class beta up to D, E_beta truncated at D - |beta|.
+    k = 0 inverts q -> q e^h; h = 0 gives g = k and the table a substitution
+    reads.  In general g = k + G(q e^k), G the inverse of q -> q e^h: with
+    u = q e^k, G(u) + h(u e^{G(u)}) = 0.
     """
-    if not f1:
+    if not h:
         return [], ((), {})
-    space, D = f1[0].space, f1[0].max_degree
-    _check_substitution(space, D, f1)
+    space, D = h[0].space, h[0].max_degree
+    _check_substitution(space, D, h)
+    _check_substitution(space, D, k)
     levels: list[list] = [[] for _ in range(D + 1)]
     for beta in all_curve_classes(space, D):
         levels[_degree(beta)].append(beta)
     zero = levels[0][0]
-    # per beta: the coefficients of E_beta and the theta terms of beta . g
-    factors = {beta: ({zero: ONE}, []) for f in f1 for beta in f.terms}
-    g: list[dict] = [{} for _ in f1]
+    # per beta != 0: E_beta, the theta terms of beta . g, and (h^i_beta, g^i)
+    g: list[dict] = [dict(f.terms) for f in k]
+    factors = {
+        beta: ({zero: ONE}, [], [(f.terms[beta], t) for f, t in zip(h, g) if beta in f.terms])
+        for level in levels[1:]
+        for beta in level
+    }
     for n in range(1, D + 1):
-        for beta, (E, theta) in factors.items():
+        for beta, (E, theta, h_beta) in factors.items():
             m = n - _degree(beta)
             if m < 0:
-                continue
+                break
             if m:
                 for gamma in levels[m]:
-                    c = sum(b * t.get(gamma, ZERO) for b, t in zip(beta, g) if b)
+                    c = sum(b * t[gamma] for b, t in zip(beta, g) if b and gamma in t)
                     if c:
                         theta.append((gamma, m, m * c))
                 _exp_extend(E, theta, levels[m], mul)
-            for gamma in levels[m]:
+            for gamma in levels[m] if h_beta else ():
                 e = E.get(gamma)
-                if e is None:
-                    continue
-                alpha = tuple(x + y for x, y in zip(beta, gamma))
-                for f, terms in zip(f1, g):
-                    c = f.terms.get(beta)
-                    if c is not None:
+                if e is not None:
+                    alpha = tuple(x + y for x, y in zip(beta, gamma))
+                    for c, terms in h_beta:
                         terms[alpha] = terms.get(alpha, ZERO) - c * e
-    dials = tuple(f1[0]._new(t) for t in g)
-    return list(dials), (dials, {zero: {zero: ONE}} | {b: E for b, (E, _) in factors.items()})
+    dials = tuple(h[0]._new(t) for t in g)
+    return list(dials), (dials, {zero: {zero: ONE}} | {b: E for b, (E, _, _) in factors.items()})
 
 
 # -- serialization -----------------------------------------------------------

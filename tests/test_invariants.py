@@ -32,6 +32,7 @@ from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent, qs_exp
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _promote, _reference_apply_transform, _scalar_one
+from test_series import _assert_table_is_truncated_exps, _count_tables
 from test_yukawa import yukawa_n_numbers
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -459,7 +460,7 @@ def test_serre_solution_is_truncation_stable(factors, lines):
     assert len(low.phi.terms) + len(low.string.terms) > 1
 
 
-def test_serre_factor_recovers_known_dials():
+def test_serre_factor_recovers_known_dials(monkeypatch):
     # a dual built from I' by known dials, f1 included, on a product ambient:
     # the closed J gives f1 = 0 on every solved pair, so this is the case
     # that reaches the substitution inverse.  On P1xP1 with O(2,1), I' has
@@ -475,7 +476,14 @@ def test_serre_factor_recovers_known_dials():
     string = ScalarQSeries(space, D, {(1, 0): Fraction(-1), (0, 2): Fraction(5)})
     dual = apply_transform(pair.i_prime, MirrorMap(f0, f1, string)).scale(pair.sign)
     synthetic = SerrePair(i_prime=pair.i_prime, i_prime_dual=dual, sign=pair.sign)
+    built = _count_tables(monkeypatch)
     sol = solve_serre_factor(synthetic)
+    # the shifted inversion builds the one table that the solve's
+    # substitutions and its transform read
+    [(g1, table)] = built
+    assert tuple(g1) == f1
+    _assert_table_is_truncated_exps(table, D)
+    monkeypatch.undo()
     assert sol.residual.is_zero
     assert sol.map.f1 == f1
     assert sol.string == string

@@ -464,80 +464,111 @@ def _canonical(terms):
     return sorted((beta, c) for beta, c in terms.items() if c)
 
 
-def _assert_factors_are_exps(monkeypatch, f1):
-    # every coefficient table the shared exp recurrence extends during the
-    # inversion is E_beta = exp(beta . g) truncated at D - |beta|, one per
-    # class beta of degree below D that some f^i carries (E_beta = 1 at D)
-    tables = {}
-    extend = series._exp_extend
-
-    def recording(out, theta, classes, scale):
-        tables[id(out)] = out
-        return extend(out, theta, classes, scale)
-
-    with monkeypatch.context() as m:
-        m.setattr(series, "_exp_extend", recording)
-        g1 = invert_substitution(f1)
-    assert g1 == _reference_invert_substitution(f1)
-    space, D = f1[0].space, f1[0].max_degree
-    expected = []
-    for beta in sorted({beta for f in f1 for beta in f.terms}):
+def _assert_table_is_truncated_exps(factors, D):
+    # the table holds every class beta up to D, and its E_beta is
+    # exp(beta . g) truncated at D - |beta|, g the dials it was built for
+    g1, table = factors
+    space = g1[0].space
+    assert sorted(table) == sorted(QSeries.unit(space, D).curve_classes())
+    for beta, E in table.items():
         top = D - _degree(beta)
-        if top == 0:
-            continue
         exponent = {}
         for b, g in zip(beta, g1):
             for gamma, c in g.terms.items():
                 if b and _degree(gamma) <= top:
                     exponent[gamma] = exponent.get(gamma, 0) + b * c
-        expected.append(_canonical(qs_exp(ScalarQSeries(space, top, exponent)).terms))
-    assert sorted(_canonical(t) for t in tables.values()) == sorted(expected)
+        assert _canonical(E) == _canonical(qs_exp(ScalarQSeries(space, top, exponent)).terms)
+
+
+def _zeros(f1):
+    return [ScalarQSeries.zero(f.space, f.max_degree) for f in f1]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
-def test_inversion_factors_are_truncated_exps(monkeypatch, case):
+def test_inversion_factors_are_truncated_exps(case):
     sp, D = case
     rng = random.Random(4000 * sp.nfactors + 10 * sum(sp.factors) + D)
     f1 = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
-    _assert_factors_are_exps(monkeypatch, f1)
+    g1, factors = series._invert_with_factors(f1, _zeros(f1))
+    assert g1 == _reference_invert_substitution(f1)
+    assert factors[0] == tuple(g1)
+    _assert_table_is_truncated_exps(factors, D)
 
 
-@pytest.mark.parametrize(
-    "factors, lines, D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)], ids=["quintic", "bicubic"]
-)
-def test_solved_map_inversion_factors_are_truncated_exps(monkeypatch, factors, lines, D):
+def _reference_shifted_inversion(h, k):
+    """g with g + h(q e^g) = k as k + G(q e^k), G the inverse of q -> q e^h,
+    each q^beta factor exp(beta . k) a power sum."""
+    space, D = k[0].space, k[0].max_degree
+    out = []
+    for G, ki in zip(_reference_invert_substitution(h), k):
+        total = ki
+        for beta, c in G.terms.items():
+            exponent = sum((kj.scale(b) for b, kj in zip(beta, k)), ScalarQSeries.zero(space, D))
+            shift = ScalarQSeries(space, D, {beta: c})
+            total = total + shift * _reference_qs_exp(exponent)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_shifted_inversion_matches_parent_formula(case):
+    sp, D = case
+    rng = random.Random(5000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    for _ in range(2):
+        h = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
+        k = [_random_scalar(rng, sp, D) for _ in range(sp.nfactors)]
+        g1, factors = series._invert_with_factors(h, k)
+        assert g1 == _reference_shifted_inversion(h, k)
+        _assert_table_is_truncated_exps(factors, D)
+        # g + h(q e^g) = k, with the substitution read off the table
+        for g, f, ki in zip(g1, h, k):
+            assert g + compose_substitute(f, g1, factors) == ki
+        # k = 0 is the plain inversion
+        assert series._invert_with_factors(h, _zeros(h))[0] == invert_substitution(h)
+
+
+SOLVED_MAP_CASES = {
+    "quintic": ((4,), ((5,),), 12),
+    "bicubic": ((2, 2), ((3, 3),), 5),
+    "P1xP1-O(2,1)": ((1, 1), ((2, 1),), 6),
+    "P3-O(3)": ((3,), ((3,),), 6),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVED_MAP_CASES))
+def test_solved_map_inversion_factors_are_truncated_exps(name):
+    factors, lines, D = SOLVED_MAP_CASES[name]
     sp = AmbientSpace(factors)
-    g = GeometrySpec(sp, BundleSpec(lines))
-    seen = []
-
-    def capture(f1):
-        seen.append(f1)
-        return series._invert_with_factors(f1)
-
-    monkeypatch.setattr(mirror, "_invert_with_factors", capture)
-    solve_mirror_map(i_prime(g, D), sp.unit())
-    monkeypatch.undo()
-    [f1] = seen
-    assert all(not f.is_zero for f in f1)
-    _assert_factors_are_exps(monkeypatch, f1)
+    m = solve_mirror_map(i_prime(GeometrySpec(sp, BundleSpec(lines)), D), sp.unit())
+    assert m._factors[0] == m.f1
+    # P3 O(3) has f1 = 0, whose every factor is exp(0) = 1
+    assert all(f.is_zero for f in m.f1) == (name == "P3-O(3)")
+    _assert_table_is_truncated_exps(m._factors, D)
 
 
-@pytest.mark.parametrize(
-    "factors, lines, D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)], ids=["quintic", "bicubic"]
-)
-def test_n_numbers_reads_every_factor_off_the_inversion(monkeypatch, factors, lines, D):
-    # every exp(beta . f1) the substitutions need comes from the solve's
-    # inversion table, none rebuilt by _pairing_factor (26 and 42 before)
-    calls = []
-    build = series._pairing_factor
+def _count_tables(monkeypatch):
+    """Record every exp(beta . f1) table built, through either binding."""
+    built = []
+    invert = series._invert_with_factors
 
-    def counting(*args):
-        calls.append(args[1])
-        return build(*args)
+    def recording(h, k):
+        built.append(invert(h, k))
+        return built[-1]
 
-    monkeypatch.setattr(series, "_pairing_factor", counting)
+    monkeypatch.setattr(series, "_invert_with_factors", recording)
+    monkeypatch.setattr(mirror, "_invert_with_factors", recording)
+    return built
+
+
+@pytest.mark.parametrize("name", list(SOLVED_MAP_CASES))
+def test_n_numbers_reads_every_factor_off_the_inversion(monkeypatch, name):
+    # one table per run: the solve's inversion builds it and every
+    # substitution reads it, classes the inverted series lacks included
+    factors, lines, D = SOLVED_MAP_CASES[name]
+    built = _count_tables(monkeypatch)
     n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), D)
-    assert calls == []
+    [(_, table)] = built
+    _assert_table_is_truncated_exps(table, D)
 
 
 def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
