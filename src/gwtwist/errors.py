@@ -62,7 +62,7 @@ class TruncationMismatch(EngineError):
 
 
 class NonInvertible(EngineError):
-    """Laurent element has no scalar part, or scalar parts at several levels."""
+    """Laurent element has no scalar part: every hbar coefficient is nilpotent."""
 
 
 class Unclassifiable(EngineError):
@@ -74,7 +74,8 @@ class Unsupported(EngineError):
 
 
 class StructureViolation(EngineError):
-    """Series lacks the two-level structure the normalizer relies on."""
+    """Series lacks the two-level structure the normalizer relies on, or an
+    hbar-Laurent element would mix total degrees."""
 
 
 class Infeasible(EngineError):

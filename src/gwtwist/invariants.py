@@ -225,11 +225,13 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     The dials are a scalar factor phi = sign e^{f0}, the string shift and the
     divisor shifts f1^i, all vanishing at q = 0 but for phi's sign.  With
     (g_a, s_a, div_a) read off the normal form of I' and (g_b, s_b, div_b)
-    off that of sign * I'_dual, let h = div_a/g_a, k = div_b/g_b and
-    G = invert_substitution(h).  Matching the hbar^0 and hbar^-1 layers gives
+    off that of sign * I'_dual, let h = div_a/g_a and k = div_b/g_b.
+    Matching the hbar^0 and hbar^-1 layers gives
 
-        f1 = k + G(q e^{k}),  f0 = log g_b - log g_a(q e^{f1})  and
-        string = s_b/g_b - (s_a/g_a)(q e^{f1}).
+        f1 + h(q e^{f1}) = k,  f0 = log g_b - log g_a(q e^{f1})  and
+        string = s_b/g_b - (s_a/g_a)(q e^{f1}),
+
+    the first solved by one shifted inversion (``mirror._solve_relative_map``).
 
     A dial at degree n touches only degrees >= n, and those two layers of a
     transform depend only on those layers, so these are the only candidate

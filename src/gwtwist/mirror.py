@@ -32,6 +32,7 @@ from .series import (
     QSeries,
     ScalarQSeries,
     _check_dials,
+    _check_substitution,
     _invert_with_factors,
     compose_substitute,
     qs_exp,
@@ -160,10 +161,14 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
     in one pass and applied with one product; it is a finite sum because its
     exponent has no q = 0 term.  A solved map's exp(beta . f1) factors are
-    read off its solve's table.  Dials on another space or degree are refused.
+    read off its solve's table.  Dials on another space or degree are refused;
+    the zero map returns S itself.
     """
     space, D = S.space, S.max_degree
+    _check_substitution(space, D, list(m.f1))
     _check_dials(space, D, [m.f0, m.string])
+    if m.is_zero:
+        return S
     result = qs_substitute(S, list(m.f1), m._factors)
     unit = space.unit()
     exponent = {

@@ -2,9 +2,9 @@
 
 Two layers sit on top of the cohomology ring:
 
-* ``HbarLaurent``: a finite Laurent polynomial in the formal symbol hbar
-  with cohomology-class coefficients, stored by total degree (one class
-  in x = p/hbar per degree), so homogeneous ones multiply in one product.
+* ``HbarLaurent``: a homogeneous Laurent polynomial in the formal symbol
+  hbar with cohomology-class coefficients, stored as one total degree and
+  one class in x = p/hbar, so it multiplies with one class product.
 * A power series in the curve-class variables q_1..q_N, truncated at a total
   degree D.  One implementation serves two coefficient kinds: ``QSeries``
   holds ``HbarLaurent`` values (the twisted series and its transforms) and
@@ -23,7 +23,7 @@ from fractions import Fraction
 from numbers import Integral
 from operator import mul
 
-from .errors import NonInvertible, SpaceMismatch, TruncationMismatch
+from .errors import NonInvertible, SpaceMismatch, StructureViolation, TruncationMismatch
 from .ring import (
     AmbientSpace,
     CohClass,
@@ -44,11 +44,9 @@ def _component(c: CohClass, j: int) -> CohClass:
     return CohClass(c.space, num, c.den)
 
 
-def _split(c: CohClass) -> dict:
-    """The non-zero homogeneous components of a class, {degree: class}; a
-    homogeneous class is returned as it is."""
-    found = {sum(e) for e, x in zip(c.space.basis, c.num) if x}
-    return dict.fromkeys(found, c) if len(found) == 1 else {j: _component(c, j) for j in found}
+def _degrees(c: CohClass) -> set:
+    """The degrees of the non-zero monomials of a class."""
+    return {sum(e) for e, x in zip(c.space.basis, c.num) if x}
 
 
 def _add_into(out: dict, key, value):
@@ -56,82 +54,71 @@ def _add_into(out: dict, key, value):
     out[key] = value if prev is None else prev + value
 
 
-def _regroup(levels: dict, sign: int) -> dict:
-    """Move the degree-j component of the class at each level n to level
-    n + sign*j: hbar-power coefficients to degree parts for sign 1, back
-    for sign -1."""
-    out: dict = {}
-    for n, cls in levels.items():
-        for j, comp in _split(cls).items():
-            _add_into(out, n + sign * j, comp)
-    return out
-
-
 class HbarLaurent:
-    """Finite Laurent polynomial in hbar with ``CohClass`` coefficients.
+    """Homogeneous Laurent polynomial in hbar with ``CohClass`` coefficients.
 
-    Stored by total degree: ``parts`` maps delta to a class c, the element
-    being sum_delta hbar^delta c(p/hbar), so a monomial p^m of c sits at
-    hbar^(delta - |m|).  A homogeneous element, such as each coefficient of
-    the twisted series, has one part and multiplies with one class product.
-    The constructor, ``terms``, ``coefficient`` and ``exponents`` speak
-    hbar powers.  Zero parts are pruned, so equality compares the parts.
+    Stored as one pair: the total degree ``delta`` and a class ``cls``, the
+    element being hbar^delta cls(p/hbar), so a monomial p^m of cls sits at
+    hbar^(delta - |m|).  Each coefficient of the twisted series and of its
+    transforms is of this kind, and a product is one class product.  Zero
+    is the zero class, at delta 0.  The constructor, ``terms``,
+    ``coefficient`` and ``exponents`` speak hbar powers.  Terms that mix
+    total degrees, in the constructor or in a sum, raise StructureViolation
+    with ``degrees``.
     """
 
-    __slots__ = ("space", "parts")
+    __slots__ = ("space", "delta", "cls")
 
     def __init__(self, space: AmbientSpace, terms: dict):
         if any(cls.space != space for cls in terms.values()):
             raise SpaceMismatch("coefficient class on a different ambient space")
+        degrees = sorted({int(k) + j for k, cls in terms.items() for j in _degrees(cls)})
+        if len(degrees) > 1:
+            raise StructureViolation("hbar powers of mixed total degree", degrees=degrees)
         self.space = space
-        self.parts = _regroup({int(k): cls for k, cls in terms.items()}, 1)
+        self.delta = degrees[0] if degrees else 0
+        classes = list(terms.values()) or [space.zero()]
+        self.cls = sum(classes[1:], classes[0])
 
     @classmethod
-    def _of(cls, space: AmbientSpace, parts: dict) -> "HbarLaurent":
-        """The element with these degree parts, zero ones pruned."""
+    def _of(cls, space: AmbientSpace, delta: int, c: CohClass) -> "HbarLaurent":
+        """The element hbar^delta c(p/hbar)."""
         self = object.__new__(cls)
-        self.space = space
-        self.parts = {d: c for d, c in parts.items() if not c.is_zero}
+        self.space, self.cls = space, c
+        self.delta = 0 if c.is_zero else delta
         return self
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def unit(cls, space: AmbientSpace) -> "HbarLaurent":
-        return cls._of(space, {0: space.unit()})
+        return cls._of(space, 0, space.unit())
 
     @classmethod
     def zero(cls, space: AmbientSpace) -> "HbarLaurent":
-        return cls._of(space, {})
+        return cls._of(space, 0, space.zero())
 
     @classmethod
     def linear(cls, space: AmbientSpace, divisor: CohClass, k) -> "HbarLaurent":
-        """The degree-one element ``divisor + k*hbar``: for a divisor, the
-        one part hbar (divisor(x) + k)."""
-        parts = _split(divisor)
-        _add_into(parts, 1, space.unit().scale(k))
-        return cls._of(space, parts)
+        """The degree-one element ``divisor + k*hbar``."""
+        return cls(space, {0: divisor, 1: space.unit().scale(k)})
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def terms(self) -> dict:
         """The non-zero hbar-power coefficients, {power: class}."""
-        return _regroup(self.parts, -1)
+        return {self.delta - j: _component(self.cls, j) for j in _degrees(self.cls)}
 
     def coefficient(self, k: int) -> CohClass:
-        comps = [_component(cls, d - k) for d, cls in self.parts.items()] or [self.space.zero()]
-        return sum(comps[1:], comps[0])
+        return _component(self.cls, self.delta - k)
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
+        return self.cls.is_zero
 
     def exponents(self):
-        basis = self.space.basis
-        return sorted(
-            {d - sum(e) for d, cls in self.parts.items() for e, x in zip(basis, cls.num) if x}
-        )
+        return sorted(self.delta - j for j in _degrees(self.cls))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -141,73 +128,66 @@ class HbarLaurent:
 
     def __add__(self, other: "HbarLaurent") -> "HbarLaurent":
         self._check(other)
-        parts = dict(self.parts)
-        for d, cls in other.parts.items():
-            _add_into(parts, d, cls)
-        return HbarLaurent._of(self.space, parts)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        if self.delta != other.delta:
+            raise StructureViolation(
+                "sum of hbar-Laurent elements of different total degrees",
+                degrees=[self.delta, other.delta],
+            )
+        return HbarLaurent._of(self.space, self.delta, self.cls + other.cls)
 
     def __sub__(self, other: "HbarLaurent") -> "HbarLaurent":
         return self + other.scale(-1)
 
     def scale(self, k) -> "HbarLaurent":
-        return HbarLaurent._of(self.space, {d: cls.scale(k) for d, cls in self.parts.items()})
+        return HbarLaurent._of(self.space, self.delta, self.cls.scale(k))
 
     def scale_class(self, c: CohClass) -> "HbarLaurent":
         return self * HbarLaurent(self.space, {0: c})
 
     def times_hbar(self, shift: int) -> "HbarLaurent":
-        return HbarLaurent._of(self.space, {d + shift: cls for d, cls in self.parts.items()})
+        return HbarLaurent._of(self.space, self.delta + shift, self.cls)
 
     def __mul__(self, other: "HbarLaurent") -> "HbarLaurent":
         self._check(other)
-        out: dict = {}
-        for da, ca in self.parts.items():
-            for db, cb in other.parts.items():
-                _add_into(out, da + db, ca * cb)
-        return HbarLaurent._of(self.space, out)
+        return HbarLaurent._of(self.space, self.delta + other.delta, self.cls * other.cls)
 
     def invert(self) -> "HbarLaurent":
-        """Exact inverse over the nilpotent coefficient ring.
+        """Exact inverse over the nilpotent coefficient ring, at -delta.
 
-        The scalar part must sit at a single hbar level m, that is in one
-        degree part, as it does for the products (p_i + d hbar)^(r_i+1)
-        the pipeline inverts.  Writing the element as c hbar^m (1 - w),
-        every part of w is nilpotent, so the geometric series in w stops
-        at w^(sum r_i); with one part it is a series in one class.  Scalar
-        parts at several levels would give an infinite series:
-        NonInvertible with ``levels``.
+        Writing cls = c (1 - w) with c its scalar part, w is nilpotent, so
+        cls^-1 = c^-1 sum_i w^i stops at w^(sum r_i).  Without a scalar
+        part there is no inverse: NonInvertible with ``exponents``.
         """
-        levels = {d: cls.scalar_part for d, cls in self.parts.items() if cls.num[0]}
-        if not levels:
+        c = self.cls.scalar_part
+        if not c:
             raise NonInvertible("every hbar coefficient is nilpotent", exponents=self.exponents())
-        if len(levels) > 1:
-            raise NonInvertible(
-                "scalar parts at several hbar levels have no finite inverse",
-                levels=sorted(levels),
-            )
-        [(m, c)] = levels.items()
-        unit = HbarLaurent.unit(self.space)
-        w = unit - self.times_hbar(-m).scale(ONE / c)
+        unit = self.space.unit()
+        w = unit - self.cls.scale(ONE / c)
         total = power = unit
         for _ in range(self.space.dim):
             power = power * w
             if power.is_zero:
                 break
             total = total + power
-        return total.scale(ONE / c).times_hbar(-m)
+        return HbarLaurent._of(self.space, -self.delta, total.scale(ONE / c))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HbarLaurent)
             and self.space == other.space
-            and self.parts == other.parts
+            and self.delta == other.delta
+            and self.cls == other.cls
         )
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items()))))
+        return hash((self.space, self.delta, self.cls))
 
     def __repr__(self):
-        if not self.parts:
+        if self.is_zero:
             return "HbarLaurent(0)"
         bits = [f"hbar^{k}:{cls!r}" for k, cls in sorted(self.terms.items())]
         return "HbarLaurent(" + ", ".join(bits) + ")"
@@ -593,15 +573,13 @@ def _invert_with_factors(h: list[ScalarQSeries], k: list[ScalarQSeries]):
 
 
 def hl_to_obj(hl: HbarLaurent) -> list:
-    return [
-        {"pow": k, "class": coh_to_obj(hl.terms[k])}
-        for k in sorted(hl.terms)
-    ]
+    return [{"pow": k, "class": coh_to_obj(c)} for k, c in sorted(hl.terms.items())]
 
 
 def hl_from_obj(space: AmbientSpace, obj, field: str = "hbar") -> HbarLaurent:
     """Read ``hl_to_obj`` form, a list of ``{pow, class}`` with distinct
-    integer powers; any other shape raises ValueError naming the field."""
+    integer powers and one total degree; anything else raises ValueError
+    naming the field."""
     if not isinstance(obj, list):
         raise ValueError(f"{field} must be a list")
     terms = {}
@@ -614,7 +592,10 @@ def hl_from_obj(space: AmbientSpace, obj, field: str = "hbar") -> HbarLaurent:
         if k in terms:
             raise ValueError(f"{where}.pow {k} repeats an earlier entry")
         terms[k] = coh_from_obj(space, entry["class"], f"{where}.class")
-    return HbarLaurent(space, terms)
+    try:
+        return HbarLaurent(space, terms)
+    except StructureViolation as exc:
+        raise ValueError(f"{field} mixes total degrees {exc.context['degrees']}") from None
 
 
 def qseries_to_obj(S: QSeries) -> dict:

@@ -64,7 +64,9 @@ class GeometrySpec:
 
     Construction validates everything downstream code assumes: summands match
     the ambient, each classifies cleanly, concave summands only appear over a
-    single projective space, and an external J starts with the unit class.
+    single projective space, and an external J starts with the unit class
+    and is graded as the closed form is: J_beta has total degree
+    -sum_i (r_i + 1) beta_i.
     """
 
     __slots__ = ("space", "bundle", "external_j")
@@ -88,6 +90,12 @@ class GeometrySpec:
             expected = HbarLaurent.unit(space)
             if external_j.term(external_j.zero_beta) != expected:
                 raise ValueError("external J must start with the unit class")
+            for beta, hl in external_j.terms.items():
+                want = -sum((r + 1) * d for r, d in zip(space.factors, beta))
+                if hl.delta != want:
+                    raise ValueError(
+                        f"external J at beta = {list(beta)} has total degree {hl.delta}, not {want}"
+                    )
         self.space = space
         self.bundle = bundle
         self.external_j = external_j

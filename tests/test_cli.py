@@ -8,7 +8,6 @@ import pytest
 import gwtwist
 from gwtwist import AmbientSpace, QSeries, j_ambient, qseries_to_obj
 from gwtwist.cli import main
-from gwtwist.series import HbarLaurent
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUINTIC = os.path.join(_ROOT, "geometries", "quintic.json")
@@ -282,27 +281,41 @@ def test_serre_refuses_short_external_j(tmp_path, capsys):
     assert payload["want"] == 4
 
 
+def _inhomogeneous_j():
+    """P1 with O(1) and J_1 = hbar^-2 + p, which mixes total degrees -2 and
+    1: no graded X has it."""
+    unit, p = [{"exp": [0], "coeff": "1/1"}], [{"exp": [1], "coeff": "1/1"}]
+    return {
+        "ambient": [1],
+        "bundle": [{"l": [1]}],
+        "external_j": {
+            "D": 1,
+            "terms": [
+                {"beta": [0], "hbar": [{"pow": 0, "class": unit}]},
+                {"beta": [1], "hbar": [{"pow": -2, "class": unit}, {"pow": 0, "class": p}]},
+            ],
+        },
+    }
+
+
+def _misgraded_quintic_j():
+    """The quintic with its own J, but J_2 shifted by hbar^-1 to total
+    degree -11: accepted, it would give N_2 = -2020500."""
+    J = j_ambient(AmbientSpace((4,)), 2)
+    J = QSeries(J.space, 2, J.terms | {(2,): J.term((2,)).times_hbar(-1)})
+    return {"ambient": [4], "bundle": [{"l": [5]}], "external_j": qseries_to_obj(J)}
+
+
 def test_serre_refuses_inhomogeneous_external_j(tmp_path, capsys):
-    # J_1 = hbar^-2 + p: no graded X has it.  I'_1 = J_1 (p + hbar) carries
-    # p hbar, so the normal form refuses it before any dial is solved
-    space = AmbientSpace((1,))
-    p = space.hyperplane(0)
-    J1 = HbarLaurent(space, {-2: space.unit(), 0: p})
-    J = QSeries(space, 1, {(0,): HbarLaurent.unit(space), (1,): J1})
+    # refused as bad input when the geometry loads, before any series is built
     path = tmp_path / "p1-o1-inhomogeneous-j.json"
-    path.write_text(
-        json.dumps({"ambient": [1], "bundle": [{"l": [1]}], "external_j": qseries_to_obj(J)})
-    )
+    path.write_text(json.dumps(_inhomogeneous_j()))
     rc, out, err = _run(
         capsys, ["--geometry", str(path), "--cmd", "serre", "--max-degree", "1"]
     )
-    assert rc == 1
+    assert rc == 2
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "StructureViolation"
-    assert payload["module"] == "mirror"
-    assert payload["beta"] == [1]
-    assert payload["power"] == 1
+    assert err == "ValueError: external_j.terms[1].hbar mixes total degrees [-2, 1]\n"
 
 
 def test_error_payload_names_raising_module(tmp_path):
@@ -434,6 +447,12 @@ def _with_external_j(unit_term):
             _with_external_j([{"pow": 0, "class": [{"exp": [2], "coeff": "1/1"}]}]),
             "external_j.terms[0].hbar[0].class[0].exp",
             id="exp-out-of-range",
+        ),
+        pytest.param(_inhomogeneous_j(), "external_j.terms[1].hbar mixes", id="inhomogeneous"),
+        pytest.param(
+            _misgraded_quintic_j(),
+            "external J at beta = [2] has total degree -11, not -10",
+            id="misgraded",
         ),
     ],
 )

@@ -94,8 +94,10 @@ def test_local_p1_still_checks_the_normalized_series(monkeypatch):
     build = invariants.i_function
 
     def skewed(g, max_degree):
+        # the q^2 term is replaced by 1, not added to: a term of I_2's own
+        # total degree, -2, has no hbar^0 or hbar^-1 part to spoil
         S = build(g, max_degree)
-        return S + QSeries(P1, max_degree, {(2,): HbarLaurent.unit(P1)})
+        return QSeries(P1, max_degree, S.terms | {(2,): HbarLaurent.unit(P1)})
 
     monkeypatch.setattr(invariants, "i_function", skewed)
     with pytest.raises(StructureViolation) as info:
@@ -464,16 +466,18 @@ def test_serre_factor_recovers_known_dials(monkeypatch):
     # a dual built from I' by known dials, f1 included, on a product ambient:
     # the closed J gives f1 = 0 on every solved pair, so this is the case
     # that reaches the substitution inverse.  On P1xP1 with O(2,1), I' has
-    # non-trivial hbar^0, string and divisor layers.
+    # non-trivial hbar^0, string and divisor layers.  It is graded by
+    # c = (0, 1), so f0 and f1 go on the classes (k, 0) and the string dial
+    # on (k, 1), which keeps every transformed coefficient homogeneous.
     space = AmbientSpace((1, 1))
     D = 4
     pair = serre_dual_pair(GeometrySpec(space, BundleSpec(((2, 1),))), D)
-    f0 = ScalarQSeries(space, D, {(0, 1): Fraction(3), (1, 1): Fraction(-2, 5)})
+    f0 = ScalarQSeries(space, D, {(1, 0): Fraction(3), (2, 0): Fraction(-2, 5)})
     f1 = (
-        ScalarQSeries(space, D, {(1, 0): Fraction(2), (1, 1): Fraction(-1, 3)}),
-        ScalarQSeries(space, D, {(0, 1): Fraction(1, 2), (2, 0): Fraction(7)}),
+        ScalarQSeries(space, D, {(1, 0): Fraction(2), (3, 0): Fraction(-1, 3)}),
+        ScalarQSeries(space, D, {(1, 0): Fraction(1, 2), (2, 0): Fraction(7)}),
     )
-    string = ScalarQSeries(space, D, {(1, 0): Fraction(-1), (0, 2): Fraction(5)})
+    string = ScalarQSeries(space, D, {(0, 1): Fraction(-1), (2, 1): Fraction(5)})
     dual = apply_transform(pair.i_prime, MirrorMap(f0, f1, string)).scale(pair.sign)
     synthetic = SerrePair(i_prime=pair.i_prime, i_prime_dual=dual, sign=pair.sign)
     built = _count_tables(monkeypatch)

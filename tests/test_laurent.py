@@ -1,11 +1,11 @@
-"""The graded ``HbarLaurent`` against a plain hbar-power reference, and the
-homogeneity of the series the pipeline builds.
+"""The homogeneous ``HbarLaurent`` against a plain hbar-power reference,
+its refusals, and the homogeneity of the series the pipeline builds.
 
-``HbarLaurent`` stores one class per total degree.  The reference below
-stores one class per hbar power, the representation it replaced: its
-product is the double loop over powers and its inverse the geometric
-series in u = a / (c hbar^m) - 1.  Every operation is checked on random
-elements, most of them spread over several degree parts.
+``HbarLaurent`` stores one class at one total degree.  The reference below
+stores one class per hbar power: its product is the double loop over powers
+and its inverse the geometric series in u = a / (c hbar^m) - 1.  Every
+operation is checked on random homogeneous elements, most of them spread
+over several hbar powers; terms of mixed total degree are refused.
 """
 
 import random
@@ -16,10 +16,10 @@ import pytest
 from gwtwist import (
     AmbientSpace,
     BundleSpec,
-    CohClass,
     GeometrySpec,
     HbarLaurent,
     NonInvertible,
+    StructureViolation,
     hl_invert,
     hl_mul,
     i_prime,
@@ -58,13 +58,11 @@ def _ref_mul(a, b):
 
 
 def _ref_invert(space, a):
-    """The inverse as c^-1 hbar^-m sum_i (-u)^i, or the NonInvertible the
-    reference raises: no scalar level, or scalars at several levels."""
+    """The inverse as c^-1 hbar^-m sum_i (-u)^i, or NonInvertible when no
+    hbar power carries a scalar part."""
     levels = {k: c.scalar_part for k, c in a.items() if c.scalar_part != 0}
     if not levels:
         raise NonInvertible("every hbar coefficient is nilpotent", exponents=sorted(a))
-    if len(levels) > 1:
-        raise NonInvertible("several scalar levels", levels=sorted(levels))
     [(m, c)] = levels.items()
     u = {k - m: cls.scale(1 / c) for k, cls in a.items()}
     u = _ref_add(u, {0: space.unit().scale(-1)})
@@ -77,31 +75,26 @@ def _ref_invert(space, a):
     return total
 
 
-# -- random elements -----------------------------------------------------------
+# -- random homogeneous elements -------------------------------------------------
 
 
-def _random_class(rng, space, scalar=True):
-    coeffs = [
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else 0
-        for _ in space.basis
-    ]
-    if not scalar:
-        coeffs[0] = 0
-    return CohClass(space, coeffs)
+def _random_coeff(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.75 else 0
 
 
-def _random_terms(rng, space, scalar_levels=None):
-    """1-4 hbar powers in [-3, 2]; with ``scalar_levels`` given, exactly
-    those powers carry a non-zero scalar part (none for an empty list)."""
-    powers = rng.sample(range(-3, 3), rng.randint(1, 4))
-    if scalar_levels is not None:
-        powers = sorted(set(powers) | set(scalar_levels))
+def _random_terms(rng, space, delta=None, scalar=None):
+    """The hbar-power terms of a random element of total degree ``delta``
+    (drawn from [-3, 2] when None): a monomial p^m at hbar^(delta - |m|).
+    ``scalar`` True or False forces a non-zero or a zero scalar part."""
+    if delta is None:
+        delta = rng.randint(-3, 2)
     terms = {}
-    for k in powers:
-        cls = _random_class(rng, space, scalar=scalar_levels is None)
-        if scalar_levels is not None and k in scalar_levels:
-            cls = cls + space.unit().scale(rng.choice((-3, -1, 1, 2, 5)))
-        terms[k] = cls
+    for e in space.basis:
+        x = _random_coeff(rng)
+        if not any(e) and scalar is not None:
+            x = rng.choice((-3, -1, 1, 2, 5)) if scalar else 0
+        k = delta - sum(e)
+        terms[k] = terms.get(k, space.zero()) + space.monomial(e, x)
     return terms
 
 
@@ -111,9 +104,9 @@ def _cases(seed, n=40):
         yield rng, SPACES[i % len(SPACES)]
 
 
-def test_random_elements_span_several_degree_parts():
+def test_random_elements_span_several_hbar_powers():
     multi = sum(
-        len(HbarLaurent(sp, _random_terms(rng, sp)).parts) > 1 for rng, sp in _cases(1)
+        len(HbarLaurent(sp, _random_terms(rng, sp)).terms) > 1 for rng, sp in _cases(1)
     )
     assert multi >= 30
 
@@ -129,10 +122,10 @@ def test_inspection_matches_hbar_powers(seed):
         assert a.is_zero == (not ref)
         for k in range(-8, 6):
             assert a.coefficient(k) == ref.get(k, sp.zero()), k
-        # equal however the powers are listed, and hashed from them
+        # equal however the powers are listed, and hashed alike
         again = HbarLaurent(sp, dict(reversed(list(terms.items()))))
         assert again == a
-        assert hash(again) == hash(a) == hash((sp, tuple(sorted(ref.items()))))
+        assert hash(again) == hash(a)
         other = _random_terms(rng, sp)
         assert (HbarLaurent(sp, other) == a) == (_pruned(other) == ref)
 
@@ -140,16 +133,21 @@ def test_inspection_matches_hbar_powers(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_arithmetic_matches_hbar_powers(seed):
     for rng, sp in _cases(200 + seed):
-        ta, tb = _pruned(_random_terms(rng, sp)), _pruned(_random_terms(rng, sp))
-        a, b = HbarLaurent(sp, ta), HbarLaurent(sp, tb)
+        ta = _pruned(_random_terms(rng, sp))
+        a = HbarLaurent(sp, ta)
+        tb = _pruned(_random_terms(rng, sp, a.delta))
+        b = HbarLaurent(sp, tb)
         assert (a + b).terms == _ref_add(ta, tb)
         assert (a - b).terms == _ref_add(ta, {k: c.scale(-1) for k, c in tb.items()})
-        assert (a * b).terms == _ref_mul(ta, tb)
-        assert hl_mul(a, b) == a * b == b * a
+        tc = _pruned(_random_terms(rng, sp))
+        c = HbarLaurent(sp, tc)
+        assert (a * c).terms == _ref_mul(ta, tc)
+        assert hl_mul(a, c) == a * c == c * a
         q = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-        assert a.scale(q).terms == _pruned({k: c.scale(q) for k, c in ta.items()})
-        c = _random_class(rng, sp)
-        assert a.scale_class(c).terms == _pruned({k: cls * c for k, cls in ta.items()})
+        assert a.scale(q).terms == _pruned({k: cls.scale(q) for k, cls in ta.items()})
+        # a homogeneous class: a monomial
+        mono = sp.monomial(rng.choice(sp.basis), rng.randint(-3, 3))
+        assert a.scale_class(mono).terms == _pruned({k: cls * mono for k, cls in ta.items()})
         shift = rng.randint(-3, 3)
         assert a.times_hbar(shift).terms == {k + shift: cls for k, cls in ta.items()}
         for k in rng.sample(range(-2, 3), 2):
@@ -173,16 +171,16 @@ def test_serialization_matches_hbar_powers(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_invert_matches_geometric_series(seed):
     for rng, sp in _cases(400 + seed):
-        m = rng.randint(-3, 2)
-        terms = _random_terms(rng, sp, scalar_levels=[m])
+        terms = _random_terms(rng, sp, scalar=True)
         a = HbarLaurent(sp, terms)
         inv = hl_invert(a)
         assert inv.terms == _ref_invert(sp, _pruned(terms))
+        assert inv.delta == -a.delta
         assert a * inv == HbarLaurent.unit(sp)
 
 
-def _raised(fn, *args):
-    with pytest.raises(NonInvertible) as info:
+def _raised(error, fn, *args):
+    with pytest.raises(error) as info:
         fn(*args)
     return info.value.context
 
@@ -190,16 +188,35 @@ def _raised(fn, *args):
 @pytest.mark.parametrize("seed", range(3))
 def test_invert_refusals_match_reference(seed):
     for rng, sp in _cases(500 + seed, n=20):
-        levels = rng.sample(range(-3, 3), rng.randint(2, 3))
-        terms = _pruned(_random_terms(rng, sp, scalar_levels=levels))
-        context = _raised(HbarLaurent(sp, terms).invert)
-        assert context == _raised(_ref_invert, sp, terms)
-        assert context["levels"] == sorted(levels)
-        nilpotent = _pruned(_random_terms(rng, sp, scalar_levels=[]))
+        nilpotent = _pruned(_random_terms(rng, sp, scalar=False))
         if nilpotent:
-            context = _raised(HbarLaurent(sp, nilpotent).invert)
-            assert context == _raised(_ref_invert, sp, nilpotent)
+            context = _raised(NonInvertible, HbarLaurent(sp, nilpotent).invert)
+            assert context == _raised(NonInvertible, _ref_invert, sp, nilpotent)
             assert context["exponents"] == sorted(nilpotent)
+        # scalar parts at two hbar powers mix total degrees: refused before
+        # any inverse is sought
+        m, n = sorted(rng.sample(range(-3, 3), 2))
+        levels = {m: sp.unit(), n: sp.unit().scale(rng.randint(1, 3))}
+        assert _raised(StructureViolation, HbarLaurent, sp, levels)["degrees"] == [m, n]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_total_degrees_refused(seed):
+    for rng, sp in _cases(600 + seed, n=20):
+        da, db = rng.sample(range(-3, 3), 2)
+        a = HbarLaurent(sp, _random_terms(rng, sp, da, scalar=True))
+        b = HbarLaurent(sp, _random_terms(rng, sp, db, scalar=True))
+        assert _raised(StructureViolation, a.__add__, b)["degrees"] == [da, db]
+        assert _raised(StructureViolation, a.__sub__, b)["degrees"] == [da, db]
+        # zero has no degree to clash with
+        zero = HbarLaurent.zero(sp)
+        assert a + zero == a == zero + a
+        # a class with a scalar and a divisor part is not homogeneous
+        k = rng.randint(-2, 2)
+        mixed = sp.unit() + sp.hyperplane(rng.randrange(sp.nfactors))
+        assert _raised(StructureViolation, HbarLaurent, sp, {k: mixed})["degrees"] == [k, k + 1]
+        assert _raised(StructureViolation, a.scale_class, mixed)["degrees"] == [0, 1]
+        assert _raised(StructureViolation, HbarLaurent.linear, sp, mixed, k)["degrees"] == [0, 1]
 
 
 # -- homogeneity of the pipeline's series ---------------------------------------
@@ -219,9 +236,7 @@ def _assert_one_part_per_class(g, S):
     combined = _combined_degrees(g)
     shifted = set()
     for beta, hl in S.terms.items():
-        assert len(hl.parts) == 1, (beta, sorted(hl.parts))
-        [delta] = hl.parts
-        shifted.add(delta + sum(c * d for c, d in zip(combined, beta)))
+        shifted.add(hl.delta + sum(c * d for c, d in zip(combined, beta)))
     assert len(shifted) == 1
 
 

@@ -28,6 +28,7 @@ from gwtwist import (
     z_from_log,
 )
 from gwtwist.series import HbarLaurent, compose_substitute, qs_exp_full
+from gwtwist.twist import _combined_degrees
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -63,9 +64,10 @@ def test_normal_form_quintic_values():
 
 def test_normal_form_rejects_nonmultiple_scalar_part():
     S, start = _quintic(1)
+    # p^2 at hbar^0: a term of total degree 2, where I'_1 has degree 0, so
+    # it replaces the term rather than adding to it
     spoiled = dict(S.terms)
-    bump = HbarLaurent(P4, {0: P4.monomial((2,), Fraction(1))})
-    spoiled[(1,)] = spoiled[(1,)] + bump
+    spoiled[(1,)] = HbarLaurent(P4, {0: P4.monomial((2,), Fraction(1))})
     bad = type(S)(P4, S.max_degree, spoiled)
     with pytest.raises(StructureViolation):
         normal_form(bad, start)
@@ -77,7 +79,7 @@ def test_normal_form_rejects_bad_divisor_residual():
     # P1 x P1 with a (1,1) section
     S, start = _quintic(1)
     spoiled = dict(S.terms)
-    spoiled[(1,)] = spoiled[(1,)] + HbarLaurent(P4, {-1: P4.monomial((2,), Fraction(1))})
+    spoiled[(1,)] = HbarLaurent(P4, {-1: P4.monomial((2,), Fraction(1))})
     with pytest.raises(StructureViolation) as info:
         normal_form(QSeries(P4, 1, spoiled), start)
     assert info.value.context["beta"] == [1]
@@ -121,8 +123,14 @@ def test_normal_form_allows_annihilated_residual():
 
 
 def test_apply_transform_identity():
+    # the zero map returns the series itself, once its dials are checked
     S, _ = _quintic(2)
-    assert apply_transform(S, MirrorMap.zero(P4, 2)) == S
+    assert apply_transform(S, MirrorMap.zero(P4, 2)) is S
+    with pytest.raises(TruncationMismatch):
+        apply_transform(S, MirrorMap.zero(P4, 3))
+    for space in (AmbientSpace((3,)), AmbientSpace((4, 1))):
+        with pytest.raises(SpaceMismatch):
+            apply_transform(S, MirrorMap.zero(space, 2))
 
 
 def _scalar_one(space, D):
@@ -165,9 +173,15 @@ def _reference_apply_transform(S, m):
     return result
 
 
-def _random_dial(rng, space, D):
+def _random_dial(rng, space, D, c=None, pairing=0):
+    """A random dial on the classes beta with <c, beta> = ``pairing``, or on
+    every class when c is None.  A transform keeps a series graded by
+    c = c1(T) - c1(E_conv) + c1(E_conc) when f0 and f1 are graded at
+    pairing 0 and the string dial at pairing 1."""
     terms = {}
     for beta in _scalar_one(space, D).curve_classes()[1:]:
+        if c is not None and sum(x * d for x, d in zip(c, beta)) != pairing:
+            continue
         if rng.random() < 0.7:
             terms[beta] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
     return ScalarQSeries(space, D, terms)
@@ -186,13 +200,19 @@ def test_apply_transform_matches_reference_on_solved_maps(factors, lines, D):
 @pytest.mark.parametrize("factors", [(1,), (1, 1), (2, 1)])
 @pytest.mark.parametrize("D", range(1, 6))
 def test_apply_transform_matches_reference_on_random_maps(factors, D):
+    # O(r_1 + 1, 1) grades the series by c = (0, 1), so f0 and f1 sit on
+    # the classes (k, 0) and the string dial on (k, 1); on P1, O(2) gives
+    # c = 0, which leaves the string dial no class
     sp = AmbientSpace(factors)
     rng = random.Random(100 * D + 10 * len(factors) + sum(factors))
-    S = i_function(GeometrySpec(sp, BundleSpec(((1,) * len(factors),))), D)
+    line = (factors[0] + 1,) + (1,) * (len(factors) - 1)
+    g = GeometrySpec(sp, BundleSpec((line,)))
+    S = i_function(g, D)
+    c = _combined_degrees(g)
     for _ in range(2):
-        f0 = _random_dial(rng, sp, D)
-        f1 = tuple(_random_dial(rng, sp, D) for _ in factors)
-        string = _random_dial(rng, sp, D)
+        f0 = _random_dial(rng, sp, D, c)
+        f1 = tuple(_random_dial(rng, sp, D, c) for _ in factors)
+        string = _random_dial(rng, sp, D, c, 1)
         m = MirrorMap(f0=f0, f1=f1)
         assert apply_transform(S, m) == _reference_apply_transform(S, m)
         m = MirrorMap(f0=f0, f1=f1, string=string)
@@ -220,8 +240,16 @@ def test_solved_map_factor_table_matches_rebuilt_factors(factors, lines, D):
     plain = MirrorMap(m.f0, m.f1, m.string)
     assert m._factors is not None and plain._factors is None
     assert m == plain and repr(m) == repr(plain) and m.to_obj() == plain.to_obj()
-    for T in (S, i_function(g, D)):
-        assert apply_transform(T, m) == apply_transform(T, plain)
+    assert apply_transform(S, m) == apply_transform(S, plain)
+    I = i_function(g, D)
+    if not g.concave_lines():
+        assert apply_transform(I, m) == apply_transform(I, plain)
+    for map_ in (m, plain) if g.concave_lines() else ():
+        # K_P2's I starts at e(E) = -3p, of total degree 1, while its other
+        # terms have degree -1: the map's prefactor mixes the two
+        with pytest.raises(StructureViolation) as info:
+            apply_transform(I, map_)
+        assert info.value.context["degrees"] == [-1, 1]
     nf = normal_form(S, sp.unit())
     rng = random.Random(D)
     for f in (nf.g, nf.string, *nf.divisor_part, _random_dial(rng, sp, D)):

@@ -15,6 +15,7 @@ from gwtwist import (
     QSeries,
     ScalarQSeries,
     SpaceMismatch,
+    StructureViolation,
     TruncationMismatch,
     h_factor,
     hl_invert,
@@ -79,11 +80,11 @@ def test_hl_invert_all_nilpotent_rejected():
 
 
 def test_hl_invert_several_scalar_levels_rejected():
-    # 1 + hbar has no finite inverse
-    a = HbarLaurent(P1, {0: P1.unit(), 1: P1.unit()})
-    with pytest.raises(NonInvertible) as info:
-        a.invert()
-    assert info.value.context["levels"] == [0, 1]
+    # 1 + hbar, which has no finite inverse, mixes total degrees 0 and 1 and
+    # is refused before any inverse is sought
+    with pytest.raises(StructureViolation) as info:
+        HbarLaurent(P1, {0: P1.unit(), 1: P1.unit()})
+    assert info.value.context["degrees"] == [0, 1]
 
 
 def test_hl_invert_round_trip_randomized():
@@ -274,11 +275,13 @@ def test_substitute_inverse_round_trip_randomized():
                 if 0 < sum(beta):
                     terms[beta] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             f1.append(ScalarQSeries(sp, D, terms))
+        # f1 reaches every class, so every term of S has one total degree
+        power = rng.randint(-2, 1)
         terms = {}
         for beta in QSeries.unit(sp, D).curve_classes():
             cls = sp.unit().scale(Fraction(rng.randint(-5, 5)))
             if not cls.is_zero:
-                terms[beta] = HbarLaurent(sp, {rng.randint(-2, 1): cls})
+                terms[beta] = HbarLaurent(sp, {power: cls})
         S = QSeries(sp, D, terms)
         g1 = invert_substitution(f1)
         assert qs_substitute(qs_substitute(S, f1), g1) == S
@@ -294,17 +297,33 @@ def test_truncation_stability_randomized():
     for case in range(20):
         sp = P1 if case % 2 else AmbientSpace((1, 1))
         lo_D, hi_D = 3, 5
+        # graded: the q^beta term of each series sits at total degree
+        # offset - <c, beta>, so every product lands on one degree
+        c = [rng.randint(-1, 1) for _ in sp.factors]
         terms_a, terms_b = {}, {}
+        stores = ((terms_a, rng.randint(-1, 1)), (terms_b, rng.randint(-1, 1)))
         for beta in QSeries.unit(sp, hi_D).curve_classes():
-            for store in (terms_a, terms_b):
+            for store, offset in stores:
                 cls = sp.unit().scale(Fraction(rng.randint(-3, 3)))
                 if not cls.is_zero:
-                    store[beta] = HbarLaurent(sp, {rng.randint(-1, 1): cls})
+                    power = offset - sum(x * d for x, d in zip(c, beta))
+                    store[beta] = HbarLaurent(sp, {power: cls})
         A = QSeries(sp, hi_D, terms_a)
         B = QSeries(sp, hi_D, terms_b)
         hi = (A * B).truncate(lo_D)
         lo = A.truncate(lo_D) * B.truncate(lo_D)
         assert hi == lo
+
+
+def test_ungraded_series_product_refused():
+    # q^3 at total degree -1 but q^0, q^1 and q^2 at degree 0: in the
+    # square, q^0 q^3 lands on degree -1 and q^1 q^2 on degree 0, in one
+    # coefficient
+    one = HbarLaurent.unit(P1)
+    S = QSeries(P1, 3, {(0,): one, (1,): one, (2,): one, (3,): one.times_hbar(-1)})
+    with pytest.raises(StructureViolation) as info:
+        S * S
+    assert sorted(info.value.context["degrees"]) == [-1, 0]
 
 
 def test_qseries_serialization_round_trip():
@@ -437,13 +456,17 @@ def test_exp_log_match_power_sums(case):
 def test_class_exp_matches_power_sum(case):
     sp, D = case
     rng = random.Random(2000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    # graded like a transform's exponent: the q^beta term has total degree
+    # -<c, beta>, a scalar at that hbar power and a divisor one below it
+    c = [rng.randint(0, 1) for _ in sp.factors]
     terms = {}
     for beta in QSeries.unit(sp, D).curve_classes()[1:]:
         if rng.random() < 0.6:
             i = rng.randrange(sp.nfactors)
-            cls = sp.hyperplane(i).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-            cls = cls + sp.unit().scale(rng.randint(-3, 3))
-            terms[beta] = HbarLaurent(sp, {-1: cls, rng.randint(-3, 0): sp.unit()})
+            power = -sum(x * d for x, d in zip(c, beta))
+            div = sp.hyperplane(i).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            scalar = sp.unit().scale(rng.randint(-3, 3))
+            terms[beta] = HbarLaurent(sp, {power - 1: div, power: scalar})
     L = QSeries(sp, D, terms)
     assert qs_exp_full(L) == _reference_qs_exp_full(L)
 
