@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, qseries_to_obj, scalar_to_obj
+from .series import QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
@@ -57,6 +57,14 @@ def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[Mirro
         if start_one:
             S = I1
         elif conc:
+            if not m.is_zero:
+                # I starts at e(E), a total degree above its other terms, so
+                # only the zero map keeps it graded
+                moved = {b for f in (m.f0, m.string, *m.f1) for b in f.terms}
+                raise StructureViolation(
+                    "a concave bundle's series is normalized only under the zero map",
+                    beta=list(min(moved, key=_graded)),
+                )
             S = i_function(g, max_degree)
         else:
             # e(E) I' is i_function exactly, without a second build
@@ -74,7 +82,9 @@ def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
     """Run the pipeline on the twisted series: solve the transform, apply it
     to ``i_function`` and check the result starts at e(E) with vanishing
     hbar^0 and hbar^-1 layers.  A concave bundle with a non-zero map is
-    refused there; its counts come from the start-1 series."""
+    refused before ``i_function`` is built, with StructureViolation naming
+    the first curve class, in graded order, that a dial moves; its counts
+    come from the start-1 series (``n_numbers``)."""
     return _normalize(g, max_degree, False)[1]
 
 
@@ -132,9 +142,7 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
         raise Unsupported(
             "multiple-cover inversion needs expected dimension 3", dimension=dim
         )
-    report = check_conditions(g)
-    combined_zero = all(v == 0 for v in _combined_degrees(g))
-    if not (report.all_nonneg and combined_zero):
+    if any(_combined_degrees(g)):
         raise Unsupported("multiple-cover inversion needs vanishing combined degree")
     counts = {beta[0]: value for beta, value in N.items()}
     out: dict = {}

@@ -96,12 +96,13 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
     """Read the scalar, string and divisor layers of S.
 
     Requires the q = 0 term of S to be exactly ``start`` at hbar^0 and no
-    q-coefficient to carry a positive hbar power.  With the unit class as
-    start, every other q-coefficient must have a scalar hbar^0 part and an
-    hbar^-1 part in the span of 1 and the p_i; anything else raises
-    StructureViolation naming the curve class and the residual.  Any other
-    start is accepted only when the hbar^0 and hbar^-1 parts of every other
-    q-coefficient vanish, and then reads g = 1 and nothing else.
+    q-coefficient to carry a positive hbar power.  A q-coefficient of total
+    degree delta has its degree-delta and degree-(delta + 1) parts as its
+    hbar^0 and hbar^-1 layers.  With the unit class as start they are read
+    at delta = 0 (a scalar g and a divisor) and at delta = -1 (zero and a
+    scalar s).  Every other coefficient, and every one under another start,
+    must have both layers zero, else StructureViolation names the curve
+    class and the two layers as ``residual``; so another start reads g = 1.
     """
     space, D = S.space, S.max_degree
     if start.space != space:
@@ -110,8 +111,7 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
         raise StructureViolation(
             "series does not start at the given class", beta=[0] * space.nfactors
         )
-    unit = space.unit()
-    from_unit = start == unit
+    from_unit = start == space.unit()
     n = space.nfactors
     p_exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     g_terms = {S.zero_beta: ONE}
@@ -127,25 +127,18 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
             )
         a0 = hl.coefficient(0)
         a1 = hl.coefficient(-1)
-        if from_unit:
-            g_beta, s_beta, div = a0.scalar_part, a1.scalar_part, [a1.coeff(e) for e in p_exps]
-        else:
-            g_beta, s_beta, div = ZERO, ZERO, [ZERO] * n
-        residual = (a0 - unit.scale(g_beta), a1 - unit.scale(s_beta) - space.divisor(div))
-        if not (residual[0].is_zero and residual[1].is_zero):
+        if from_unit and hl.delta in (0, -1):
+            g_terms[beta] = a0.scalar_part
+            s_terms[beta] = a1.scalar_part
+            for terms, e in zip(div_terms, p_exps):
+                terms[beta] = a1.coeff(e)
+        elif not (a0.is_zero and a1.is_zero):
             want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
             raise StructureViolation(
                 f"hbar^0 and hbar^-1 coefficients are not {want}",
                 beta=list(beta),
-                residual=[coh_to_obj(r) for r in residual],
+                residual=[coh_to_obj(a0), coh_to_obj(a1)],
             )
-        if g_beta != 0:
-            g_terms[beta] = g_beta
-        if s_beta != 0:
-            s_terms[beta] = s_beta
-        for terms, c in zip(div_terms, div):
-            if c != 0:
-                terms[beta] = c
     return NormalForm(
         g=ScalarQSeries(space, D, g_terms),
         string=ScalarQSeries(space, D, s_terms),
@@ -181,10 +174,7 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
         )
         for beta in result.curve_classes()[1:]
     }
-    prefactor = QSeries(space, D, exponent)
-    if prefactor.is_zero:
-        return result
-    return qs_exp_full(prefactor) * result
+    return qs_exp_full(QSeries(space, D, exponent)) * result
 
 
 def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:

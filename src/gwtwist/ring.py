@@ -80,10 +80,14 @@ class AmbientSpace:
     # -- building blocks -----------------------------------------------------
 
     def zero(self) -> "CohClass":
-        return CohClass(self, (0,) * len(self.basis), 1)
+        return self._zero
 
     def unit(self) -> "CohClass":
         return self._unit
+
+    @cached_property
+    def _zero(self) -> "CohClass":
+        return CohClass(self, (0,) * len(self.basis), 1)
 
     @cached_property
     def _unit(self) -> "CohClass":

@@ -372,17 +372,15 @@ class ScalarQSeries(_TruncatedSeries):
 
 def all_curve_classes(space: AmbientSpace, max_degree: int):
     """Curve classes with total degree <= max_degree, graded-lex order."""
-    out = []
+    n = space.nfactors
+    return [beta for d in range(max_degree + 1) for beta in _classes_of_degree(n, d)]
 
-    def rec(prefix, remaining):
-        if len(prefix) == space.nfactors:
-            out.append(tuple(prefix))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + [d], remaining - d)
 
-    rec([], max_degree)
-    return sorted(out, key=_graded)
+def _classes_of_degree(n: int, d: int) -> list:
+    """The curve classes of n factors and total degree d, in lex order."""
+    if n == 1:
+        return [(d,)]
+    return [(k,) + rest for k in range(d + 1) for rest in _classes_of_degree(n - 1, d - k)]
 
 
 def _theta(f) -> list:
@@ -537,9 +535,7 @@ def _invert_with_factors(h: list[ScalarQSeries], k: list[ScalarQSeries]):
     space, D = h[0].space, h[0].max_degree
     _check_substitution(space, D, h)
     _check_substitution(space, D, k)
-    levels: list[list] = [[] for _ in range(D + 1)]
-    for beta in all_curve_classes(space, D):
-        levels[_degree(beta)].append(beta)
+    levels = [_classes_of_degree(space.nfactors, d) for d in range(D + 1)]
     zero = levels[0][0]
     # per beta != 0: E_beta, the theta terms of beta . g, and (h^i_beta, g^i)
     g: list[dict] = [dict(f.terms) for f in k]

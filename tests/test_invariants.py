@@ -115,10 +115,13 @@ def test_local_p2_counts():
     assert [N[(d,)] for d in range(1, 6)] == [Fraction(v) for v in want]
     n = aspinwall_morrison(g, N)
     assert [n[d] for d in range(1, 6)] == [3, -6, 27, -192, 1695]
-    # the map is non-zero, and under it i_function (start ctop, no k = 0
-    # factor) is not normalized: normalized_series refuses, never guesses
-    with pytest.raises(StructureViolation):
+    # the map is non-zero, and under it i_function (start ctop, a total
+    # degree above its other terms) is not graded: normalized_series refuses
+    # before building it, naming the first class a dial moves
+    with pytest.raises(StructureViolation) as info:
         normalized_series(g, 2)
+    assert info.value.context == {"beta": [1]}
+    assert info.value.payload()["module"] == "invariants"
 
 
 @pytest.mark.parametrize(

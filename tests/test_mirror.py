@@ -7,8 +7,10 @@ import pytest
 from gwtwist import (
     AmbientSpace,
     BundleSpec,
+    CohClass,
     GeometrySpec,
     MirrorMap,
+    NormalForm,
     QSeries,
     ScalarQSeries,
     SpaceMismatch,
@@ -27,8 +29,10 @@ from gwtwist import (
     z_closed_form,
     z_from_log,
 )
+from gwtwist.ring import coh_to_obj
 from gwtwist.series import HbarLaurent, compose_substitute, qs_exp_full
 from gwtwist.twist import _combined_degrees
+from test_laurent import _random_terms
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -120,6 +124,113 @@ def test_normal_form_allows_annihilated_residual():
     assert all(d.is_zero for d in nf.divisor_part)
     with pytest.raises(StructureViolation):
         normal_form(i_function(g, 2), euler_class(sp, g.bundle))
+
+
+def _reference_normal_form(S, start):
+    """normal_form by subtraction: read g, s and the divisor off the scalar
+    and p_i coefficients, and refuse unless a0 - g and a1 - s - div vanish."""
+    space, D = S.space, S.max_degree
+    if start.space != space:
+        raise SpaceMismatch("start class on a different ambient space")
+    if S.term(S.zero_beta) != HbarLaurent(space, {0: start}):
+        raise StructureViolation(
+            "series does not start at the given class", beta=[0] * space.nfactors
+        )
+    unit = space.unit()
+    from_unit = start == unit
+    n = space.nfactors
+    p_exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    g_terms = {S.zero_beta: Fraction(1)}
+    s_terms: dict = {}
+    div_terms: list[dict] = [{} for _ in p_exps]
+    for beta, hl in S.terms.items():
+        if sum(beta) == 0:
+            continue
+        top = hl.exponents()[-1]
+        if top > 0:
+            raise StructureViolation(
+                "series carries a positive hbar power", beta=list(beta), power=top
+            )
+        a0 = hl.coefficient(0)
+        a1 = hl.coefficient(-1)
+        if from_unit:
+            g_beta, s_beta, div = a0.scalar_part, a1.scalar_part, [a1.coeff(e) for e in p_exps]
+        else:
+            g_beta, s_beta, div = 0, 0, [0] * n
+        residual = (a0 - unit.scale(g_beta), a1 - unit.scale(s_beta) - space.divisor(div))
+        if not (residual[0].is_zero and residual[1].is_zero):
+            want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
+            raise StructureViolation(
+                f"hbar^0 and hbar^-1 coefficients are not {want}",
+                beta=list(beta),
+                residual=[coh_to_obj(r) for r in residual],
+            )
+        if g_beta != 0:
+            g_terms[beta] = g_beta
+        if s_beta != 0:
+            s_terms[beta] = s_beta
+        for terms, c in zip(div_terms, div):
+            if c != 0:
+                terms[beta] = c
+    return NormalForm(
+        g=ScalarQSeries(space, D, g_terms),
+        string=ScalarQSeries(space, D, s_terms),
+        divisor_part=tuple(ScalarQSeries(space, D, t) for t in div_terms),
+    )
+
+
+def _outcome(read, S, start):
+    """The normal form read, or the refusal's message and context."""
+    try:
+        return read(S, start)
+    except StructureViolation as exc:
+        return str(exc), exc.context
+
+
+@pytest.mark.parametrize("factors", [(1,), (3,), (1, 1), (2, 1)], ids=str)
+@pytest.mark.parametrize("unit_start", [True, False], ids=["unit", "divisor-sum"])
+def test_normal_form_matches_subtraction_on_random_graded_series(factors, unit_start):
+    # each q^beta term homogeneous of a total degree drawn from [-3, 2], as
+    # test_laurent draws them: the unit start reads delta = 0 and -1, and
+    # positive powers and non-zero layers elsewhere are refused
+    sp = AmbientSpace(factors)
+    start = sp.unit() if unit_start else sp.divisor_sum()
+    rng = random.Random(17 * len(factors) + sum(factors) + 5 * unit_start)
+    reads = refusals = 0
+    for i in range(200):
+        D = 1 + i % 3
+        terms = {(0,) * len(factors): HbarLaurent(sp, {0: start})}
+        for beta in _scalar_one(sp, D).curve_classes()[1:]:
+            if rng.random() < 0.4:
+                terms[beta] = HbarLaurent(sp, _random_terms(rng, sp))
+        S = QSeries(sp, D, terms)
+        got = _outcome(normal_form, S, start)
+        assert got == _outcome(_reference_normal_form, S, start)
+        reads += isinstance(got, NormalForm)
+        refusals += not isinstance(got, NormalForm)
+    assert reads >= 20 and refusals >= 20
+
+
+@pytest.mark.parametrize(
+    "factors,lines,D,most", [((4,), ((5,),), 12, 30), ((2, 2), ((3, 3),), 5, 45)]
+)
+def test_normal_form_builds_two_classes_per_curve_class(monkeypatch, factors, lines, D, most):
+    # the two layers of each q^beta term and nothing else: subtracting g.1
+    # and s.1 + div to check a residual built 133 and 281 classes here
+    sp = AmbientSpace(factors)
+    S = i_prime(GeometrySpec(sp, BundleSpec(lines)), D)
+    built = []
+    init = CohClass.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(CohClass, "__init__", counting)
+    nf = normal_form(S, sp.unit())
+    monkeypatch.undo()
+    assert len(built) <= most
+    assert nf == _reference_normal_form(S, sp.unit())
 
 
 def test_apply_transform_identity():

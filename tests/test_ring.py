@@ -24,6 +24,16 @@ def test_basis_order_and_size():
     assert degrees == sorted(degrees)
 
 
+def test_zero_and_unit_are_shared_per_space():
+    # classes are immutable, so each space hands out one zero and one unit
+    sp = AmbientSpace((2, 1))
+    assert sp.zero() is sp.zero() and sp.unit() is sp.unit()
+    assert sp.zero().is_zero and (sp.zero().num, sp.zero().den) == ((0,) * 6, 1)
+    other = AmbientSpace((2, 1))
+    assert other.zero() == sp.zero() and other.unit() == sp.unit()
+    assert sp.unit() + sp.zero() == sp.unit()
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         AmbientSpace(())

@@ -33,6 +33,7 @@ from gwtwist import (
 from gwtwist import mirror, series
 from gwtwist.series import (
     _degree,
+    all_curve_classes,
     compose_substitute,
     hl_from_obj,
     hl_to_obj,
@@ -355,6 +356,34 @@ def test_scalar_serialization_round_trip():
         {"beta": [1], "coeff": "-2/3"},
         {"beta": [3], "coeff": "9/1"},
     ]
+
+
+def _reference_all_curve_classes(space, max_degree):
+    """Every curve class up to the degree by recursion, then a graded sort."""
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == space.nfactors:
+            out.append(tuple(prefix))
+            return
+        for d in range(remaining + 1):
+            rec(prefix + [d], remaining - d)
+
+    rec([], max_degree)
+    return sorted(out, key=lambda beta: (sum(beta), beta))
+
+
+@pytest.mark.parametrize(
+    "factors, D",
+    [((4,), 12), ((2, 2), 5), ((2, 1, 1), 6), ((1, 1, 1, 1), 5), ((1,), 0), ((2, 1), 0)],
+    ids=str,
+)
+def test_curve_classes_match_sorted_recursion(factors, D):
+    sp = AmbientSpace(factors)
+    classes = all_curve_classes(sp, D)
+    assert classes == _reference_all_curve_classes(sp, D)
+    assert QSeries.unit(sp, D).curve_classes() == classes
+    assert classes[0] == (0,) * len(factors)
 
 
 # -- the one-pass algorithms against the power sums they replaced ------------
