@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import SpaceMismatch, StructureViolation
+from .levels import _ONE, _classes_of_degree, _levels_of
 from .ring import AmbientSpace, CohClass, ONE, ZERO, coh_to_obj
 from .series import (
     HbarLaurent,
@@ -92,6 +93,12 @@ class NormalForm:
     divisor_part: tuple[ScalarQSeries, ...]
 
 
+def _hyperplane_slots(space: AmbientSpace) -> list[int]:
+    """The basis positions of the hyperplane classes p_1..p_N."""
+    n = space.nfactors
+    return [space.basis_index[tuple(int(j == i) for j in range(n))] for i in range(n)]
+
+
 def normal_form(S: QSeries, start: CohClass) -> NormalForm:
     """Read the scalar, string and divisor layers of S.
 
@@ -113,36 +120,40 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
         )
     from_unit = start == space.unit()
     n = space.nfactors
-    p_exps = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    g_terms = {S.zero_beta: ONE}
-    s_terms: dict = {}
-    div_terms: list[dict] = [{} for _ in p_exps]
+    p_index = _hyperplane_slots(space)
+    g_terms = [(S.zero_beta, 1, 1)]
+    s_terms: list = []
+    div_terms: list[list] = [[] for _ in p_index]
     for beta, hl in S.terms.items():
         if sum(beta) == 0:
             continue
-        top = hl.exponents()[-1]
-        if top > 0:
+        powers = hl.exponents()
+        if powers[-1] > 0:
             raise StructureViolation(
-                "series carries a positive hbar power", beta=list(beta), power=top
+                "series carries a positive hbar power", beta=list(beta), power=powers[-1]
             )
-        a0 = hl.coefficient(0)
-        a1 = hl.coefficient(-1)
-        if from_unit and hl.delta in (0, -1):
-            g_terms[beta] = a0.scalar_part
-            s_terms[beta] = a1.scalar_part
-            for terms, e in zip(div_terms, p_exps):
-                terms[beta] = a1.coeff(e)
-        elif not (a0.is_zero and a1.is_zero):
+        num, den = hl.cls.num, hl.cls.den
+        if from_unit and hl.delta == 0:
+            g_terms.append((beta, num[0], den))
+            for terms, i in zip(div_terms, p_index):
+                terms.append((beta, num[i], den))
+        elif from_unit and hl.delta == -1:
+            s_terms.append((beta, num[0], den))
+        elif 0 in powers or -1 in powers:
             want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
             raise StructureViolation(
                 f"hbar^0 and hbar^-1 coefficients are not {want}",
                 beta=list(beta),
-                residual=[coh_to_obj(a0), coh_to_obj(a1)],
+                residual=[coh_to_obj(hl.coefficient(0)), coh_to_obj(hl.coefficient(-1))],
             )
+
+    def dial(terms):
+        return ScalarQSeries._of(space, D, _levels_of(n, D, terms))
+
     return NormalForm(
-        g=ScalarQSeries(space, D, g_terms),
-        string=ScalarQSeries(space, D, s_terms),
-        divisor_part=tuple(ScalarQSeries(space, D, t) for t in div_terms),
+        g=dial(g_terms),
+        string=dial(s_terms),
+        divisor_part=tuple(dial(t) for t in div_terms),
     )
 
 
@@ -153,7 +164,8 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     series' degree, with s the map's string dial.  The prefactor is one
     class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
     in one pass and applied with one product; it is a finite sum because its
-    exponent has no q = 0 term.  A solved map's exp(beta . f1) factors are
+    exponent has no q = 0 term, built as one class per curve class from the
+    dials' numerators.  A solved map's exp(beta . f1) factors are
     read off its solve's table.  Dials on another space or degree are refused;
     the zero map returns S itself.
     """
@@ -163,18 +175,30 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     if m.is_zero:
         return S
     result = qs_substitute(S, list(m.f1), m._factors)
-    unit = space.unit()
-    exponent = {
-        beta: HbarLaurent(
-            space,
-            {
-                0: unit.scale(m.f0.coeff(beta)),
-                -1: unit.scale(m.string.coeff(beta)) + space.divisor([f.coeff(beta) for f in m.f1]),
-            },
-        )
-        for beta in result.curve_classes()[1:]
-    }
-    return qs_exp_full(QSeries(space, D, exponent)) * result
+    n = space.nfactors
+    size = len(space.basis)
+    slots = [0] + _hyperplane_slots(space)
+    exponent = {}
+    for d in range(1, D + 1):
+        # one class per beta: f0 + sum_i p_i f1^i at total degree 0, over the
+        # common denominator of those dials' level d, or s at degree -1
+        levels = [f.levels[d] for f in (m.f0, *m.f1)]
+        den = lcm(*(lv[1] for lv in levels if lv))
+        string = m.string.levels[d]
+        for j, beta in enumerate(_classes_of_degree(n, d)):
+            num = [0] * size
+            for i, lv in zip(slots, levels):
+                if lv:
+                    num[i] = lv[0][j] * (den // lv[1])
+            s = string[0][j] if string else 0
+            if s and any(num):
+                raise StructureViolation("hbar powers of mixed total degree", degrees=[-1, 0])
+            if s:
+                num[0] = s
+                exponent[beta] = HbarLaurent._of(space, -1, CohClass(space, num, string[1]))
+            elif any(num):
+                exponent[beta] = HbarLaurent._of(space, 0, CohClass(space, num, den))
+    return qs_exp_full(result._new(exponent)) * result
 
 
 def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
@@ -188,7 +212,8 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     applies the map once and checks the result (``invariants._normalize``).
     """
     zero = ScalarQSeries.zero(S.space, S.max_degree)
-    trivial = NormalForm(zero._new({S.zero_beta: ONE}), zero, (zero,) * S.space.nfactors)
+    one = zero._like([_ONE] + zero.levels[1:])
+    trivial = NormalForm(one, zero, (zero,) * S.space.nfactors)
     return _solve_relative_map(normal_form(S, start), trivial)[0]
 
 

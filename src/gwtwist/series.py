@@ -6,11 +6,14 @@ Two layers sit on top of the cohomology ring:
   hbar with cohomology-class coefficients, stored as one total degree and
   one class in x = p/hbar, so it multiplies with one class product.
 * A power series in the curve-class variables q_1..q_N, truncated at a total
-  degree D.  One implementation serves two coefficient kinds: ``QSeries``
-  holds ``HbarLaurent`` values (the twisted series and its transforms) and
-  ``ScalarQSeries`` holds rationals (the dials f0 and f1 of the change of
-  variables).  The exp, by the one-pass Euler-operator recurrence, and the
-  substitution q -> q e^{f1} are likewise written once for both kinds.
+  degree D, of two coefficient kinds sharing one layout and its checks.
+  ``QSeries`` holds ``HbarLaurent`` values (the twisted series and its
+  transforms) by curve class.  ``ScalarQSeries`` holds rationals (the dials
+  f0 and f1 of the change of variables) per degree level, as integer
+  numerators over one denominator, as ``CohClass`` does, so its products,
+  exp and log (by the one-pass Euler-operator recurrence) and the
+  substitution q -> q e^{f1} run on integers with one gcd per level; every
+  value it hands out is a ``Fraction``.
 
 The exponential prefactor common to generating-series conventions is never
 materialized; series are always stored in reduced form, coefficient by curve
@@ -20,10 +23,24 @@ class.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Integral
-from operator import mul
 
 from .errors import NonInvertible, SpaceMismatch, StructureViolation, TruncationMismatch
+from .levels import (
+    _ONE,
+    _class_index,
+    _classes_of_degree,
+    _compose,
+    _exp,
+    _invert,
+    _levels_of,
+    _log,
+    _nonzero,
+    _product,
+    _scaled,
+    _sum,
+)
 from .ring import (
     AmbientSpace,
     CohClass,
@@ -100,8 +117,17 @@ class HbarLaurent:
 
     @classmethod
     def linear(cls, space: AmbientSpace, divisor: CohClass, k) -> "HbarLaurent":
-        """The degree-one element ``divisor + k*hbar``."""
-        return cls(space, {0: divisor, 1: space.unit().scale(k)})
+        """The degree-one element ``divisor + k*hbar``, built as one class."""
+        if divisor.space != space:
+            raise SpaceMismatch("coefficient class on a different ambient space")
+        k = k if type(k) in (int, Fraction) else _exact(k)
+        degrees = _degrees(divisor) | ({1} if k else set())
+        if len(degrees) > 1:
+            raise StructureViolation("hbar powers of mixed total degree", degrees=sorted(degrees))
+        den = lcm(divisor.den, k.denominator)
+        num = [x * (den // divisor.den) for x in divisor.num]
+        num[0] += k.numerator * (den // k.denominator)
+        return cls._of(space, min(degrees, default=0), CohClass(space, num, den))
 
     # -- inspection ----------------------------------------------------------
 
@@ -212,14 +238,13 @@ def _graded(beta):
 class _TruncatedSeries:
     """Power series in the curve-class variables, truncated at total degree D.
 
-    The one implementation behind both coefficient kinds.  Terms map curve
-    classes to non-zero coefficients; zeros are pruned on construction, so
-    equality compares the stored terms.  A subclass fixes the kind through
-    ``_coerce`` (the coefficient as stored, or None when it is zero) and
-    ``_scale_coeff`` (a coefficient times a rational).
+    The layout both coefficient kinds share: the space, the degree D, the
+    checks that refuse mixing them, and the curve classes.  A subclass
+    stores its terms through ``_fill``, which takes checked curve classes,
+    and defines the arithmetic on its own storage.
     """
 
-    __slots__ = ("space", "max_degree", "terms")
+    __slots__ = ("space", "max_degree")
 
     def __init__(self, space: AmbientSpace, max_degree: int, terms: dict | None = None):
         if not isinstance(max_degree, Integral) or max_degree < 0:
@@ -227,37 +252,17 @@ class _TruncatedSeries:
         checked = {space.check_curve_class(b): c for b, c in (terms or {}).items()}
         self._fill(space, int(max_degree), checked)
 
-    def _fill(self, space: AmbientSpace, max_degree: int, terms: dict):
-        self.space, self.max_degree = space, max_degree
-        coerce = self._coerce
-        clean = {}
-        for beta, c in terms.items():
-            if _degree(beta) > max_degree:
-                raise ValueError(f"term {beta} beyond truncation degree {max_degree}")
-            c = coerce(beta, c)
-            if c is not None:
-                clean[beta] = c
-        self.terms = clean
-
-    def _new(self, terms: dict):
-        """The series of terms that engine code keyed by checked curve classes."""
-        out = object.__new__(type(self))
-        out._fill(self.space, self.max_degree, terms)
-        return out
+    def _check_degree(self, beta):
+        if _degree(beta) > self.max_degree:
+            raise ValueError(f"term {beta} beyond truncation degree {self.max_degree}")
 
     @property
     def zero_beta(self) -> tuple[int, ...]:
         return (0,) * self.space.nfactors
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def curve_classes(self):
         """Every curve class up to the truncation degree, in graded-lex order."""
         return all_curve_classes(self.space, self.max_degree)
-
-    # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -269,21 +274,74 @@ class _TruncatedSeries:
                 f"mixed truncation degrees {self.max_degree} and {other.max_degree}"
             )
 
-    def __add__(self, other):
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def truncate(self, max_degree: int):
+        """The terms up to ``max_degree``, which may not exceed this series' own."""
+        if max_degree > self.max_degree:
+            raise TruncationMismatch(
+                "series truncated below the requested degree",
+                have=self.max_degree,
+                want=max_degree,
+            )
+        return self._truncated(max_degree)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(D={self.max_degree}, terms={len(self.terms)})"
+
+
+class QSeries(_TruncatedSeries):
+    """Truncated q-series with ``HbarLaurent`` coefficients.
+
+    Terms map curve classes to non-zero coefficients; zeros are pruned on
+    construction, so equality compares the stored terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def _fill(self, space: AmbientSpace, max_degree: int, terms: dict):
+        self.space, self.max_degree = space, max_degree
+        clean = {}
+        for beta, hl in terms.items():
+            self._check_degree(beta)
+            if not isinstance(hl, HbarLaurent):
+                raise TypeError(f"coefficient at beta = {list(beta)} is not an HbarLaurent: {hl!r}")
+            if hl.space != space:
+                raise SpaceMismatch("coefficient on a different ambient space")
+            if not hl.is_zero:
+                clean[beta] = hl
+        self.terms = clean
+
+    def _new(self, terms: dict) -> "QSeries":
+        """The series of terms that engine code keyed by checked curve classes."""
+        out = object.__new__(QSeries)
+        out._fill(self.space, self.max_degree, terms)
+        return out
+
+    @classmethod
+    def unit(cls, space: AmbientSpace, max_degree: int) -> "QSeries":
+        return cls(space, max_degree, {(0,) * space.nfactors: HbarLaurent.unit(space)})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def term(self, beta) -> HbarLaurent:
+        return self.terms.get(tuple(beta), HbarLaurent.zero(self.space))
+
+    def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         terms = dict(self.terms)
         for beta, c in other.terms.items():
             _add_into(terms, beta, c)
         return self._new(terms)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k):
+    def scale(self, k) -> "QSeries":
         k = _exact(k)
-        return self._new({b: self._scale_coeff(c, k) for b, c in self.terms.items()})
+        return self._new({b: c.scale(k) for b, c in self.terms.items()})
 
-    def _product(self, other):
+    def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
         D = self.max_degree
         out: dict = {}
@@ -295,79 +353,117 @@ class _TruncatedSeries:
                 _add_into(out, tuple(x + y for x, y in zip(ba, bb)), ca * cb)
         return self._new(out)
 
-    def truncate(self, max_degree: int):
-        """The terms up to ``max_degree``, which may not exceed this series' own."""
-        if max_degree > self.max_degree:
-            raise TruncationMismatch(
-                "series truncated below the requested degree",
-                have=self.max_degree,
-                want=max_degree,
-            )
+    def _truncated(self, max_degree: int) -> "QSeries":
         terms = {b: c for b, c in self.terms.items() if _degree(b) <= max_degree}
-        return type(self)(self.space, max_degree, terms)
+        return QSeries(self.space, max_degree, terms)
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) is type(self)
+            type(other) is QSeries
             and self.space == other.space
             and self.max_degree == other.max_degree
             and self.terms == other.terms
         )
 
-    def __repr__(self):
-        return f"{type(self).__name__}(D={self.max_degree}, terms={len(self.terms)})"
-
-
-class QSeries(_TruncatedSeries):
-    """Truncated q-series with ``HbarLaurent`` coefficients."""
-
-    __slots__ = ()
-    _scale_coeff = staticmethod(HbarLaurent.scale)
-    # each kind keeps ``__mul__`` in its own class namespace, where the
-    # benchmark's tracer looks it up by name
-    __mul__ = _TruncatedSeries._product
-
-    def _coerce(self, beta, hl: HbarLaurent):
-        if not isinstance(hl, HbarLaurent):
-            raise TypeError(f"coefficient at beta = {list(beta)} is not an HbarLaurent: {hl!r}")
-        if hl.space != self.space:
-            raise SpaceMismatch("coefficient on a different ambient space")
-        return None if hl.is_zero else hl
-
-    @classmethod
-    def unit(cls, space: AmbientSpace, max_degree: int) -> "QSeries":
-        return cls(space, max_degree, {(0,) * space.nfactors: HbarLaurent.unit(space)})
-
-    def term(self, beta) -> HbarLaurent:
-        return self.terms.get(tuple(beta), HbarLaurent.zero(self.space))
-
 
 class ScalarQSeries(_TruncatedSeries):
-    """Truncated q-series with rational coefficients: the transformation dials."""
+    """Truncated q-series with rational coefficients: the transformation dials.
 
-    __slots__ = ()
-    _scale_coeff = staticmethod(mul)
-    __mul__ = _TruncatedSeries._product
+    Stored as ``levels``, one per total degree 0..D, each None or integer
+    numerators over one denominator in lowest terms (see ``gwtwist.levels``).
+    Every value handed out (``terms``, ``coeff``, ``constant_term``) is a
+    ``Fraction``.
+    """
 
-    def _coerce(self, beta, c):
-        c = c if type(c) is Fraction else _exact(c)
-        return c if c else None
+    __slots__ = ("levels",)
+
+    def _fill(self, space: AmbientSpace, max_degree: int, terms: dict):
+        self.space, self.max_degree = space, max_degree
+        entries = []
+        for beta, c in terms.items():
+            self._check_degree(beta)
+            c = c if type(c) is Fraction else _exact(c)
+            if c:
+                entries.append((beta, c.numerator, c.denominator))
+        self.levels = _levels_of(space.nfactors, max_degree, entries)
+
+    @classmethod
+    def _of(cls, space: AmbientSpace, max_degree: int, levels: list) -> "ScalarQSeries":
+        """The series of levels in the stored form, one per degree 0..D."""
+        out = object.__new__(cls)
+        out.space, out.max_degree, out.levels = space, max_degree, levels
+        return out
+
+    def _like(self, levels: list) -> "ScalarQSeries":
+        return ScalarQSeries._of(self.space, self.max_degree, levels)
 
     @classmethod
     def zero(cls, space: AmbientSpace, max_degree: int) -> "ScalarQSeries":
         return cls(space, max_degree, {})
 
+    # -- inspection ----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """The non-zero coefficients, {curve class: Fraction}, in graded-lex order."""
+        return {b: Fraction(x, den) for b, x, den in _nonzero(self.space.nfactors, self.levels)}
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.levels)
+
+    def _is_one(self) -> bool:
+        return self.levels[0] == _ONE and not any(self.levels[1:])
+
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.zero_beta, ZERO)
+        return self.coeff(self.zero_beta)
 
     def coeff(self, beta) -> Fraction:
-        return self.terms.get(tuple(beta), ZERO)
+        beta = tuple(beta)
+        n = _degree(beta)
+        level = self.levels[n] if 0 <= n <= self.max_degree else None
+        i = _class_index(self.space.nfactors, n).get(beta) if level else None
+        return ZERO if i is None or not level[0][i] else Fraction(level[0][i], level[1])
 
     def set_coeff(self, beta, value) -> "ScalarQSeries":
-        terms = dict(self.terms)
+        terms = self.terms
         terms[self.space.check_curve_class(beta)] = value
-        return self._new(terms)
+        return ScalarQSeries(self.space, self.max_degree, terms)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other: "ScalarQSeries") -> "ScalarQSeries":
+        self._check(other)
+        if other.is_zero:
+            return self
+        return other if self.is_zero else self._like(_sum(self.levels, other.levels))
+
+    def scale(self, k) -> "ScalarQSeries":
+        if type(k) is not int:
+            k = k if type(k) is Fraction else _exact(k)
+        return self if k == 1 else self._like(_scaled(self.levels, k.numerator, k.denominator))
+
+    def __mul__(self, other: "ScalarQSeries") -> "ScalarQSeries":
+        self._check(other)
+        if self.is_zero or other._is_one():
+            return self
+        if other.is_zero or self._is_one():
+            return other
+        return self._like(_product(self.space.nfactors, self.levels, other.levels))
+
+    def _truncated(self, max_degree: int) -> "ScalarQSeries":
+        out = ScalarQSeries.zero(self.space, max_degree)
+        out.levels = self.levels[: max_degree + 1]
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is ScalarQSeries
+            and self.space == other.space
+            and self.max_degree == other.max_degree
+            and self.levels == other.levels
+        )
 
 
 def all_curve_classes(space: AmbientSpace, max_degree: int):
@@ -376,18 +472,24 @@ def all_curve_classes(space: AmbientSpace, max_degree: int):
     return [beta for d in range(max_degree + 1) for beta in _classes_of_degree(n, d)]
 
 
-def _classes_of_degree(n: int, d: int) -> list:
-    """The curve classes of n factors and total degree d, in lex order."""
-    if n == 1:
-        return [(d,)]
-    return [(k,) + rest for k in range(d + 1) for rest in _classes_of_degree(n - 1, d - k)]
+def qs_exp(a: ScalarQSeries) -> ScalarQSeries:
+    """exp of a series with zero constant term, in one pass over the levels."""
+    if a.levels[0] is not None:
+        raise ValueError("qs_exp needs a zero constant term")
+    return a._like(_exp(a.space.nfactors, a.levels))
 
 
-def _theta(f) -> list:
+def qs_log(a: ScalarQSeries) -> ScalarQSeries:
+    """log of a series with constant term 1, in one pass over the levels."""
+    if a.levels[0] != _ONE:
+        raise ValueError("qs_log needs constant term exactly 1")
+    return a._like(_log(a.space.nfactors, a.levels))
+
+
+def _theta(f: QSeries) -> list:
     """The terms of theta f = sum_i q_i d/dq_i f, which scales q^beta by
     |beta|, as triples (gamma, |gamma|, |gamma| f_gamma)."""
-    scale = f._scale_coeff
-    return [(g, _degree(g), scale(c, _degree(g))) for g, c in f.terms.items()]
+    return [(g, _degree(g), c.scale(_degree(g))) for g, c in f.terms.items()]
 
 
 def _convolve(beta, theta, terms):
@@ -407,62 +509,19 @@ def _convolve(beta, theta, terms):
     return acc
 
 
-def _exp(f, one):
-    """exp(f) for f without a q^0 term, in one pass over the curve classes.
-
-    theta(e^f) = theta(f) e^f gives |beta| E_beta = sum_{0<gamma<=beta}
-    |gamma| f_gamma E_{beta-gamma}, so each coefficient follows from those
-    of lower degree (Brent-Kung, JACM 1978).
-    """
-    out = {f.zero_beta: one}
-    _exp_extend(out, _theta(f), f.curve_classes()[1:], f._scale_coeff)
-    return f._new(out)
-
-
-def _exp_extend(out: dict, theta, classes, scale):
-    """Add to the exp coefficients ``out`` those at ``classes``, each from
-    the coefficients of lower degree already in ``out``, by the recurrence
-    of ``_exp``; ``theta`` must hold every term of degree up to theirs."""
-    for beta in classes:
-        acc = _convolve(beta, theta, out)
-        if acc is not None:
-            out[beta] = scale(acc, Fraction(1, _degree(beta)))
-
-
-def qs_exp(a: ScalarQSeries) -> ScalarQSeries:
-    """exp of a series with zero constant term."""
-    if a.constant_term != 0:
-        raise ValueError("qs_exp needs a zero constant term")
-    return _exp(a, ONE)
-
-
-def qs_log(a: ScalarQSeries) -> ScalarQSeries:
-    """log of a series with constant term 1, in one pass.
-
-    theta(log a) a = theta(a) gives |beta| L_beta = |beta| a_beta -
-    sum_{0<gamma<beta} |gamma| L_gamma a_{beta-gamma}.
-    """
-    if a.constant_term != 1:
-        raise ValueError("qs_log needs constant term exactly 1")
-    out: dict = {}
-    theta: list = []  # (gamma, |gamma|, |gamma| L_gamma) found so far
-    for beta in a.curve_classes()[1:]:
-        d = _degree(beta)
-        c = d * a.terms.get(beta, ZERO)
-        acc = _convolve(beta, theta, a.terms)
-        if acc is not None:
-            c -= acc
-        if c:
-            out[beta] = c / d
-            theta.append((beta, d, c))
-    return a._new(out)
-
-
 def qs_exp_full(L: QSeries) -> QSeries:
-    """exp of a class-valued series whose beta = 0 term vanishes."""
+    """exp of a class-valued series whose beta = 0 term vanishes, in one
+    pass over the curve classes by the recurrence of ``qs_exp``:
+    |beta| E_beta = sum_{0<gamma<=beta} |gamma| L_gamma E_{beta-gamma}."""
     if L.zero_beta in L.terms:
         raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    return _exp(L, HbarLaurent.unit(L.space))
+    out = {L.zero_beta: HbarLaurent.unit(L.space)}
+    theta = _theta(L)
+    for beta in L.curve_classes()[1:]:
+        acc = _convolve(beta, theta, out)
+        if acc is not None:
+            out[beta] = acc.scale(Fraction(1, _degree(beta)))
+    return L._new(out)
 
 
 def _check_dials(space: AmbientSpace, max_degree: int, dials):
@@ -471,7 +530,7 @@ def _check_dials(space: AmbientSpace, max_degree: int, dials):
     layout = ScalarQSeries.zero(space, max_degree)
     for f in dials:
         layout._check(f)
-        if f.constant_term != 0:
+        if f.levels[0] is not None:
             raise ValueError("dial series must have zero constant term")
 
 
@@ -482,35 +541,44 @@ def _check_substitution(space: AmbientSpace, max_degree: int, f1: list[ScalarQSe
     _check_dials(space, max_degree, f1)
 
 
-def _substitute(S, f1: list[ScalarQSeries], factors=None):
-    """S(q e^{f1}) for a series of either kind, truncated at its degree D.
+def _factor_table(S, f1: list[ScalarQSeries], factors):
+    """The exp(beta . f1) table that substituting f1 into S reads, or None
+    when every dial is zero and S(q e^{f1}) is S.
 
-    Each q^beta term is multiplied by exp(beta . f1), read off the table
-    ``factors`` of ``_invert_with_factors`` (refused unless built for these
-    dials); without one, the table is built for f1 by that same routine.
+    ``factors`` is the pair ``_invert_with_factors`` returns, refused unless
+    built for these dials; without one, the table is built for f1 by that
+    same routine.
     """
-    D = S.max_degree
-    _check_substitution(S.space, D, f1)
+    _check_substitution(S.space, S.max_degree, f1)
+    if factors is not None and factors[0] != tuple(f1):
+        raise ValueError("exp(beta . f1) factor table was built for other dials")
+    if all(f.is_zero for f in f1):
+        return None
     if factors is None:
         factors = _invert_with_factors([f.scale(0) for f in f1], f1)[1]
-    elif factors[0] != tuple(f1):
-        raise ValueError("exp(beta . f1) factor table was built for other dials")
-    table = factors[1]
-    out: dict = {}
-    for beta, c in S.terms.items():
-        for gamma, e in table[beta].items():
-            _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), S._scale_coeff(c, e))
-    return S._new(out)
+    return factors[1]
 
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries:
-    """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series."""
-    return _substitute(S, f1, _factors)
+    """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series: each q^beta
+    term is multiplied by exp(beta . f1), read off the factor table."""
+    table = _factor_table(S, f1, _factors)
+    if table is None:
+        return S
+    out: dict = {}
+    for beta, c in S.terms.items():
+        for gamma, e, den in _nonzero(S.space.nfactors, table[beta]):
+            term = c.scale(e if den == 1 else Fraction(e, den))
+            _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), term)
+    return S._new(out)
 
 
 def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None) -> ScalarQSeries:
     """Evaluate f(q * exp(g1)) as a truncated scalar series."""
-    return _substitute(f, g1, _factors)
+    table = _factor_table(f, g1, _factors)
+    if table is None or f.is_zero:
+        return f
+    return f._like(_compose(f.space.nfactors, f.levels, table))
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
@@ -521,48 +589,22 @@ def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
 def _invert_with_factors(h: list[ScalarQSeries], k: list[ScalarQSeries]):
     """g with g + h(q e^g) = k, and the factor table (g, {beta: E_beta}).
 
-    The degree-n terms of h(q e^g) = sum_beta h_beta q^beta E_beta, with
-    E_beta = exp(beta . g), read g only below degree n.  Round n therefore
-    grows each E_beta by one degree level of the ``_exp`` recurrence and sets
-    g_alpha = k_alpha - sum_beta h_beta E_beta[alpha - beta] for |alpha| = n.
-    The table holds every class beta up to D, E_beta truncated at D - |beta|.
-    k = 0 inverts q -> q e^h; h = 0 gives g = k and the table a substitution
-    reads.  In general g = k + G(q e^k), G the inverse of q -> q e^h: with
-    u = q e^k, G(u) + h(u e^{G(u)}) = 0.
+    One pass over the degrees (``levels._invert``): round n grows each
+    E_beta = exp(beta . g) by one level and reads g_n off the degree-n terms
+    of h(q e^g).  The table holds every class beta up to D, E_beta as its
+    levels up to D - |beta|.  k = 0 inverts q -> q e^h; h = 0 gives g = k
+    and the table a substitution reads.  In general g = k + G(q e^k), G the
+    inverse of q -> q e^h: with u = q e^k, G(u) + h(u e^{G(u)}) = 0.
     """
     if not h:
         return [], ((), {})
     space, D = h[0].space, h[0].max_degree
     _check_substitution(space, D, h)
     _check_substitution(space, D, k)
-    levels = [_classes_of_degree(space.nfactors, d) for d in range(D + 1)]
-    zero = levels[0][0]
-    # per beta != 0: E_beta, the theta terms of beta . g, and (h^i_beta, g^i)
-    g: list[dict] = [dict(f.terms) for f in k]
-    factors = {
-        beta: ({zero: ONE}, [], [(f.terms[beta], t) for f, t in zip(h, g) if beta in f.terms])
-        for level in levels[1:]
-        for beta in level
-    }
-    for n in range(1, D + 1):
-        for beta, (E, theta, h_beta) in factors.items():
-            m = n - _degree(beta)
-            if m < 0:
-                break
-            if m:
-                for gamma in levels[m]:
-                    c = sum(b * t[gamma] for b, t in zip(beta, g) if b and gamma in t)
-                    if c:
-                        theta.append((gamma, m, m * c))
-                _exp_extend(E, theta, levels[m], mul)
-            for gamma in levels[m] if h_beta else ():
-                e = E.get(gamma)
-                if e is not None:
-                    alpha = tuple(x + y for x, y in zip(beta, gamma))
-                    for c, terms in h_beta:
-                        terms[alpha] = terms.get(alpha, ZERO) - c * e
-    dials = tuple(h[0]._new(t) for t in g)
-    return list(dials), (dials, {zero: {zero: ONE}} | {b: E for b, (E, _, _) in factors.items()})
+    levels = [[f.levels for f in fs] for fs in (h, k)]
+    g, table = _invert(space.nfactors, all_curve_classes(space, D), *levels)
+    dials = tuple(h[0]._like(gi) for gi in g)
+    return list(dials), (dials, table)
 
 
 # -- serialization -----------------------------------------------------------
@@ -632,7 +674,5 @@ def qseries_from_obj(space: AmbientSpace, obj, field: str = "series") -> QSeries
 
 
 def scalar_to_obj(f: ScalarQSeries) -> list:
-    return [
-        {"beta": list(beta), "coeff": format_fraction(f.terms[beta])}
-        for beta in sorted(f.terms, key=_graded)
-    ]
+    """Terms in graded-lex order, the order ``terms`` lists them in."""
+    return [{"beta": list(beta), "coeff": format_fraction(c)} for beta, c in f.terms.items()]

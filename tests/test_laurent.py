@@ -16,6 +16,7 @@ import pytest
 from gwtwist import (
     AmbientSpace,
     BundleSpec,
+    CohClass,
     GeometrySpec,
     HbarLaurent,
     NonInvertible,
@@ -217,6 +218,27 @@ def test_mixed_total_degrees_refused(seed):
         assert _raised(StructureViolation, HbarLaurent, sp, {k: mixed})["degrees"] == [k, k + 1]
         assert _raised(StructureViolation, a.scale_class, mixed)["degrees"] == [0, 1]
         assert _raised(StructureViolation, HbarLaurent.linear, sp, mixed, k)["degrees"] == [0, 1]
+
+
+def test_linear_builds_one_class(monkeypatch):
+    # divisor + k hbar is one class at delta = 1; scaling the unit and
+    # summing in the checking constructor built two more per call
+    built = []
+    init = CohClass.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    for sp in (AmbientSpace((4,)), AmbientSpace((2, 1))):
+        d = sp.divisor([3] * sp.nfactors)
+        for k in (0, 2, Fraction(-1, 3)):
+            monkeypatch.setattr(CohClass, "__init__", counting)
+            lin = HbarLaurent.linear(sp, d, k)
+            monkeypatch.undo()
+            assert len(built) == 1 and lin.delta == 1
+            assert lin.terms == _pruned({0: d, 1: sp.unit().scale(k)})
+            built.clear()
 
 
 # -- homogeneity of the pipeline's series ---------------------------------------

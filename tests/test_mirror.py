@@ -233,6 +233,38 @@ def test_normal_form_builds_two_classes_per_curve_class(monkeypatch, factors, li
     assert nf == _reference_normal_form(S, sp.unit())
 
 
+def test_solve_builds_fractions_only_for_its_output(monkeypatch):
+    # the scalar kernels run on integer numerators per degree level, so one
+    # bicubic D=5 solve builds no more Fractions than its dials have terms,
+    # plus slack; with Fraction coefficients it built 2657
+    sp = AmbientSpace((2, 2))
+    S = i_prime(GeometrySpec(sp, BundleSpec(((3, 3),))), 5)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    m = solve_mirror_map(S, sp.unit())
+    monkeypatch.undo()
+    terms = sum(len(f.terms) for f in (m.f0, m.string, *m.f1))
+    assert terms == 60
+    assert len(built) <= terms + 10
+
+
+def test_apply_transform_refuses_string_and_degree_zero_dials_on_one_class():
+    # f0 + p f1 sits at total degree 0 and the string dial at -1, so an
+    # exponent term carrying both is not homogeneous
+    S, _ = _quintic(2)
+    zero, dial = ScalarQSeries.zero(P4, 2), ScalarQSeries(P4, 2, {(1,): 3})
+    for f0, f1 in ((dial, zero), (zero, dial)):
+        with pytest.raises(StructureViolation) as info:
+            apply_transform(S, MirrorMap(f0=f0, f1=(f1,), string=dial))
+        assert info.value.context["degrees"] == [-1, 0]
+
+
 def test_apply_transform_identity():
     # the zero map returns the series itself, once its dials are checked
     S, _ = _quintic(2)

@@ -2,7 +2,7 @@ import operator
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -30,7 +30,7 @@ from gwtwist import (
     qseries_to_obj,
     solve_mirror_map,
 )
-from gwtwist import mirror, series
+from gwtwist import levels, mirror, series
 from gwtwist.series import (
     _degree,
     all_curve_classes,
@@ -175,6 +175,8 @@ def test_mixed_kinds_refused(op, scalar_first):
 def test_negative_truncation_refused(cls):
     with pytest.raises(ValueError):
         cls(P1, -1)
+    with pytest.raises(ValueError, match="truncation degree -1"):
+        cls(P1, 2).truncate(-1)
 
 
 @pytest.mark.parametrize(
@@ -389,16 +391,54 @@ def test_curve_classes_match_sorted_recursion(factors, D):
 # -- the one-pass algorithms against the power sums they replaced ------------
 
 
-def _power_sum(x, one, start, coeff):
+def _power_sum(x, one, start, coeff, mul=operator.mul):
     """start + sum_{k >= 1} coeff(k) x^k for x without a q^0 term; x^k
     vanishes past the truncation degree, so the sum is finite."""
     out = start
     power = one
     for k in range(1, x.max_degree + 1):
-        power = power * x
+        power = mul(power, x)
         if power.is_zero:
             break
         out = out + power.scale(coeff(k))
+    return out
+
+
+def _naive_mul(a: ScalarQSeries, b: ScalarQSeries) -> ScalarQSeries:
+    """a * b term by term in Fractions, the product the level kernel replaced."""
+    a._check(b)
+    D = a.max_degree
+    tb = [(bb, _degree(bb), cb) for bb, cb in b.terms.items()]
+    out: dict = {}
+    for ba, ca in a.terms.items():
+        da = _degree(ba)
+        for bb, db, cb in tb:
+            if da + db <= D:
+                beta = tuple(x + y for x, y in zip(ba, bb))
+                out[beta] = out.get(beta, 0) + ca * cb
+    return ScalarQSeries(a.space, D, out)
+
+
+def _reference_compose(fs: list[ScalarQSeries], g: list[ScalarQSeries]) -> list[ScalarQSeries]:
+    """Each f(q e^g) = sum_beta f_beta q^beta prod_i exp(g_i)^beta_i, in
+    Fractions, for f in ``fs``."""
+    space, D = g[0].space, g[0].max_degree
+    exps = [_reference_qs_exp(gi) for gi in g]
+    factor = {(0,) * space.nfactors: _scalar_one(space, D)}
+
+    def exp_of(beta):  # exp(beta . g), from the class one below it
+        if beta not in factor:
+            i = next(i for i, x in enumerate(beta) if x)
+            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
+            factor[beta] = _naive_mul(exp_of(lower), exps[i])
+        return factor[beta]
+
+    out = []
+    for f in fs:
+        total = ScalarQSeries.zero(space, D)
+        for beta, c in f.terms.items():
+            total = total + _naive_mul(ScalarQSeries(space, D, {beta: c}), exp_of(beta))
+        out.append(total)
     return out
 
 
@@ -411,7 +451,7 @@ def _reference_qs_exp(a: ScalarQSeries) -> ScalarQSeries:
     if a.constant_term != 0:
         raise ValueError("qs_exp needs a zero constant term")
     one = _scalar_one(a.space, a.max_degree)
-    return _power_sum(a, one, one, _exp_coeff)
+    return _power_sum(a, one, one, _exp_coeff, _naive_mul)
 
 
 def _reference_qs_log(a: ScalarQSeries) -> ScalarQSeries:
@@ -420,7 +460,7 @@ def _reference_qs_log(a: ScalarQSeries) -> ScalarQSeries:
         raise ValueError("qs_log needs constant term exactly 1")
     one = _scalar_one(a.space, a.max_degree)
     zero = ScalarQSeries.zero(a.space, a.max_degree)
-    return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k))
+    return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k), _naive_mul)
 
 
 def _reference_qs_exp_full(L: QSeries) -> QSeries:
@@ -438,7 +478,7 @@ def _reference_invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSerie
     space, D = f1[0].space, f1[0].max_degree
     g = [ScalarQSeries.zero(space, D) for _ in f1]
     for degree in range(1, D + 1):
-        comps = [compose_substitute(f, g) for f in f1]
+        comps = _reference_compose(f1, g)
         for i, comp in enumerate(comps):
             terms = dict(g[i].terms)
             for beta, c in comp.terms.items():
@@ -516,14 +556,22 @@ def _canonical(terms):
     return sorted((beta, c) for beta, c in terms.items() if c)
 
 
+def _table_entry(space, top, levels):
+    """A table entry E_beta, stored as its degree levels 0..top, viewed as
+    its terms {gamma: coefficient}."""
+    assert len(levels) == top + 1
+    return ScalarQSeries._of(space, top, levels).terms
+
+
 def _assert_table_is_truncated_exps(factors, D):
     # the table holds every class beta up to D, and its E_beta is
     # exp(beta . g) truncated at D - |beta|, g the dials it was built for
     g1, table = factors
     space = g1[0].space
     assert sorted(table) == sorted(QSeries.unit(space, D).curve_classes())
-    for beta, E in table.items():
+    for beta, levels in table.items():
         top = D - _degree(beta)
+        E = _table_entry(space, top, levels)
         exponent = {}
         for b, g in zip(beta, g1):
             for gamma, c in g.terms.items():
@@ -549,17 +597,9 @@ def test_inversion_factors_are_truncated_exps(case):
 
 def _reference_shifted_inversion(h, k):
     """g with g + h(q e^g) = k as k + G(q e^k), G the inverse of q -> q e^h,
-    each q^beta factor exp(beta . k) a power sum."""
-    space, D = k[0].space, k[0].max_degree
-    out = []
-    for G, ki in zip(_reference_invert_substitution(h), k):
-        total = ki
-        for beta, c in G.terms.items():
-            exponent = sum((kj.scale(b) for b, kj in zip(beta, k)), ScalarQSeries.zero(space, D))
-            shift = ScalarQSeries(space, D, {beta: c})
-            total = total + shift * _reference_qs_exp(exponent)
-        out.append(total)
-    return out
+    each q^beta factor exp(beta . k) a product of power sums."""
+    G = _reference_invert_substitution(h)
+    return [ki + c for ki, c in zip(k, _reference_compose(G, k))]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
@@ -577,6 +617,59 @@ def test_shifted_inversion_matches_parent_formula(case):
             assert g + compose_substitute(f, g1, factors) == ki
         # k = 0 is the plain inversion
         assert series._invert_with_factors(h, _zeros(h))[0] == invert_substitution(h)
+
+
+def _big_rational(rng):
+    """A rational with a numerator of about 100 bits over a denominator up to 2^40."""
+    return Fraction(rng.getrandbits(100) - 2**99, rng.randint(1, 2**40))
+
+
+def _big_scalar(rng, sp, D, density=0.7):
+    """A scalar series with zero constant term and large coefficients."""
+    classes = all_curve_classes(sp, D)[1:]
+    return ScalarQSeries(sp, D, {b: _big_rational(rng) for b in classes if rng.random() < density})
+
+
+def _assert_lowest_terms(f: ScalarQSeries):
+    # one entry per degree level: None, or the level's numerators over one
+    # positive denominator, not all zero, sharing no factor with it
+    assert len(f.levels) == f.max_degree + 1
+    for n, level in enumerate(f.levels):
+        if level is not None:
+            nums, den = level
+            assert len(nums) == sum(1 for c in all_curve_classes(f.space, n) if _degree(c) == n)
+            assert den > 0 and any(nums) and gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
+def test_integer_kernels_match_fraction_references(case):
+    sp, D = case
+    rng = random.Random(6000 * sp.nfactors + 10 * sum(sp.factors) + D)
+    one, zero = _scalar_one(sp, D), ScalarQSeries.zero(sp, D)
+    a, b = _big_scalar(rng, sp, D), _big_scalar(rng, sp, D)
+    q = _big_rational(rng)
+    # a series built from its Fractions equals the one the kernels build
+    classes = all_curve_classes(sp, D)
+    assert a + b == ScalarQSeries(sp, D, {c: a.coeff(c) + b.coeff(c) for c in classes})
+    assert a.scale(q) == ScalarQSeries(sp, D, {c: q * x for c, x in a.terms.items()})
+    assert (a + b) - b == a == ScalarQSeries(sp, D, a.terms)
+    # products, the zero and unit operands included
+    for x, y in ((a, b), (one + a, one + b), (a, one), (one, a), (zero, a), (a, zero), (one, one)):
+        assert x * y == _naive_mul(x, y)
+    e = qs_exp(a)
+    assert e == _reference_qs_exp(a)
+    assert qs_log(e) == a
+    assert qs_log(one + b) == _reference_qs_log(one + b)
+    assert qs_exp(zero) == one and qs_log(one) == zero
+    h = [_big_scalar(rng, sp, D) for _ in sp.factors]
+    k = [_big_scalar(rng, sp, D) for _ in sp.factors]
+    assert invert_substitution(h) == _reference_invert_substitution(h)
+    g1, factors = series._invert_with_factors(h, k)
+    assert g1 == _reference_shifted_inversion(h, k)
+    _assert_table_is_truncated_exps(factors, D)
+    assert compose_substitute(a, g1, factors) == _reference_compose([a], g1)[0]
+    for f in (a, b, a + b, a.scale(q), a * b, e, qs_log(one + b), *g1):
+        _assert_lowest_terms(f)
 
 
 SOLVED_MAP_CASES = {
@@ -624,20 +717,20 @@ def test_n_numbers_reads_every_factor_off_the_inversion(monkeypatch, name):
 
 
 def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
-    # one _convolve per (beta, gamma) with beta, gamma != 0 and
-    # |beta| + |gamma| <= 12: sum_{b=1}^{11} (12 - b) = 66; recomposing f
-    # at every degree made 286
+    # one level step of the exp recurrence per (beta, m) with beta != 0,
+    # m >= 1 and |beta| + m <= 12: sum_{b=1}^{11} (12 - b) = 66;
+    # recomposing f at every degree made 286
     rng = random.Random(12)
     f1 = [_random_scalar(rng, P1, 12, density=1.0)]
     calls = []
-    convolve = series._convolve
+    convolve = levels._convolve_level
 
     def counting(*args):
-        calls.append(args[0])
+        calls.append(args[1])
         return convolve(*args)
 
-    monkeypatch.setattr(series, "_convolve", counting)
+    monkeypatch.setattr(levels, "_convolve_level", counting)
     g1 = invert_substitution(f1)
     monkeypatch.undo()
-    assert len(calls) <= 66
+    assert 0 < len(calls) <= 66
     assert g1 == _reference_invert_substitution(f1)
