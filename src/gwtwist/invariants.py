@@ -69,7 +69,7 @@ def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[Mirro
         else:
             # e(E) I' is i_function exactly, without a second build
             ctop = euler_class(space, g.bundle)
-            S = QSeries(space, max_degree, {b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
+            S = I1._new({b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
     T = apply_transform(S, m)
     for beta in T.curve_classes()[1:]:
         powers = T.term(beta).exponents()

@@ -54,16 +54,22 @@ def _vec(parts: dict, den: int, size: int) -> list:
     return vec
 
 
+def _gather(parts: dict):
+    """sum_den list / den of non-empty ``parts`` as one numerator list over
+    the lcm of its denominators, not reduced."""
+    if len(parts) == 1:
+        [(den, num)] = parts.items()
+        return num, den
+    den = lcm(*parts)
+    scaled = [(den // d, vec) for d, vec in parts.items()]
+    return [sum(f * vec[i] for f, vec in scaled) for i in range(len(scaled[0][1]))], den
+
+
 def _settle(parts: dict, div: int = 1):
     """The level sum_den list / (den * div) of ``parts``, or None when zero."""
     if not parts:
         return None
-    if len(parts) == 1:
-        [(den, num)] = parts.items()
-    else:
-        den = lcm(*parts)
-        scaled = [(den // d, vec) for d, vec in parts.items()]
-        num = [sum(f * vec[i] for f, vec in scaled) for i in range(len(scaled[0][1]))]
+    num, den = _gather(parts)
     if not any(num):
         return None
     den *= div

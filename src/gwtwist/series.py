@@ -8,12 +8,13 @@ Two layers sit on top of the cohomology ring:
 * A power series in the curve-class variables q_1..q_N, truncated at a total
   degree D, of two coefficient kinds sharing one layout and its checks.
   ``QSeries`` holds ``HbarLaurent`` values (the twisted series and its
-  transforms) by curve class.  ``ScalarQSeries`` holds rationals (the dials
-  f0 and f1 of the change of variables) per degree level, as integer
-  numerators over one denominator, as ``CohClass`` does, so its products,
-  exp and log (by the one-pass Euler-operator recurrence) and the
-  substitution q -> q e^{f1} run on integers with one gcd per level; every
-  value it hands out is a ``Fraction``.
+  transforms) by curve class; its product, exp and substitution add integer
+  numerators per curve class and total degree, then build one class per
+  curve class.  ``ScalarQSeries`` holds rationals (the dials f0 and f1 of
+  the change of variables) per degree level, as integer numerators over one
+  denominator, so its products, exp and log (by the one-pass Euler-operator
+  recurrence) and the substitution q -> q e^{f1} run on integers with one
+  gcd per level; every value it hands out is a ``Fraction``.
 
 The exponential prefactor common to generating-series conventions is never
 materialized; series are always stored in reduced form, coefficient by curve
@@ -33,6 +34,7 @@ from .levels import (
     _classes_of_degree,
     _compose,
     _exp,
+    _gather,
     _invert,
     _levels_of,
     _log,
@@ -40,6 +42,7 @@ from .levels import (
     _product,
     _scaled,
     _sum,
+    _vec,
 )
 from .ring import (
     AmbientSpace,
@@ -49,6 +52,7 @@ from .ring import (
     _check_fields,
     _exact,
     _int_list,
+    _mul_table,
     coh_from_obj,
     coh_to_obj,
     format_fraction,
@@ -64,11 +68,6 @@ def _component(c: CohClass, j: int) -> CohClass:
 def _degrees(c: CohClass) -> set:
     """The degrees of the non-zero monomials of a class."""
     return {sum(e) for e, x in zip(c.space.basis, c.num) if x}
-
-
-def _add_into(out: dict, key, value):
-    prev = out.get(key)
-    out[key] = value if prev is None else prev + value
 
 
 class HbarLaurent:
@@ -295,7 +294,9 @@ class QSeries(_TruncatedSeries):
     """Truncated q-series with ``HbarLaurent`` coefficients.
 
     Terms map curve classes to non-zero coefficients; zeros are pruned on
-    construction, so equality compares the stored terms.
+    construction, so equality compares the stored terms.  Products,
+    ``qs_exp_full`` and ``qs_substitute`` sum integer numerators per curve
+    class and total degree, refusing two non-zero degrees (``_ClassSums``).
     """
 
     __slots__ = ("terms",)
@@ -334,7 +335,7 @@ class QSeries(_TruncatedSeries):
         self._check(other)
         terms = dict(self.terms)
         for beta, c in other.terms.items():
-            _add_into(terms, beta, c)
+            terms[beta] = terms[beta] + c if beta in terms else c
         return self._new(terms)
 
     def scale(self, k) -> "QSeries":
@@ -343,15 +344,12 @@ class QSeries(_TruncatedSeries):
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
-        D = self.max_degree
-        out: dict = {}
-        for ba, ca in self.terms.items():
-            da = _degree(ba)
-            for bb, cb in other.terms.items():
-                if da + _degree(bb) > D:
-                    continue
-                _add_into(out, tuple(x + y for x, y in zip(ba, bb)), ca * cb)
-        return self._new(out)
+        left, da = _over_one_den(self)
+        right, db = _over_one_den(other)
+        sums = _ClassSums(self.space)
+        for beta, n, delta, a in left:
+            sums.add_products(self.max_degree, beta, n, delta, a, da * db, right)
+        return self._new({beta: sums.pop(beta) for beta in list(sums.sums)})
 
     def _truncated(self, max_degree: int) -> "QSeries":
         terms = {b: c for b, c in self.terms.items() if _degree(b) <= max_degree}
@@ -364,6 +362,56 @@ class QSeries(_TruncatedSeries):
             and self.max_degree == other.max_degree
             and self.terms == other.terms
         )
+
+
+def _over_one_den(S: QSeries):
+    """S's terms as (beta, |beta|, delta, numerators) over one denominator, and it."""
+    den = lcm(*(hl.cls.den for hl in S.terms.values()))
+    return [
+        (b, _degree(b), hl.delta, [x * (den // hl.cls.den) for x in hl.cls.num])
+        for b, hl in S.terms.items()
+    ], den
+
+
+class _ClassSums:
+    """Sums of homogeneous ``HbarLaurent`` terms per curve class, held as
+    integer numerator lists per (total degree, denominator) and settled into
+    one class each, with one gcd, as ``levels`` settles a scalar level."""
+
+    __slots__ = ("space", "table", "sums")
+
+    def __init__(self, space: AmbientSpace):
+        self.space, self.table, self.sums = space, _mul_table(space.factors), {}
+
+    def vec(self, beta, delta: int, den: int) -> list:
+        """The numerators of the terms at (beta, delta) over den, to add into."""
+        return _vec(self.sums.setdefault(beta, {}).setdefault(delta, {}), den, len(self.table))
+
+    def add_products(self, D: int, beta, n: int, delta: int, a, den: int, terms):
+        """Add the products of the term (beta, |beta| = n, delta, numerators a)
+        with ``terms`` (see ``_over_one_den``) through degree D, over den."""
+        rows = [(x, row) for x, row in zip(a, self.table) if x]
+        for gamma, m, d, b in terms:
+            if n + m <= D:
+                vec = self.vec(tuple(x + y for x, y in zip(beta, gamma)), delta + d, den)
+                for x, row in rows:
+                    for j, t in row:
+                        y = b[j]
+                        if y:
+                            vec[t] += x * y
+
+    def pop(self, beta, div: int = 1) -> HbarLaurent:
+        """The sum at beta divided by div, as one class.  Non-zero sums at two
+        total degrees raise StructureViolation with the degrees sorted."""
+        sums = {delta: _gather(parts) for delta, parts in self.sums.pop(beta, {}).items()}
+        live = {delta: (num, den) for delta, (num, den) in sums.items() if any(num)}
+        if len(live) > 1:
+            raise StructureViolation(
+                "sum of hbar-Laurent elements of different total degrees", degrees=sorted(live)
+            )
+        for delta, (num, den) in live.items():
+            return HbarLaurent._of(self.space, delta, CohClass(self.space, num, den * div))
+        return HbarLaurent.zero(self.space)
 
 
 class ScalarQSeries(_TruncatedSeries):
@@ -486,41 +534,25 @@ def qs_log(a: ScalarQSeries) -> ScalarQSeries:
     return a._like(_log(a.space.nfactors, a.levels))
 
 
-def _theta(f: QSeries) -> list:
-    """The terms of theta f = sum_i q_i d/dq_i f, which scales q^beta by
-    |beta|, as triples (gamma, |gamma|, |gamma| f_gamma)."""
-    return [(g, _degree(g), c.scale(_degree(g))) for g, c in f.terms.items()]
-
-
-def _convolve(beta, theta, terms):
-    """sum over gamma <= beta of (|gamma| f_gamma) * terms[beta - gamma], for
-    ``theta`` from ``_theta``, or None when no pair contributes."""
-    d = _degree(beta)
-    acc = None
-    for gamma, dg, c in theta:
-        if dg > d:
-            continue
-        # a negative entry is never a key of terms
-        other = terms.get(tuple(b - g for b, g in zip(beta, gamma)))
-        if other is None:
-            continue
-        prod = c * other
-        acc = prod if acc is None else acc + prod
-    return acc
-
-
 def qs_exp_full(L: QSeries) -> QSeries:
     """exp of a class-valued series whose beta = 0 term vanishes, in one
     pass over the curve classes by the recurrence of ``qs_exp``:
-    |beta| E_beta = sum_{0<gamma<=beta} |gamma| L_gamma E_{beta-gamma}."""
+    |beta| E_beta = sum_{0<gamma<=beta} |gamma| L_gamma E_{beta-gamma},
+    each E_beta adding its products with |gamma| L_gamma once settled."""
     if L.zero_beta in L.terms:
         raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    out = {L.zero_beta: HbarLaurent.unit(L.space)}
-    theta = _theta(L)
-    for beta in L.curve_classes()[1:]:
-        acc = _convolve(beta, theta, out)
-        if acc is not None:
-            out[beta] = acc.scale(Fraction(1, _degree(beta)))
+    terms, den = _over_one_den(L)
+    theta = [(gamma, n, delta, [n * x for x in a]) for gamma, n, delta, a in terms]
+    sums = _ClassSums(L.space)
+    out = {}
+    e = HbarLaurent.unit(L.space)
+    for beta in L.curve_classes():
+        n = _degree(beta)
+        if n:
+            e = sums.pop(beta, n)
+        if not e.is_zero:
+            out[beta] = e
+            sums.add_products(L.max_degree, beta, n, e.delta, e.cls.num, e.cls.den * den, theta)
     return L._new(out)
 
 
@@ -565,12 +597,14 @@ def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries
     table = _factor_table(S, f1, _factors)
     if table is None:
         return S
-    out: dict = {}
+    sums = _ClassSums(S.space)
     for beta, c in S.terms.items():
-        for gamma, e, den in _nonzero(S.space.nfactors, table[beta]):
-            term = c.scale(e if den == 1 else Fraction(e, den))
-            _add_into(out, tuple(x + y for x, y in zip(beta, gamma)), term)
-    return S._new(out)
+        for gamma, e, de in _nonzero(S.space.nfactors, table[beta]):
+            vec = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), c.delta, c.cls.den * de)
+            for i, x in enumerate(c.cls.num):
+                if x:
+                    vec[i] += e * x
+    return S._new({beta: sums.pop(beta) for beta in list(sums.sums)})
 
 
 def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None) -> ScalarQSeries:

@@ -256,7 +256,7 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
             if d_i:
                 out = rows[d_i] if out is None else out * rows[d_i]
         terms[beta] = HbarLaurent.unit(space) if out is None else out
-    return QSeries(space, max_degree, terms)
+    return QSeries(space, max_degree)._new(terms)
 
 
 def _ambient_series(g: GeometrySpec, max_degree: int) -> QSeries:
@@ -289,7 +289,7 @@ def _twisted(J: QSeries, tables, start: CohClass) -> QSeries:
         for l, table in tables:
             hl = hl * table(_pairing(l, beta))
         terms[beta] = hl
-    return QSeries(space, J.max_degree, terms)
+    return J._new(terms)
 
 
 def i_function(g: GeometrySpec, max_degree: int) -> QSeries:

@@ -31,7 +31,7 @@ from gwtwist.mirror import apply_transform
 from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent, qs_exp
 from gwtwist.twist import CONVEX, classify
-from test_mirror import _promote, _reference_apply_transform, _scalar_one
+from test_mirror import _naive_class_mul, _promote, _reference_apply_transform, _scalar_one
 from test_series import _assert_table_is_truncated_exps, _count_tables
 from test_yukawa import yukawa_n_numbers
 
@@ -338,7 +338,7 @@ def test_dual_pair_tables_match_from_scratch_loops(name):
 def _reference_assemble(pair: SerrePair, phi, string, m):
     dials = MirrorMap(f0=m.f0, f1=m.f1, string=string)
     transformed = _reference_apply_transform(pair.i_prime, dials)
-    return _promote(pair.i_prime.space, phi) * transformed
+    return _naive_class_mul(_promote(pair.i_prime.space, phi), transformed)
 
 
 def _reference_solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:

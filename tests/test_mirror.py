@@ -23,14 +23,13 @@ from gwtwist import (
     j_ambient,
     n_numbers,
     normal_form,
-    qs_exp,
     qs_substitute,
     solve_mirror_map,
     z_closed_form,
     z_from_log,
 )
 from gwtwist.ring import coh_to_obj
-from gwtwist.series import HbarLaurent, compose_substitute, qs_exp_full
+from gwtwist.series import HbarLaurent, compose_substitute
 from gwtwist.twist import _combined_degrees
 from test_laurent import _random_terms
 
@@ -233,6 +232,46 @@ def test_normal_form_builds_two_classes_per_curve_class(monkeypatch, factors, li
     assert nf == _reference_normal_form(S, sp.unit())
 
 
+@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
+def test_apply_transform_builds_four_classes_per_curve_class(monkeypatch, factors, lines, D):
+    # the substitution, the exponent, its exp and the product each settle one
+    # class per curve class; adding Laurent products pair by pair built 494
+    # and 672 classes here
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    m = solve_mirror_map(i_prime(g, D), sp.unit())
+    S = i_function(g, D)
+    built = []
+    init = CohClass.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(CohClass, "__init__", counting)
+    apply_transform(S, m)
+    monkeypatch.undo()
+    assert len(built) <= 4 * len(S.curve_classes())
+
+
+@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
+def test_n_numbers_checks_no_curve_class_it_builds(monkeypatch, factors, lines, D):
+    # the ambient series, the twisted series and e(E) I' take their classes
+    # from the engine's own enumeration; checking each key again made 39 and
+    # 63 calls here
+    calls = []
+    check = AmbientSpace.check_curve_class
+
+    def counting(self, beta):
+        calls.append(beta)
+        return check(self, beta)
+
+    monkeypatch.setattr(AmbientSpace, "check_curve_class", counting)
+    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), D)
+    monkeypatch.undo()
+    assert calls == []
+
+
 def test_solve_builds_fractions_only_for_its_output(monkeypatch):
     # the scalar kernels run on integer numerators per degree level, so one
     # bicubic D=5 solve builds no more Fractions than its dials have terms,
@@ -290,11 +329,50 @@ def _promote(space, f):
     return QSeries(space, f.max_degree, terms)
 
 
+def _naive_class_mul(a: QSeries, b: QSeries) -> QSeries:
+    """a * b term by term: one HbarLaurent product per pair of terms, added
+    per curve class, the product the integer class kernel replaced."""
+    a._check(b)
+    out: dict = {}
+    for ba, ca in a.terms.items():
+        for bb, cb in b.terms.items():
+            if sum(ba) + sum(bb) <= a.max_degree:
+                beta = tuple(x + y for x, y in zip(ba, bb))
+                out[beta] = out[beta] + ca * cb if beta in out else ca * cb
+    return QSeries(a.space, a.max_degree, out)
+
+
+def _reference_qs_exp_full(L: QSeries) -> QSeries:
+    """exp of a class-valued series whose beta = 0 term vanishes, as the
+    finite sum of L^k / k! with termwise products."""
+    if L.zero_beta in L.terms:
+        raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
+    out = power = QSeries.unit(L.space, L.max_degree)
+    for k in range(1, L.max_degree + 1):
+        power = _naive_class_mul(power, L).scale(Fraction(1, k))
+        out = out + power
+    return out
+
+
+def _naive_substitute(S: QSeries, f1) -> QSeries:
+    """S(q e^{f1}) term by term: each S_beta q^beta times exp(beta . f1),
+    the exponent promoted to a class-valued series."""
+    out = QSeries(S.space, S.max_degree)
+    for beta, c in S.terms.items():
+        exponent = ScalarQSeries.zero(S.space, S.max_degree)
+        for x, f in zip(beta, f1):
+            exponent = exponent + f.scale(x)
+        factor = _reference_qs_exp_full(_promote(S.space, exponent))
+        out = out + _naive_class_mul(QSeries(S.space, S.max_degree, {beta: c}), factor)
+    return out
+
+
 def _reference_apply_transform(S, m):
     """The transform as two exponentials and two products: e^{(s + p . f1)/hbar}
-    as a class-valued exp, then e^{f0} through a promoted scalar series."""
+    as a class-valued exp, then e^{f0} through a promoted scalar series, with
+    termwise products, exps and substitution."""
     space, D = S.space, S.max_degree
-    result = qs_substitute(S, list(m.f1))
+    result = _naive_substitute(S, m.f1)
     shift_terms: dict = {}
     for beta in result.curve_classes():
         if sum(beta) == 0:
@@ -310,9 +388,9 @@ def _reference_apply_transform(S, m):
         if not cls.is_zero:
             shift_terms[beta] = HbarLaurent(space, {-1: cls})
     if shift_terms:
-        result = qs_exp_full(QSeries(space, D, shift_terms)) * result
+        result = _naive_class_mul(_reference_qs_exp_full(QSeries(space, D, shift_terms)), result)
     if not m.f0.is_zero:
-        result = _promote(space, qs_exp(m.f0)) * result
+        result = _naive_class_mul(_reference_qs_exp_full(_promote(space, m.f0)), result)
     return result
 
 

@@ -40,7 +40,15 @@ from gwtwist.series import (
     qs_exp_full,
     scalar_to_obj,
 )
-from test_mirror import _promote, _scalar_one
+from test_laurent import _random_terms
+from test_mirror import (
+    _naive_class_mul,
+    _naive_substitute,
+    _promote,
+    _random_dial,
+    _reference_qs_exp_full,
+    _scalar_one,
+)
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -391,7 +399,7 @@ def test_curve_classes_match_sorted_recursion(factors, D):
 # -- the one-pass algorithms against the power sums they replaced ------------
 
 
-def _power_sum(x, one, start, coeff, mul=operator.mul):
+def _power_sum(x, one, start, coeff, mul):
     """start + sum_{k >= 1} coeff(k) x^k for x without a q^0 term; x^k
     vanishes past the truncation degree, so the sum is finite."""
     out = start
@@ -463,14 +471,6 @@ def _reference_qs_log(a: ScalarQSeries) -> ScalarQSeries:
     return _power_sum(a - one, one, zero, lambda k: Fraction((-1) ** (k + 1), k), _naive_mul)
 
 
-def _reference_qs_exp_full(L: QSeries) -> QSeries:
-    """exp of a class-valued series whose beta = 0 term vanishes."""
-    if L.zero_beta in L.terms:
-        raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    one = QSeries.unit(L.space, L.max_degree)
-    return _power_sum(L, one, one, _exp_coeff)
-
-
 def _reference_invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:
     """Order-by-order inverse of q -> q*exp(f1): g with g + f(q e^g) = 0."""
     if not f1:
@@ -538,6 +538,66 @@ def test_class_exp_matches_power_sum(case):
             terms[beta] = HbarLaurent(sp, {power - 1: div, power: scalar})
     L = QSeries(sp, D, terms)
     assert qs_exp_full(L) == _reference_qs_exp_full(L)
+
+
+def _random_graded(rng, sp, D, c, shift, density=0.6):
+    """A class-valued series whose q^beta term is a random element of total
+    degree shift - <c, beta>, so its products and exps are homogeneous."""
+    terms = {}
+    for beta in all_curve_classes(sp, D):
+        if rng.random() < density:
+            delta = shift - sum(x * d for x, d in zip(c, beta))
+            terms[beta] = HbarLaurent(sp, _random_terms(rng, sp, delta))
+    return QSeries(sp, D, terms)
+
+
+@pytest.mark.parametrize("factors", [(1,), (1, 1), (2, 1), (2, 2)], ids=str)
+def test_class_kernels_match_termwise_references(factors):
+    # the total degree moves with the curve class, and the dials of the
+    # substitution sit on the classes with <c, gamma> = 0, so it keeps the
+    # grading; c = 0 leaves them every class
+    sp = AmbientSpace(factors)
+    rng = random.Random(4000 + 10 * len(factors) + sum(factors))
+    for D in range(1, 5):
+        c = [rng.randint(0, 2) for _ in factors]
+        a = _random_graded(rng, sp, D, c, rng.randint(-2, 1))
+        b = _random_graded(rng, sp, D, c, rng.randint(-2, 1))
+        assert a * b == _naive_class_mul(a, b)
+        L = _random_graded(rng, sp, D, c, 0)
+        L = QSeries(sp, D, {beta: hl for beta, hl in L.terms.items() if any(beta)})
+        assert qs_exp_full(L) == _reference_qs_exp_full(L)
+        for grading in (c, [0] * len(factors)):
+            S = _random_graded(rng, sp, D, grading, rng.randint(-2, 1))
+            f1 = [_random_dial(rng, sp, D, grading) for _ in factors]
+            assert qs_substitute(S, f1) == _naive_substitute(S, f1)
+
+
+def _unit_terms(sp, D, terms):
+    """The series of unit classes times k at total degree delta, from
+    {beta: (delta, k)}, its terms in the order given."""
+    unit = sp.unit()
+    return QSeries(sp, D, {b: HbarLaurent(sp, {d: unit.scale(k)}) for b, (d, k) in terms.items()})
+
+
+def test_class_kernels_sum_each_degree_before_refusing_a_mix():
+    # a degree whose terms cancel is no mix, whatever the order of the terms;
+    # two degrees left non-zero at one class are refused, sorted
+    sp = AmbientSpace((1, 1))
+    b = _unit_terms(sp, 2, {(0, 0): (0, 1), (0, 1): (0, 1), (1, 0): (0, -1)})
+    a = _unit_terms(sp, 2, {(1, 1): (0, 1), (1, 0): (1, 1), (0, 1): (1, 1)})
+    want = {(1, 1): (0, 1), (1, 0): (1, 1), (0, 1): (1, 1), (2, 0): (1, -1), (0, 2): (1, 1)}
+    assert a * b == _unit_terms(sp, 2, want)
+    f1 = [ScalarQSeries(sp, 2, {(0, 1): 1}), ScalarQSeries(sp, 2, {(1, 0): -1})]
+    assert qs_substitute(a, f1) == a
+    a = _unit_terms(sp, 2, {(1, 0): (1, 1), (0, 1): (1, 1), (1, 1): (0, 1)})
+    b = _unit_terms(sp, 2, {(0, 0): (0, 1), (0, 1): (0, 1), (1, 0): (0, 2)})
+    L = _unit_terms(P1, 2, {(1,): (0, 1), (2,): (1, 1)})
+    S = _unit_terms(P1, 2, {(2,): (1, 1), (1,): (0, 1)})
+    f1 = [ScalarQSeries(P1, 2, {(1,): 1})]
+    for run in (lambda: a * b, lambda: qs_exp_full(L), lambda: qs_substitute(S, f1)):
+        with pytest.raises(StructureViolation, match="different total degrees") as info:
+            run()
+        assert info.value.context["degrees"] == [0, 1]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
