@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
+from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
@@ -68,8 +68,8 @@ def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[Mirro
             S = i_function(g, max_degree)
         else:
             # e(E) I' is i_function exactly, without a second build
-            ctop = euler_class(space, g.bundle)
-            S = I1._new({b: hl.scale_class(ctop) for b, hl in I1.terms.items()})
+            e = HbarLaurent(space, {0: euler_class(space, g.bundle)})
+            S = I1._new({b: hl * e for b, hl in I1.terms.items()})
     T = apply_transform(S, m)
     for beta in T.curve_classes()[1:]:
         powers = T.term(beta).exponents()

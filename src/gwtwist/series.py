@@ -593,15 +593,20 @@ def _factor_table(S, f1: list[ScalarQSeries], factors):
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries:
     """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series: each q^beta
-    term is multiplied by exp(beta . f1), read off the factor table."""
+    term is multiplied by exp(beta . f1), read off the factor table.  S and
+    the table levels it reads are each brought over one denominator, so
+    each sum is one numerator list."""
     table = _factor_table(S, f1, _factors)
     if table is None:
         return S
+    terms, den = _over_one_den(S)
+    dt = lcm(*(lv[1] for beta, *_ in terms for lv in table[beta] if lv))
     sums = _ClassSums(S.space)
-    for beta, c in S.terms.items():
+    for beta, _, delta, a in terms:
         for gamma, e, de in _nonzero(S.space.nfactors, table[beta]):
-            vec = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), c.delta, c.cls.den * de)
-            for i, x in enumerate(c.cls.num):
+            vec = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), delta, den * dt)
+            e *= dt // de
+            for i, x in enumerate(a):
                 if x:
                     vec[i] += e * x
     return S._new({beta: sums.pop(beta) for beta in list(sums.sums)})

@@ -12,16 +12,18 @@ where J is the closed-form ambient series and each H factor is the finite
 product of linear terms attached to a summand, and the same series started
 at 1 (``i_prime``), from which the change of variables is read.
 
-Both are built by degree recursion, since consecutive terms differ by a few
-linear factors: each ambient factor gets a table A_i[d] of inverse products,
-with J(beta) = prod_i A_i[beta_i], and each summand a table of H indexed by
-the pairing <L, beta>, grown one factor at a time (``_linear_products``).
-The tables live for one call only.
+Both are read off closed forms on integer tables, with x = p/hbar: each
+ambient factor gets a table of the univariate A_i[d] = prod_{k<=d}
+(x_i + k)^-(r_i+1), and J(beta) is the outer product of the A_i[beta_i];
+each summand gets a table of H indexed by the pairing <L, beta>, an integer
+polynomial in c1(x) per row (``_linear_products``).  Each row or term read
+is one class.  The tables live for one call only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, gcd, lcm, prod
 
 from .errors import SpaceMismatch, Unclassifiable, Unsupported
 from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, euler_class
@@ -187,16 +189,28 @@ def _fano_index_ok(g: GeometrySpec, convex_lines) -> bool:
 def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
     """Return m -> prod_{j=0}^{m-1} (c + (first + j*step) hbar); row 0 is 1.
 
-    Row m is row m-1 times one linear factor.  Rows are tabulated on first
-    use, so reading rows 0..M costs M Laurent products in all; the table
-    lives as long as the returned function.
+    With y = c(x), row m is hbar^m P_m(y) for the integer polynomial
+    P_m = prod_{j<m} (y + first + j*step), kept up to y^dim (past which
+    c^j vanishes) and grown by P_m[j] = k P_{m-1}[j] + P_{m-1}[j-1].  A row
+    read is one class, sum_j P_m[j] c^j over the powers of c computed once;
+    the table lives as long as the returned function.
     """
-    rows = [HbarLaurent.unit(space)]
+    powers = [space.unit(), c]
+    while len(powers) <= space.dim:
+        powers.append(powers[-1] * c)
+    den = lcm(*(q.den for q in powers))
+    # the basis coefficients of c^0..c^dim over den, one column per monomial
+    cols = list(zip(*([x * (den // q.den) for x in q.num] for q in powers)))
+    polys = [[1] + [0] * space.dim]
+    rows = {}
 
     def row(m: int) -> HbarLaurent:
-        while len(rows) <= m:
-            k = first + (len(rows) - 1) * step
-            rows.append(rows[-1] * HbarLaurent.linear(space, c, k))
+        while len(polys) <= m:
+            k, prev = first + (len(polys) - 1) * step, polys[-1]
+            polys.append([k * prev[0]] + [k * a + b for a, b in zip(prev[1:], prev)])
+        if m not in rows:
+            num = [sum(a * x for a, x in zip(polys[m], col)) for col in cols]
+            rows[m] = HbarLaurent._of(space, m, CohClass(space, num, den))
         return rows[m]
 
     return row
@@ -232,30 +246,38 @@ def _pairing(l, beta) -> int:
     return sum(li * di for li, di in zip(l, beta))
 
 
+def _inverse_products(r: int, max_degree: int) -> list:
+    """A[d] = prod_{k=1}^{d} (x + k)^-(r+1) for d = 0..max_degree, kept up to
+    x^r, each as integer numerators over one denominator in lowest terms.
+    Each factor is the binomial series (x + k)^-n = sum_j (-1)^j
+    C(n+j-1, j) x^j / k^(n+j), here over k^(n+r)."""
+    n, rows = r + 1, [([1] + [0] * r, 1)]
+    for k in range(1, max_degree + 1):
+        f = [(-1) ** j * comb(n + j - 1, j) * k ** (r - j) for j in range(n)]
+        a, den = rows[-1]
+        num = [sum(a[i] * f[j - i] for i in range(j + 1)) for j in range(n)]
+        den *= k ** (n + r)
+        g = gcd(den, *num)
+        rows.append(([x // g for x in num], den // g))
+    return rows
+
+
 def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     """Closed-form ambient series: the beta term inverts
     prod_i prod_{k=1}^{d_i} (p_i + k*hbar)^(r_i + 1), and the beta = 0 term is 1.
 
-    Per factor the inverse is tabulated by degree, A_i[0] = 1 and
-    A_i[d] = A_i[d-1] * ((p_i + d*hbar)^(r_i+1))^-1; the beta term is then
-    prod_i A_i[beta_i].  Each inverse is exact (p_i is nilpotent).
+    With x_i = p_i/hbar the beta term is hbar^delta prod_i A_i[beta_i](x_i),
+    at delta = -sum_i (r_i+1) beta_i, for the univariate integer tables
+    A_i of ``_inverse_products``; it is built as one class, the outer
+    product of the A_i[beta_i] over the monomial basis.
     """
-    tables = []
-    for i, r in enumerate(space.factors):
-        p = space.hyperplane(i)
-        rows = [HbarLaurent.unit(space)]
-        for d in range(1, max_degree + 1):
-            # step 0: row r+1 is (p_i + d*hbar)^(r_i+1)
-            power = _linear_products(space, p, d, 0)(r + 1)
-            rows.append(rows[-1] * power.invert())
-        tables.append(rows)
+    tables = [_inverse_products(r, max_degree) for r in space.factors]
     terms = {}
     for beta in all_curve_classes(space, max_degree):
-        out = None
-        for rows, d_i in zip(tables, beta):
-            if d_i:
-                out = rows[d_i] if out is None else out * rows[d_i]
-        terms[beta] = HbarLaurent.unit(space) if out is None else out
+        rows = [table[d] for table, d in zip(tables, beta)]
+        num = [prod(a[e] for (a, _), e in zip(rows, m)) for m in space.basis]
+        delta = -sum((r + 1) * d for r, d in zip(space.factors, beta))
+        terms[beta] = HbarLaurent._of(space, delta, CohClass(space, num, prod(d for _, d in rows)))
     return QSeries(space, max_degree)._new(terms)
 
 
@@ -301,8 +323,8 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     (zero when the Euler class vanishes on the ambient).
 
     Each summand's factor is read from one table indexed by the pairing
-    n = <L, beta> (``_twist_table``), so the series costs max |n| linear
-    products per summand, not |n| per curve class.
+    n = <L, beta> (``_twist_table``), one class per row read, so the series
+    costs one class product per curve class and summand.
     """
     space = g.space
     tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]

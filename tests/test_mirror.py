@@ -28,6 +28,7 @@ from gwtwist import (
     z_closed_form,
     z_from_log,
 )
+from gwtwist import series
 from gwtwist.ring import coh_to_obj
 from gwtwist.series import HbarLaurent, compose_substitute
 from gwtwist.twist import _combined_degrees
@@ -252,6 +253,29 @@ def test_apply_transform_builds_four_classes_per_curve_class(monkeypatch, factor
     apply_transform(S, m)
     monkeypatch.undo()
     assert len(built) <= 4 * len(S.curve_classes())
+
+
+@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
+def test_substitution_sums_hold_one_numerator_list(monkeypatch, factors, lines, D):
+    # e(E) I' and the table levels it reads are each over one denominator;
+    # a list per (term, level) denominator held up to 12 and 4 lists per
+    # sum here
+    sp = AmbientSpace(factors)
+    g = GeometrySpec(sp, BundleSpec(lines))
+    m = solve_mirror_map(i_prime(g, D), sp.unit())
+    S = i_function(g, D)
+    lists = []
+    pop = series._ClassSums.pop
+
+    def counting(self, beta, div=1):
+        lists.extend(len(parts) for parts in self.sums.get(beta, {}).values())
+        return pop(self, beta, div)
+
+    monkeypatch.setattr(series._ClassSums, "pop", counting)
+    out = qs_substitute(S, list(m.f1), m._factors)
+    monkeypatch.undo()
+    assert len(lists) == len(out.terms) and max(lists) == 1
+    assert out == qs_substitute(S, list(m.f1))
 
 
 @pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])

@@ -7,6 +7,7 @@ from gwtwist import (
     BundleSpec,
     CONCAVE,
     CONVEX,
+    CohClass,
     GeometrySpec,
     HbarLaurent,
     QSeries,
@@ -19,10 +20,13 @@ from gwtwist import (
     geometry_from_obj,
     h_factor,
     i_function,
+    i_prime,
     j_ambient,
     qseries_to_obj,
+    serre_dual_pair,
 )
 from gwtwist.series import all_curve_classes
+from gwtwist.twist import _linear_products
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -319,6 +323,9 @@ TABLE_CASES = {
     "mixed-p4": (lambda: _geometry((4,), ((2,), (-1,))), 5),
     "external-j": (_external_j_geometry, 5),
     "empty-bundle": (lambda: GeometrySpec(AmbientSpace((2,)), BundleSpec(())), 6),
+    "p2xp1xp1-o322": (lambda: _geometry((2, 1, 1), ((3, 2, 2),)), 3),
+    "p1x4-o2222": (lambda: _geometry((1, 1, 1, 1), ((2, 2, 2, 2),)), 3),
+    "local-dp5": (lambda: _geometry((4,), ((2,), (2,), (-1,))), 5),
 }
 
 
@@ -336,3 +343,104 @@ def test_degree_tables_match_from_scratch_products(name):
     for l in g.bundle.lines:
         for beta in all_curve_classes(space, D):
             assert h_factor(space, l, beta) == _reference_h_factor(space, l, beta)
+
+
+def _reference_linear_product(space: AmbientSpace, c1: CohClass, ks) -> HbarLaurent:
+    out = HbarLaurent.unit(space)
+    for k in ks:
+        out = out * HbarLaurent.linear(space, c1, k)
+    return out
+
+
+def _reference_start_one(g: GeometrySpec, max_degree: int, dual: bool) -> QSeries:
+    """I' (each summand's (c1 + k hbar) for k = 1..n if convex, k = n+1..0 if
+    concave, n = <L, beta>), or with ``dual`` the Serre dual series:
+    (-1)^rank times each (-c1 + k hbar) for k = -n+1..0."""
+    space = g.space
+    J = g.external_j.truncate(max_degree) if g.external_j else _reference_j_ambient(space, max_degree)
+    sign = (-1) ** g.bundle.rank if dual else 1
+    terms = {}
+    for beta in J.curve_classes():
+        if sum(beta) == 0:
+            terms[beta] = HbarLaurent.unit(space).scale(sign)
+            continue
+        hl = J.term(beta).scale(sign)
+        for l in g.bundle.lines:
+            n = sum(li * di for li, di in zip(l, beta))
+            c1 = space.divisor(l)
+            if dual:
+                hl = hl * _reference_linear_product(space, -c1, range(-n + 1, 1))
+            elif classify(l) == CONVEX:
+                hl = hl * _reference_linear_product(space, c1, range(1, n + 1))
+            else:
+                hl = hl * _reference_linear_product(space, c1, range(n + 1, 1))
+        terms[beta] = hl
+    return QSeries(space, max_degree, terms)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_start_one_series_match_from_scratch_products(name):
+    make, D = TABLE_CASES[name]
+    g = make()
+    got, want = i_prime(g, D), _reference_start_one(g, D, False)
+    assert got == want
+    assert qseries_to_obj(got) == qseries_to_obj(want)
+    convex = all(classify(l) == CONVEX for l in g.bundle.lines)
+    if convex and check_conditions(g).all_nonneg:
+        pair, dual = serre_dual_pair(g, D), _reference_start_one(g, D, True)
+        assert pair.i_prime == want
+        assert pair.i_prime_dual == dual
+        assert qseries_to_obj(pair.i_prime_dual) == qseries_to_obj(dual)
+
+
+ROW_CLASSES = {
+    "5H-on-p4": lambda: (P4, P4.hyperplane(0).scale(5)),
+    # p1^3 = 0 below the dimension 4 of P2 x P2
+    "p1-on-p2xp2": lambda: (AmbientSpace((2, 2)), AmbientSpace((2, 2)).hyperplane(0)),
+    "minus-p1-p2-on-p1xp1": lambda: (AmbientSpace((1, 1)), -AmbientSpace((1, 1)).divisor((1, 1))),
+}
+
+
+@pytest.mark.parametrize("first,step", [(0, 1), (1, 1), (-1, -1), (0, -1)])
+@pytest.mark.parametrize("name", sorted(ROW_CLASSES))
+def test_linear_product_rows_match_from_scratch_products(name, first, step):
+    space, c = ROW_CLASSES[name]()
+    rows = range(3 * space.dim + 1)
+    want = [_reference_linear_product(space, c, [first + j * step for j in range(m)]) for m in rows]
+    row = _linear_products(space, c, first, step)
+    assert [row(m) for m in rows] == want
+    # a fresh table read backwards grows every row it skipped
+    row = _linear_products(space, c, first, step)
+    assert [row(m) for m in reversed(rows)] == want[::-1]
+
+
+@pytest.mark.parametrize(
+    "factors,lines,D,most", [((4,), ((5,),), 12, 50), ((2, 2), ((3, 3),), 5, 60)]
+)
+def test_start_one_series_builds_one_class_per_term(monkeypatch, factors, lines, D, most):
+    # J_beta, each table row read and each (beta, summand) product is one
+    # class; Laurent product chains and inversions built 402 and 220 here
+    g = _geometry(factors, lines)
+    built, laurent = [], []
+    init, invert, linear = CohClass.__init__, HbarLaurent.invert, HbarLaurent.linear
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_invert(self):
+        laurent.append("invert")
+        return invert(self)
+
+    def counted_linear(cls, *args):
+        laurent.append("linear")
+        return linear(*args)
+
+    monkeypatch.setattr(CohClass, "__init__", counting)
+    monkeypatch.setattr(HbarLaurent, "invert", counted_invert)
+    monkeypatch.setattr(HbarLaurent, "linear", classmethod(counted_linear))
+    S = i_prime(g, D)
+    monkeypatch.undo()
+    assert len(built) <= most
+    assert laurent == []
+    assert S == _reference_start_one(g, D, False)
