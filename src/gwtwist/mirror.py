@@ -13,21 +13,21 @@ hbar^-1 part a scalar plus a divisor, so no linear solve is needed
 (``solve_mirror_map``).  For geometries in the trivial-transform cases the
 solution is identically zero.
 
-The module also houses the ordered-decomposition combinatorics used to show
-the transformed series stays within the allowed shape: a brute-force
-generating-product oracle and the matching closed form.
+The module also evaluates the descendant generating value z(x, y), which
+shows the transformed series stays within the allowed shape, two ways: as
+the log of the generating product exp(y + x theta) 1 and by its y-linear
+closed form, with theta the Euler operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .errors import SpaceMismatch, StructureViolation
-from .levels import _ONE, _classes_of_degree, _levels_of
-from .ring import AmbientSpace, CohClass, ONE, ZERO, coh_to_obj
+from .levels import _ONE, _classes_of_degree, _levels_of, _scaled
+from .ring import AmbientSpace, CohClass, coh_to_obj
 from .series import (
     HbarLaurent,
     QSeries,
@@ -241,81 +241,45 @@ def _solve_relative_map(S, target) -> tuple[MirrorMap, ScalarQSeries]:
     return m, ratio
 
 
-# -- ordered-decomposition combinatorics -------------------------------------
+# -- descendant generating value ----------------------------------------------
+#
+# Both routes read x and y without their q = 0 terms and use that the Euler
+# operator theta (the degree-n coefficients times n) is a derivation.
 
 
-@lru_cache(maxsize=None)
-def _compositions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Ordered tuples of positive integers summing to n."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def _scalar_degree_coeffs(f: ScalarQSeries) -> dict[int, Fraction]:
-    if f.space.nfactors != 1:
+def _positive_parts(x: ScalarQSeries, y: ScalarQSeries):
+    """x and y without their q = 0 terms, refusing more than one factor."""
+    x._check(y)
+    if x.space.nfactors != 1:
         raise ValueError("decomposition combinatorics needs a single-factor space")
-    return {beta[0]: c for beta, c in f.terms.items()}
+    return (f._like([None] + f.levels[1:]) for f in (x, y))
+
+
+def _theta(f: ScalarQSeries) -> ScalarQSeries:
+    """The Euler operator: the degree-n coefficients of f times n."""
+    return f._like([lv and _scaled([lv], n, 1)[0] for n, lv in enumerate(f.levels)])
 
 
 def z_from_log(x: ScalarQSeries, y: ScalarQSeries) -> ScalarQSeries:
     """Oracle route: build the generating product Q and take its log.
 
-    Q sums, over ordered decompositions (beta_1..beta_s) of each degree,
-    (1/s!) prod_m (y_{beta_m} + x_{beta_m} B_{m-1}) with B_m the partial sums
-    and B_0 = 0.  The result is the coefficient series of log Q.
+    Q = exp(A) 1 = sum_s A^s(1) / s! for the operator A = y + x theta; the
+    terms vanish past s = D.  The result is the coefficient series of log Q.
     """
-    x._check(y)
-    xc = _scalar_degree_coeffs(x)
-    yc = _scalar_degree_coeffs(y)
-    space, D = x.space, x.max_degree
-    q_terms = {(0,): ONE}
-    for n in range(1, D + 1):
-        total = ZERO
-        for comp in _compositions(n):
-            s = len(comp)
-            prod = Fraction(1, factorial(s))
-            partial = 0
-            for b in comp:
-                prod *= yc.get(b, ZERO) + xc.get(b, ZERO) * partial
-                if prod == 0:
-                    break
-                partial += b
-            total += prod
-        if total != 0:
-            q_terms[(n,)] = total
-    return qs_log(ScalarQSeries(space, D, q_terms))
+    x, y = _positive_parts(x, y)
+    Q = term = x._like([_ONE] + [None] * x.max_degree)
+    for s in range(1, x.max_degree + 1):
+        term = (y * term + x * _theta(term)).scale(Fraction(1, s))
+        Q = Q + term
+    return qs_log(Q)
 
 
 def z_closed_form(x: ScalarQSeries, y: ScalarQSeries) -> ScalarQSeries:
-    """Direct evaluation: the y-linear closed form for the log coefficients.
-
-    z_n sums, over the same ordered decompositions, (1/s!) y_{beta_1}
-    prod_{m=2..s} x_{beta_m} B_{m-1}.
-    """
-    x._check(y)
-    xc = _scalar_degree_coeffs(x)
-    yc = _scalar_degree_coeffs(y)
-    space, D = x.space, x.max_degree
-    terms = {}
-    for n in range(1, D + 1):
-        total = ZERO
-        for comp in _compositions(n):
-            s = len(comp)
-            prod = Fraction(1, factorial(s)) * yc.get(comp[0], ZERO)
-            if prod == 0:
-                continue
-            partial = comp[0]
-            for b in comp[1:]:
-                prod *= xc.get(b, ZERO) * partial
-                if prod == 0:
-                    break
-                partial += b
-            total += prod
-        if total != 0:
-            terms[(n,)] = total
-    return ScalarQSeries(space, D, terms)
+    """Direct evaluation: the y-linear closed form of the log coefficients,
+    z = sum_{s>=1} (x theta)^(s-1)(y) / s!."""
+    x, y = _positive_parts(x, y)
+    z = term = y
+    for s in range(2, x.max_degree + 1):
+        term = (x * _theta(term)).scale(Fraction(1, s))
+        z = z + term
+    return z

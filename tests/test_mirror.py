@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,8 @@ from gwtwist import (
     j_ambient,
     n_numbers,
     normal_form,
+    qs_exp,
+    qs_log,
     qs_substitute,
     solve_mirror_map,
     z_closed_form,
@@ -714,3 +718,86 @@ def test_z_requires_single_factor_space():
     x = ScalarQSeries.zero(sp, 2)
     with pytest.raises(ValueError):
         z_from_log(x, x)
+    with pytest.raises(ValueError, match="single-factor"):
+        z_closed_form(x, x)
+
+
+def _compositions(n):
+    """Ordered tuples of positive integers summing to n."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in _compositions(n - first)]
+
+
+def _degree_coeffs(f):
+    return {beta[0]: c for beta, c in f.terms.items()}
+
+
+def _reference_z_from_log(x, y):
+    """Brute force: Q sums, over ordered decompositions (beta_1..beta_s) of
+    each degree, (1/s!) prod_m (y_{beta_m} + x_{beta_m} B_{m-1}) with B_m
+    the partial sums and B_0 = 0; z is the series of log Q."""
+    xc, yc = _degree_coeffs(x), _degree_coeffs(y)
+    q_terms = {(0,): Fraction(1)}
+    for n in range(1, x.max_degree + 1):
+        total = Fraction(0)
+        for comp in _compositions(n):
+            prod = Fraction(1, math.factorial(len(comp)))
+            partial = 0
+            for b in comp:
+                prod *= yc.get(b, 0) + xc.get(b, 0) * partial
+                partial += b
+            total += prod
+        q_terms[(n,)] = total
+    return qs_log(ScalarQSeries(x.space, x.max_degree, q_terms))
+
+
+def _reference_z_closed_form(x, y):
+    """Brute force: z_n sums, over the same ordered decompositions,
+    (1/s!) y_{beta_1} prod_{m=2..s} x_{beta_m} B_{m-1}."""
+    xc, yc = _degree_coeffs(x), _degree_coeffs(y)
+    terms = {}
+    for n in range(1, x.max_degree + 1):
+        total = Fraction(0)
+        for comp in _compositions(n):
+            prod = Fraction(yc.get(comp[0], 0), math.factorial(len(comp)))
+            partial = comp[0]
+            for b in comp[1:]:
+                prod *= xc.get(b, 0) * partial
+                partial += b
+            total += prod
+        terms[(n,)] = total
+    return ScalarQSeries(x.space, x.max_degree, terms)
+
+
+def _random_scalar(rng, D):
+    """A scalar series on P1 with random coefficients at degrees 0..D, the
+    q = 0 term included, each non-zero with probability 3/4."""
+    return ScalarQSeries(
+        P1,
+        D,
+        {(d,): Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for d in range(D + 1) if rng.random() < 0.75},
+    )
+
+
+@pytest.mark.parametrize("D", range(8))
+def test_z_routes_match_brute_force_reference(D):
+    rng = random.Random(2100 + D)
+    zero = ScalarQSeries.zero(P1, D)
+    cases = [(_random_scalar(rng, D), _random_scalar(rng, D)) for _ in range(8)]
+    cases += [(zero, _random_scalar(rng, D)), (_random_scalar(rng, D), zero)]
+    for x, y in cases:
+        z = _reference_z_closed_form(x, y)
+        assert z_closed_form(x, y) == z
+        assert z_from_log(x, y) == _reference_z_from_log(x, y) == z
+
+
+def test_z_closed_value_at_degree_twenty():
+    # x = y = q: Q = 1/(1 - q), so z = -log(1 - q) and z_n = 1/n
+    D = 20
+    q = ScalarQSeries(P1, D, {(1,): 1})
+    expected = ScalarQSeries(P1, D, {(n,): Fraction(1, n) for n in range(1, D + 1)})
+    started = time.perf_counter()
+    assert z_from_log(q, q) == z_closed_form(q, q) == expected
+    assert qs_exp(z_from_log(q, q)) == ScalarQSeries(P1, D, {(n,): 1 for n in range(D + 1)})
+    assert time.perf_counter() - started < 1.0

@@ -10,10 +10,14 @@ The public methods of the series types count as used when engine code
 loads an attribute of that name outside the method's own definition.  The
 receiver's type is not known statically, so a method that shares its name
 with one in use elsewhere (``scale``, ``zero``) always counts as used.
+
+The package also keeps its promise of no dependencies: its modules import
+only the standard library and ``gwtwist`` itself.
 """
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import gwtwist
@@ -91,6 +95,10 @@ ALLOWED_UNUSED_METHODS = {
     "HbarLaurent.times_hbar": "used by tests/test_acceptance.py, which is kept unedited",
     "HbarLaurent.linear": "used by tests/test_acceptance.py, which is kept unedited",
     "HbarLaurent.scale_class": "used by tests/test_acceptance.py, which is kept unedited",
+    "HbarLaurent.invert": (
+        "reached through hl_invert, which tests/test_acceptance.py (kept unedited) uses,"
+        " and a target of the benchmark's tracer hooks (perfbench/layers.py)"
+    ),
 }
 
 
@@ -141,7 +149,8 @@ def _unused_methods():
     unused = set()
     for method in _public_methods():
         name = method.split(".")[1]
-        if not any(name in names for owner, names in loads.items() if owner != method):
+        users = [owner for owner in loads if owner != method and owner not in ALLOWED_UNUSED]
+        if not any(name in loads[owner] for owner in users):
             unused.add(method)
     return unused
 
@@ -154,3 +163,64 @@ def test_method_allowlist_names_only_unused_methods():
     assert all(reason.strip() for reason in ALLOWED_UNUSED_METHODS.values())
     assert set(ALLOWED_UNUSED_METHODS) <= _public_methods()
     assert _unused_methods() >= set(ALLOWED_UNUSED_METHODS)
+
+
+# -- the allowlists' reasons ---------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _acceptance_loads():
+    """The names and the attribute names that tests/test_acceptance.py loads."""
+    tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return names, attrs
+
+
+def _hooked():
+    """The attributes bound in SPANS or COUNTS of perfbench/layers.py, read as
+    source so that the benchmark is not imported."""
+    tree = ast.parse((REPO / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    return {
+        attr
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in ("SPANS", "COUNTS") for t in stmt.targets)
+        for _, _, attr in ast.literal_eval(stmt.value)
+    }
+
+
+def test_every_allowlist_entry_is_used_by_a_file_its_reason_names():
+    names, attrs = _acceptance_loads()
+    hooked = _hooked()
+    for entry, reason in {**ALLOWED_UNUSED, **ALLOWED_UNUSED_METHODS}.items():
+        uses = {
+            "tests/test_acceptance.py": (attrs if "." in entry else names) >= {entry.split(".")[-1]},
+            "perfbench/layers.py": entry in hooked,
+        }
+        named = [path for path in uses if path in reason]
+        assert named, f"{entry}: the reason names no file that uses it"
+        assert any(uses[path] for path in named), f"{entry}: unused in {', '.join(named)}"
+
+
+# -- dependencies --------------------------------------------------------------
+
+
+def test_engine_imports_only_stdlib_and_itself():
+    # pyproject.toml declares no dependencies, and an installed third-party
+    # package would let a stray import pass every other test
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.append((path.name, node.module))
+    assert found
+    outside = [
+        (module, name)
+        for module, name in found
+        if name.split(".")[0] != "gwtwist" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
