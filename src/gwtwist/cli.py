@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .errors import EngineError, Unsupported
 from .invariants import (
-    _normalize,
+    _apply,
+    _solve,
     aspinwall_morrison,
     n_numbers,
     serre_dual_pair,
@@ -146,8 +147,9 @@ def _run(g, args) -> int:
         series = i_function(g, args.max_degree)
         return _emit(args, _dump_json(qseries_to_obj(series)), 0)
     if args.cmd == "mirror-map":
-        # checked on the start-1 series itself, where the check is exact
-        m, _ = _normalize(g, args.max_degree, True)
+        # checked on the series it was solved on
+        m, S = _solve(g, args.max_degree)
+        _apply(S, m)
         return _emit(args, _dump_json(m.to_obj()), 0)
     if args.cmd == "invariants":
         text, code = _cmd_invariants(g, args)

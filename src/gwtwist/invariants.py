@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
+from .series import QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
@@ -40,52 +40,44 @@ def _require_nonneg(g: GeometrySpec) -> None:
         )
 
 
-def _normalize(g: GeometrySpec, max_degree: int, start_one: bool) -> tuple[MirrorMap, QSeries]:
-    """The pipeline's one change of variables: gate the geometry, read the
-    map off the start-1 series I', apply it once, to I' itself or to
-    ``i_function``, and refuse a result that is not normalized.  Returns the
-    map and the normalized series."""
+def _solve(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, QSeries]:
+    """Gate the geometry and read the change of variables off the start-1
+    series I'.  Returns the map and the series it was solved on: I', or,
+    where e(E_conc) = 0 and so I' = 1, the zero map and ``i_function``."""
     _require_nonneg(g)
-    space = g.space
     conc = g.concave_lines()
-    if not start_one and conc and euler_class(space, BundleSpec(conc)).is_zero:
-        # I' = 1, its beta != 0 terms all carrying the factor e(E_conc) = 0
-        m, S = MirrorMap.zero(space, max_degree), i_function(g, max_degree)
-    else:
-        I1 = i_prime(g, max_degree)
-        m = solve_mirror_map(I1, space.unit())
-        if start_one:
-            S = I1
-        elif conc:
-            if not m.is_zero:
-                # I starts at e(E), a total degree above its other terms, so
-                # only the zero map keeps it graded
-                moved = {b for f in (m.f0, m.string, *m.f1) for b in f.terms}
-                raise StructureViolation(
-                    "a concave bundle's series is normalized only under the zero map",
-                    beta=list(min(moved, key=_graded)),
-                )
-            S = i_function(g, max_degree)
-        else:
-            # e(E) I' is i_function exactly, without a second build
-            e = HbarLaurent(space, {0: euler_class(space, g.bundle)})
-            S = I1._new({b: hl * e for b, hl in I1.terms.items()})
+    if conc and euler_class(g.space, BundleSpec(conc)).is_zero:
+        return MirrorMap.zero(g.space, max_degree), i_function(g, max_degree)
+    S = i_prime(g, max_degree)
+    return solve_mirror_map(S, g.space.unit()), S
+
+
+def _apply(S: QSeries, m: MirrorMap) -> QSeries:
+    """Apply the map once and refuse a result with an hbar^0 or hbar^-1
+    layer at any curve class beta != 0."""
     T = apply_transform(S, m)
     for beta in T.curve_classes()[1:]:
         powers = T.term(beta).exponents()
         if 0 in powers or -1 in powers:
             raise StructureViolation("transformed series is not normalized", beta=list(beta))
-    return m, T
+    return T
 
 
 def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Run the pipeline on the twisted series: solve the transform, apply it
-    to ``i_function`` and check the result starts at e(E) with vanishing
-    hbar^0 and hbar^-1 layers.  A concave bundle with a non-zero map is
-    refused before ``i_function`` is built, with StructureViolation naming
-    the first curve class, in graded order, that a dial moves; its counts
-    come from the start-1 series (``n_numbers``)."""
-    return _normalize(g, max_degree, False)[1]
+    """The twisted series under the change of variables read off I': the
+    map applied to ``i_function``, checked to have vanishing hbar^0 and
+    hbar^-1 layers.  A concave bundle with a non-zero map is refused before
+    ``i_function`` is built, with StructureViolation naming the first curve
+    class, in graded order, that a dial moves: I starts at e(E), a total
+    degree above its other terms, so only the zero map keeps it graded."""
+    m, _ = _solve(g, max_degree)
+    if g.concave_lines() and not m.is_zero:
+        moved = {b for f in (m.f0, m.string, *m.f1) for b in f.terms}
+        raise StructureViolation(
+            "a concave bundle's series is normalized only under the zero map",
+            beta=list(min(moved, key=_graded)),
+        )
+    return _apply(i_function(g, max_degree), m)
 
 
 def _divide(a: CohClass, e: CohClass, beta) -> CohClass:
@@ -100,28 +92,28 @@ def _divide(a: CohClass, e: CohClass, beta) -> CohClass:
 def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     """Curve counts per curve class, from the hbar^{-2} layer.
 
-    Each count is the total-divisor pairing of the hbar^{-2} coefficient
-    a_2 of the normalized series, divided by the total degree of the class.
-    Where a concave summand has a non-zero Euler class e(E_conc), the
-    normalized series is the start-1 one and the pairing is with
-    e(E_conv) (a_2 / e(E_conc)): dividing first keeps the product below the
-    top degree, where multiplying first would overflow it.
+    The map is applied to the series it was solved on (``_solve``), and
+    N_beta = (integral of D e(E_conv) a_2) / |beta|, with a_2 its hbar^-2
+    coefficient and D the sum of the hyperplane classes.  For a convex
+    bundle that is the integral of D a_2 on the transformed e(E) I', the
+    transform commuting with a constant class.  Where a concave summand has
+    a non-zero Euler class e(E_conc), a_2 is first divided by it: dividing
+    first keeps the product below the top degree, where multiplying first
+    would overflow it.  Where e(E_conc) = 0 the series is ``i_function``
+    and, under the positivity gate, there is no convex summand.
     """
+    m, S = _solve(g, max_degree)
+    T = _apply(S, m)
     space = g.space
     conc = euler_class(space, BundleSpec(g.concave_lines()))
-    start_one = bool(g.concave_lines()) and not conc.is_zero
-    T = _normalize(g, max_degree, True)[1] if start_one else normalized_series(g, max_degree)
-    conv = euler_class(space, BundleSpec(g.convex_lines()))
-    divisor = space.divisor_sum()
+    divide = bool(g.concave_lines()) and not conc.is_zero
+    pairing = space.divisor_sum() * euler_class(space, BundleSpec(g.convex_lines()))
     out: dict = {}
-    for beta in T.curve_classes():
-        total = sum(beta)
-        if total == 0:
-            continue
+    for beta in T.curve_classes()[1:]:
         a = T.term(beta).coefficient(-2)
-        if start_one:
-            a = _divide(a, conc, beta) * conv
-        out[beta] = space.integrate(divisor * a) / total
+        if divide:
+            a = _divide(a, conc, beta)
+        out[beta] = space.integrate(pairing * a) / sum(beta)
     return out
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm, prod
+from numbers import Integral
 
 from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision
 
@@ -151,7 +152,8 @@ def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) ->
     dimension minus the integrand degree."""
     degree = ev_power + psi_power
     for l in lines:
-        l = int(l)
+        if not isinstance(l, Integral):
+            raise ValueError(f"twist {l!r} is not an integer")
         degree += l * d + 1 if l > 0 else -l * d - 1
     dimension = r + (r + 1) * d - 2
     if degree > dimension:
@@ -224,7 +226,6 @@ def localized_invariant(
         raise WeightCollision(f"need {r + 1} weights for P^{r}", got=len(weights))
     excess = _require_top_degree(r, d, lines, psi_power, ev_power)
     graphs = enumerate_graphs(r, d)
-    lines = [int(l) for l in lines]
     if graphs and 0 in lines:
         raise Unclassifiable("zero twist has no type")
     ws = [Fraction(weights[i]) for i in range(r + 1)]

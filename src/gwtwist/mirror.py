@@ -209,7 +209,7 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     handed over as a normal form: f1 + (div/g)(q e^{f1}) = 0,
     f0 = -log g(q e^{f1}) and string = -(s/g)(q e^{f1}).  A start other than 1
     gives the zero map or a refusal (see ``normal_form``).  The pipeline
-    applies the map once and checks the result (``invariants._normalize``).
+    applies the map once and checks the result (``invariants._apply``).
     """
     zero = ScalarQSeries.zero(S.space, S.max_degree)
     one = zero._like([_ONE] + zero.levels[1:])

@@ -52,6 +52,7 @@ from .ring import (
     _check_fields,
     _exact,
     _int_list,
+    _integer,
     _mul_table,
     coh_from_obj,
     coh_to_obj,
@@ -88,7 +89,7 @@ class HbarLaurent:
     def __init__(self, space: AmbientSpace, terms: dict):
         if any(cls.space != space for cls in terms.values()):
             raise SpaceMismatch("coefficient class on a different ambient space")
-        degrees = sorted({int(k) + j for k, cls in terms.items() for j in _degrees(cls)})
+        degrees = sorted({_integer(k) + j for k, cls in terms.items() for j in _degrees(cls)})
         if len(degrees) > 1:
             raise StructureViolation("hbar powers of mixed total degree", degrees=degrees)
         self.space = space
@@ -255,6 +256,18 @@ class _TruncatedSeries:
         if _degree(beta) > self.max_degree:
             raise ValueError(f"term {beta} beyond truncation degree {self.max_degree}")
 
+    def _held(self, beta) -> tuple:
+        """beta as a key; a class of the wrong length, with a negative or
+        non-integral entry, or beyond the truncation degree is refused.
+        An int entry skips the ABC check, as in ``ring._integer``."""
+        beta = tuple(beta)
+        if len(beta) != self.space.nfactors or not all(
+            (type(d) is int or isinstance(d, Integral)) and d >= 0 for d in beta
+        ):
+            raise ValueError(f"invalid curve class {beta} for {self.space}")
+        self._check_degree(beta)
+        return beta
+
     @property
     def zero_beta(self) -> tuple[int, ...]:
         return (0,) * self.space.nfactors
@@ -329,7 +342,7 @@ class QSeries(_TruncatedSeries):
         return not self.terms
 
     def term(self, beta) -> HbarLaurent:
-        return self.terms.get(tuple(beta), HbarLaurent.zero(self.space))
+        return self.terms.get(self._held(beta), HbarLaurent.zero(self.space))
 
     def __add__(self, other: "QSeries") -> "QSeries":
         self._check(other)
@@ -468,11 +481,10 @@ class ScalarQSeries(_TruncatedSeries):
         return self.coeff(self.zero_beta)
 
     def coeff(self, beta) -> Fraction:
-        beta = tuple(beta)
+        beta = self._held(beta)
         n = _degree(beta)
-        level = self.levels[n] if 0 <= n <= self.max_degree else None
-        i = _class_index(self.space.nfactors, n).get(beta) if level else None
-        return ZERO if i is None or not level[0][i] else Fraction(level[0][i], level[1])
+        x = self.levels[n] and self.levels[n][0][_class_index(self.space.nfactors, n)[beta]]
+        return Fraction(x, self.levels[n][1]) if x else ZERO
 
     def set_coeff(self, beta, value) -> "ScalarQSeries":
         terms = self.terms

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
 
 from .errors import SpaceMismatch, Unclassifiable, Unsupported
-from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, euler_class
+from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, _integer, euler_class
 from .series import (
     HbarLaurent,
     QSeries,
@@ -49,7 +49,7 @@ def classify(l) -> str:
     product ambient such a summand is neither globally generated nor without
     sections on every curve, so no finite product formula applies.
     """
-    l = tuple(int(x) for x in l)
+    l = tuple(_integer(x) for x in l)
     if all(x == 0 for x in l):
         raise Unclassifiable("zero multidegree has no type", multidegree=list(l))
     if all(x >= 0 for x in l):
@@ -295,7 +295,7 @@ def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     Convex summands multiply (c1 + k*hbar) for k = 0..<c1,beta>; concave ones
     for k = <c1,beta>+1..-1.  An empty range gives 1.
     """
-    l = tuple(int(x) for x in l)
+    l = tuple(_integer(x) for x in l)
     beta = space.check_curve_class(beta)
     return _twist_table(space, l)(_pairing(l, beta))
 

@@ -1,6 +1,7 @@
 import json
 import os
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -16,12 +17,17 @@ from gwtwist import (
     TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
+    check_conditions,
+    euler_class,
     geometry_from_obj,
+    i_function,
+    i_prime,
     j_ambient,
     n_numbers,
     normalized_series,
     qseries_to_obj,
     serre_dual_pair,
+    solve_mirror_map,
     solve_serre_factor,
 )
 from gwtwist import invariants
@@ -77,9 +83,10 @@ def test_local_p1_counts_do_not_build_the_start_one_series(monkeypatch):
     N = n_numbers(LOCAL_P1, 10)
     assert calls == []
     assert [N[(d,)] for d in range(1, 11)] == [Fraction(1, d**3) for d in range(1, 11)]
-    # mirror-map reads the map off I' itself
-    m, _ = invariants._normalize(LOCAL_P1, 3, True)
-    assert calls == [1]
+    # mirror-map makes the same two calls, so it does not build I' either
+    m, S = invariants._solve(LOCAL_P1, 3)
+    invariants._apply(S, m)
+    assert calls == []
     assert m.is_zero
 
 
@@ -170,6 +177,84 @@ def test_multiple_cover_gate_product_ambient():
     g = GeometrySpec(sp, BundleSpec(((1, 0),)))
     with pytest.raises(Unsupported):
         aspinwall_morrison(g, {})
+
+
+@pytest.mark.parametrize(
+    "factors, lines",
+    [
+        ((4,), ((5,),)),
+        ((2, 2), ((3, 3),)),
+        ((2,), ((-3,),)),
+        ((4,), ((2,), (2,), (-1,))),
+        ((4,), ((1,),)),
+    ],
+    ids=["quintic", "bicubic", "K_P2", "P4 O(2)+O(2)+O(-1)", "P4 O(1)"],
+)
+def test_counts_transform_the_series_the_map_is_solved_on(monkeypatch, factors, lines):
+    built, transformed, detours = [], [], []
+    build, apply = invariants.i_prime, invariants.apply_transform
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def applying(S, m):
+        transformed.append(S)
+        return apply(S, m)
+
+    monkeypatch.setattr(invariants, "i_prime", building)
+    monkeypatch.setattr(invariants, "apply_transform", applying)
+    monkeypatch.setattr(invariants, "normalized_series", lambda *args: detours.append(args))
+    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), 3)
+    assert len(built) == 1
+    assert len(transformed) == 1 and transformed[0] is built[0]
+    assert detours == []
+
+
+def _counts_via_euler_times_i_prime(g, D):
+    """Counts by the former route: the map read off I' and applied to
+    e(E) I' for a convex bundle, to I' where e(E_conc) != 0 (then
+    N = integral of D e(E_conv) (a_2 / e(E_conc))), and the zero map applied
+    to i_function where e(E_conc) = 0."""
+    space = g.space
+    conc = euler_class(space, BundleSpec(g.concave_lines()))
+    if g.concave_lines() and conc.is_zero:
+        m, S = MirrorMap.zero(space, D), i_function(g, D)
+    else:
+        I1 = i_prime(g, D)
+        m, S = solve_mirror_map(I1, space.unit()), I1
+        if not g.concave_lines():
+            e = HbarLaurent(space, {0: euler_class(space, g.bundle)})
+            S = QSeries(space, D, {b: hl * e for b, hl in I1.terms.items()})
+    T = apply_transform(S, m)
+    out = {}
+    for beta in T.curve_classes()[1:]:
+        a = T.term(beta).coefficient(-2)
+        if g.concave_lines() and not conc.is_zero:
+            a = invariants._divide(a, conc, beta) * euler_class(space, BundleSpec(g.convex_lines()))
+        out[beta] = space.integrate(space.divisor_sum() * a) / sum(beta)
+    return out
+
+
+def test_counts_match_the_euler_times_i_prime_route():
+    # the transform commutes with multiplying by the constant class e(E), so
+    # pairing a_2 of the transformed I' with D e(E_conv) gives the same counts
+    count = 0
+    for r in range(1, 7):
+        for rank in range(1, 4):
+            for lines in combinations_with_replacement((-3, -2, -1, 1, 2, 3, 4, 5), rank):
+                g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
+                if check_conditions(g).all_nonneg:
+                    count += 1
+                    assert n_numbers(g, 3) == _counts_via_euler_times_i_prime(g, 3), g
+    assert count == 272
+    for factors, lines, D in [
+        ((2, 2), ((3, 3),), 4),
+        ((2, 1, 1), ((3, 2, 2),), 3),
+        ((1, 1), ((2, 1),), 4),
+    ]:
+        g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+        assert n_numbers(g, D) == _counts_via_euler_times_i_prime(g, D), g
 
 
 def test_every_pipeline_path_checks_the_normalized_series(monkeypatch, tmp_path, capsys):

@@ -270,14 +270,14 @@ def test_pipeline_series_have_one_degree_part_per_class(monkeypatch, factors, li
     I1 = i_prime(g, D)
     _assert_one_part_per_class(g, I1)
     normalized = []
-    normalize = invariants._normalize
+    apply = invariants._apply
 
     def capture(*args):
-        out = normalize(*args)
-        normalized.append(out[1])
+        out = apply(*args)
+        normalized.append(out)
         return out
 
-    monkeypatch.setattr(invariants, "_normalize", capture)
+    monkeypatch.setattr(invariants, "_apply", capture)
     n_numbers(g, D)
     [T] = normalized
     assert len(T.terms) >= D

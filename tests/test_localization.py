@@ -414,3 +414,11 @@ def test_oracle_imports_only_errors_and_stdlib():
             assert (level, name) == (1, "errors")
         else:
             assert name.split(".")[0] in sys.stdlib_module_names, name
+
+
+def test_non_integral_twist_refused():
+    # truncation would read O(-1.5) as O(-1), the local P1's twist
+    with pytest.raises(ValueError, match=r"-1\.5 is not an integer"):
+        localization._require_top_degree(1, 1, (-1.5, -1), 0, 1)
+    with pytest.raises(ValueError, match=r"-1\.0 is not an integer"):
+        localized_invariant(1, 1, (-1, -1.0), 0, 1, W2)

@@ -32,6 +32,7 @@ ALLOWED_UNUSED = {
     "lift": "imported by tests/test_acceptance.py, which is kept unedited",
     "z_from_log": "imported by tests/test_acceptance.py, which is kept unedited",
     "z_closed_form": "imported by tests/test_acceptance.py, which is kept unedited",
+    "normalized_series": "imported by tests/test_acceptance.py, which is kept unedited",
     "h_factor": "a target of the benchmark's tracer hooks (perfbench/layers.py)",
     "invert_substitution": "a target of the benchmark's tracer hooks (perfbench/layers.py)",
 }

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -284,3 +285,19 @@ def test_floats_refused():
     assert CohClass(sp, [1, "1/10"]) == CohClass(sp, [Fraction(1), Fraction(1, 10)])
     assert sp.unit().scale("1/10") == sp.unit().scale(Fraction(1, 10))
     assert sp.unit().scale(Fraction(1, 10)).scalar_part == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: AmbientSpace((4.7,)), "4.7"),
+        (lambda: AmbientSpace(("3",)), "'3'"),
+        (lambda: BundleSpec(((5.2,),)), "5.2"),
+        (lambda: AmbientSpace((1,)).monomial((Fraction(1, 2),)), "Fraction(1, 2)"),
+    ],
+    ids=["factor", "factor-string", "bundle", "monomial"],
+)
+def test_non_integers_refused_not_truncated(build, value):
+    # truncation would read 4.7 as P4, "3" as P3, 5.2 as O(5) and 1/2 as the exponent 0
+    with pytest.raises(ValueError, match=re.escape(f"{value} is not an integer")):
+        build()

@@ -145,11 +145,13 @@ def test_floats_refused_by_the_series():
             lambda: ScalarQSeries(P1, 2).set_coeff((Fraction(3, 2),), 1),
             "invalid curve class (Fraction(3, 2),)",
         ),
+        (lambda: HbarLaurent(P1, {0.5: P1.unit()}), "0.5 is not an integer"),
     ],
-    ids=["class", "truncation", "h_factor", "integral-float", "set_coeff"],
+    ids=["class", "truncation", "h_factor", "integral-float", "set_coeff", "hbar-power"],
 )
 def test_non_integral_degrees_refused(build, message):
-    # they were truncated to the integer below, (1.7,) stored as (1,)
+    # they were truncated to the integer below, (1.7,) stored as (1,) and
+    # hbar^0.5 read as hbar^0
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
 
@@ -794,3 +796,24 @@ def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
     monkeypatch.undo()
     assert 0 < len(calls) <= 66
     assert g1 == _reference_invert_substitution(f1)
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ((1, 2), "invalid curve class (1, 2)"),
+        ((-1,), "invalid curve class (-1,)"),
+        ((1.0,), "invalid curve class (1.0,)"),
+        ((7,), "term (7,) beyond truncation degree 3"),
+    ],
+    ids=["length", "negative", "non-integral", "beyond-D"],
+)
+def test_lookup_refuses_a_class_the_series_cannot_hold(beta, message):
+    # such a class must not read as a held class with no term, 0
+    scalar = ScalarQSeries(P1, 3, {(1,): 2})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scalar.coeff(beta)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QSeries.unit(P1, 3).term(beta)
+    assert scalar.coeff((1,)) == 2 and scalar.coeff((3,)) == 0
+    assert QSeries.unit(P1, 3).term((3,)) == HbarLaurent.zero(P1)

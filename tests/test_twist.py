@@ -22,6 +22,7 @@ from gwtwist import (
     i_function,
     i_prime,
     j_ambient,
+    n_numbers,
     qseries_to_obj,
     serre_dual_pair,
 )
@@ -444,3 +445,19 @@ def test_start_one_series_builds_one_class_per_term(monkeypatch, factors, lines,
     assert len(built) <= most
     assert laurent == []
     assert S == _reference_start_one(g, D, False)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: classify((1.5,)), lambda: h_factor(P1, (1.5,), (1,))],
+    ids=["classify", "h_factor"],
+)
+def test_non_integral_multidegree_refused(build):
+    # truncation would read O(1.5) as O(1)
+    with pytest.raises(ValueError, match=r"1\.5 is not an integer"):
+        build()
+
+
+def test_non_integral_geometry_is_not_read_as_the_quintic():
+    with pytest.raises(ValueError, match=r"4\.7 is not an integer"):
+        n_numbers(GeometrySpec(AmbientSpace((4.7,)), BundleSpec(((5.2,),))), 1)
