@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
+from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
     CONVEX,
     GeometrySpec,
@@ -24,7 +24,6 @@ from .twist import (
     _prime_table,
     _twisted,
     check_conditions,
-    classify,
     i_function,
     i_prime,
 )
@@ -56,8 +55,9 @@ def _apply(S: QSeries, m: MirrorMap) -> QSeries:
     """Apply the map once and refuse a result with an hbar^0 or hbar^-1
     layer at any curve class beta != 0."""
     T = apply_transform(S, m)
+    zero = HbarLaurent.zero(T.space)
     for beta in T.curve_classes()[1:]:
-        powers = T.term(beta).exponents()
+        powers = T.terms.get(beta, zero).exponents()
         if 0 in powers or -1 in powers:
             raise StructureViolation("transformed series is not normalized", beta=list(beta))
     return T
@@ -108,9 +108,10 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     conc = euler_class(space, BundleSpec(g.concave_lines()))
     divide = bool(g.concave_lines()) and not conc.is_zero
     pairing = space.divisor_sum() * euler_class(space, BundleSpec(g.convex_lines()))
+    zero = HbarLaurent.zero(space)
     out: dict = {}
     for beta in T.curve_classes()[1:]:
-        a = T.term(beta).coefficient(-2)
+        a = T.terms.get(beta, zero).coefficient(-2)
         if divide:
             a = _divide(a, conc, beta)
         out[beta] = space.integrate(pairing * a) / sum(beta)
@@ -125,11 +126,7 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
     """
     if g.space.nfactors != 1:
         raise Unsupported("multiple-cover inversion needs a single-factor ambient")
-    r = g.space.factors[0]
-    kinds = [classify(l) for l in g.bundle.lines]
-    n_convex = sum(1 for k in kinds if k == CONVEX)
-    n_concave = len(kinds) - n_convex
-    dim = r - n_convex + n_concave
+    dim = g.space.factors[0] - len(g.convex_lines()) + len(g.concave_lines())
     if dim != 3:
         raise Unsupported(
             "multiple-cover inversion needs expected dimension 3", dimension=dim
@@ -186,11 +183,11 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     """
     _require_nonneg(g)
     space = g.space
-    if any(classify(l) != CONVEX for l in g.bundle.lines):
+    if g.concave_lines():
         raise Unsupported("dual pair construction needs a convex bundle")
     J = _ambient_series(g, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
-    prime = [(l, _prime_table(space, l)) for l in g.bundle.lines]
+    prime = [(l, _prime_table(space, l, CONVEX)) for l in g.bundle.lines]
     # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
     dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]
     return SerrePair(
@@ -249,18 +246,17 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     m, ratio = _solve_relative_map(pair.i_prime, pair.i_prime_dual.scale(pair.sign))
     current = apply_transform(pair.i_prime, m).scale(pair.sign)
     residual = pair.i_prime_dual - current
-    for beta in residual.curve_classes():
-        R = residual.term(beta)
-        if not R.is_zero:
-            raise Infeasible(
-                "dual factorization obstructed",
-                first_obstructed_degree=sum(beta),
-                beta=list(beta),
-                residual=[
-                    {"pow": e, "class": [format_fraction(c) for c in cls.coeffs]}
-                    for e, cls in sorted(R.terms.items())
-                ],
-            )
+    if not residual.is_zero:
+        beta = min(residual.terms, key=_graded)
+        raise Infeasible(
+            "dual factorization obstructed",
+            first_obstructed_degree=sum(beta),
+            beta=list(beta),
+            residual=[
+                {"pow": e, "class": [format_fraction(c) for c in cls.coeffs]}
+                for e, cls in sorted(residual.terms[beta].terms.items())
+            ],
+        )
     # the reported map carries f1 alone; phi and string are reported apart
     dials = MirrorMap(f0=ScalarQSeries.zero(space, D), f1=m.f1)
     return SerreFactorSolution(

@@ -33,7 +33,6 @@ from .series import (
     QSeries,
     ScalarQSeries,
     _check_dials,
-    _check_substitution,
     _invert_with_factors,
     compose_substitute,
     qs_exp,
@@ -114,7 +113,7 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
     space, D = S.space, S.max_degree
     if start.space != space:
         raise SpaceMismatch("start class on a different ambient space")
-    if S.term(S.zero_beta) != HbarLaurent(space, {0: start}):
+    if S.terms.get(S.zero_beta, HbarLaurent.zero(space)) != HbarLaurent(space, {0: start}):
         raise StructureViolation(
             "series does not start at the given class", beta=[0] * space.nfactors
         )
@@ -166,15 +165,14 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     in one pass and applied with one product; it is a finite sum because its
     exponent has no q = 0 term, built as one class per curve class from the
     dials' numerators.  A solved map's exp(beta . f1) factors are
-    read off its solve's table.  Dials on another space or degree are refused;
-    the zero map returns S itself.
+    read off its solve's table.  Dials on another space or degree are
+    refused (f1 by ``qs_substitute``); the zero map returns S itself.
     """
     space, D = S.space, S.max_degree
-    _check_substitution(space, D, list(m.f1))
+    result = qs_substitute(S, list(m.f1), m._factors)
     _check_dials(space, D, [m.f0, m.string])
     if m.is_zero:
         return S
-    result = qs_substitute(S, list(m.f1), m._factors)
     n = space.nfactors
     size = len(space.basis)
     slots = [0] + _hyperplane_slots(space)

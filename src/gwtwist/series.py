@@ -257,14 +257,11 @@ class _TruncatedSeries:
             raise ValueError(f"term {beta} beyond truncation degree {self.max_degree}")
 
     def _held(self, beta) -> tuple:
-        """beta as a key; a class of the wrong length, with a negative or
-        non-integral entry, or beyond the truncation degree is refused.
-        An int entry skips the ABC check, as in ``ring._integer``."""
-        beta = tuple(beta)
-        if len(beta) != self.space.nfactors or not all(
-            (type(d) is int or isinstance(d, Integral)) and d >= 0 for d in beta
-        ):
-            raise ValueError(f"invalid curve class {beta} for {self.space}")
+        """beta as a key for the public readers and writers of one term:
+        checked by ``AmbientSpace.check_curve_class`` and refused beyond the
+        truncation degree.  Engine code reads ``terms`` or ``levels`` at the
+        classes of its own enumeration instead."""
+        beta = self.space.check_curve_class(beta)
         self._check_degree(beta)
         return beta
 
@@ -478,7 +475,8 @@ class ScalarQSeries(_TruncatedSeries):
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeff(self.zero_beta)
+        lv = self.levels[0]
+        return Fraction(lv[0][0], lv[1]) if lv else ZERO
 
     def coeff(self, beta) -> Fraction:
         beta = self._held(beta)
@@ -488,7 +486,7 @@ class ScalarQSeries(_TruncatedSeries):
 
     def set_coeff(self, beta, value) -> "ScalarQSeries":
         terms = self.terms
-        terms[self.space.check_curve_class(beta)] = value
+        terms[self._held(beta)] = value
         return ScalarQSeries(self.space, self.max_degree, terms)
 
     # -- arithmetic ----------------------------------------------------------
@@ -690,9 +688,10 @@ def hl_from_obj(space: AmbientSpace, obj, field: str = "hbar") -> HbarLaurent:
 def qseries_to_obj(S: QSeries) -> dict:
     """Terms in graded-lex order; the beta = 0 entry is written even when zero."""
     betas = sorted(S.terms.keys() | {S.zero_beta}, key=_graded)
+    zero = HbarLaurent.zero(S.space)
     return {
         "D": S.max_degree,
-        "terms": [{"beta": list(beta), "hbar": hl_to_obj(S.term(beta))} for beta in betas],
+        "terms": [{"beta": list(b), "hbar": hl_to_obj(S.terms.get(b, zero))} for b in betas],
     }
 
 

@@ -68,10 +68,11 @@ class GeometrySpec:
     the ambient, each classifies cleanly, concave summands only appear over a
     single projective space, and an external J starts with the unit class
     and is graded as the closed form is: J_beta has total degree
-    -sum_i (r_i + 1) beta_i.
+    -sum_i (r_i + 1) beta_i.  The summands are classified here only; the
+    kinds are kept, one per summand, and everything downstream reads them.
     """
 
-    __slots__ = ("space", "bundle", "external_j")
+    __slots__ = ("space", "bundle", "external_j", "_kinds")
 
     def __init__(
         self,
@@ -101,12 +102,13 @@ class GeometrySpec:
         self.space = space
         self.bundle = bundle
         self.external_j = external_j
+        self._kinds = tuple(kinds)
 
     def convex_lines(self):
-        return tuple(l for l in self.bundle.lines if classify(l) == CONVEX)
+        return tuple(l for l, k in zip(self.bundle.lines, self._kinds) if k == CONVEX)
 
     def concave_lines(self):
-        return tuple(l for l in self.bundle.lines if classify(l) == CONCAVE)
+        return tuple(l for l, k in zip(self.bundle.lines, self._kinds) if k == CONCAVE)
 
     def __eq__(self, other) -> bool:
         return (
@@ -216,27 +218,28 @@ def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
     return row
 
 
-def _twist_table(space: AmbientSpace, l):
-    """Return n -> H(L) at pairing n = <L, beta> for one classified summand.
+def _twist_table(space: AmbientSpace, l, kind: str):
+    """Return n -> H(L) at pairing n = <L, beta> for one summand of ``kind``.
 
     Convex: H[n] = prod_{k=0}^{n} (c1 + k hbar), so H[0] = c1 and
     H[n] = H[n-1] (c1 + n hbar).  Concave: H[n] = prod_{k=n+1}^{-1}
     (c1 + k hbar), so H[0] = H[-1] = 1 and H[n] = H[n+1] (c1 + (n+1) hbar).
     """
     c1 = space.divisor(l)
-    if classify(l) == CONVEX:
+    if kind == CONVEX:
         row = _linear_products(space, c1, 0, 1)
         return lambda n: row(n + 1)
     row = _linear_products(space, c1, -1, -1)
     return lambda n: row(max(-n - 1, 0))
 
 
-def _prime_table(space: AmbientSpace, l):
-    """Return n -> the start-1 factor of one summand at pairing n = <L, beta>:
-    prod_{k=1}^{n} (c1 + k hbar) if convex, and prod_{k=n+1}^{0} (c1 + k hbar),
-    the k = 0 factor c1 included, if concave (where n < 0 for beta != 0)."""
+def _prime_table(space: AmbientSpace, l, kind: str):
+    """Return n -> the start-1 factor of a summand of ``kind`` at pairing
+    n = <L, beta>: prod_{k=1}^{n} (c1 + k hbar) if convex, and
+    prod_{k=n+1}^{0} (c1 + k hbar), the k = 0 factor c1 included, if concave
+    (where n < 0 for beta != 0)."""
     c1 = space.divisor(l)
-    if classify(l) == CONVEX:
+    if kind == CONVEX:
         return _linear_products(space, c1, 1, 1)
     row = _linear_products(space, c1, 0, -1)
     return lambda n: row(-n)
@@ -297,7 +300,7 @@ def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     """
     l = tuple(_integer(x) for x in l)
     beta = space.check_curve_class(beta)
-    return _twist_table(space, l)(_pairing(l, beta))
+    return _twist_table(space, l, classify(l))(_pairing(l, beta))
 
 
 def _twisted(J: QSeries, tables, start: CohClass) -> QSeries:
@@ -307,10 +310,11 @@ def _twisted(J: QSeries, tables, start: CohClass) -> QSeries:
     space = J.space
     terms = {J.zero_beta: HbarLaurent(space, {0: start})}
     for beta in J.curve_classes()[1:]:
-        hl = J.term(beta)
-        for l, table in tables:
-            hl = hl * table(_pairing(l, beta))
-        terms[beta] = hl
+        hl = J.terms.get(beta)
+        if hl is not None:
+            for l, table in tables:
+                hl = hl * table(_pairing(l, beta))
+            terms[beta] = hl
     return J._new(terms)
 
 
@@ -327,7 +331,7 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     costs one class product per curve class and summand.
     """
     space = g.space
-    tables = [(l, _twist_table(space, l)) for l in g.bundle.lines]
+    tables = [(l, _twist_table(space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
     return _twisted(_ambient_series(g, max_degree), tables, euler_class(space, g.bundle))
 
 
@@ -336,7 +340,7 @@ def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
     times each summand's ``_prime_table`` factor for beta != 0.  Without
     concave summands, e(E) I' is ``i_function`` exactly."""
     space = g.space
-    tables = [(l, _prime_table(space, l)) for l in g.bundle.lines]
+    tables = [(l, _prime_table(space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
     return _twisted(_ambient_series(g, max_degree), tables, space.unit())
 
 

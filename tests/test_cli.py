@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import gwtwist
-from gwtwist import AmbientSpace, QSeries, j_ambient, qseries_to_obj
+from gwtwist import AmbientSpace, GeometrySpec, QSeries, j_ambient, qseries_to_obj, series
 from gwtwist.cli import main
+from test_mirror import _counting_classify
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUINTIC = os.path.join(_ROOT, "geometries", "quintic.json")
@@ -473,3 +474,32 @@ def test_valid_external_j_still_loads(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
     assert rc == 0
     assert json.loads(out) == {"theorem1_nonneg": [True], "theorem2_case": None}
+
+
+def test_cli_pass_checks_each_class_and_summand_once(monkeypatch, capsys):
+    # the engine reads the series it built without re-checking a curve
+    # class, and the summand kinds GeometrySpec keeps without classifying
+    # again; re-checking made 428 _held calls and 476 other classify calls
+    held = []
+    check = series._TruncatedSeries._held
+
+    def counting(self, beta):
+        held.append(beta)
+        return check(self, beta)
+
+    monkeypatch.setattr(series._TruncatedSeries, "_held", counting)
+    kinds = _counting_classify(monkeypatch)
+    paths = sorted(os.listdir(os.path.join(_ROOT, "geometries")))
+    paths = [os.path.join(_ROOT, "geometries", p) for p in paths]
+    paths.append(os.path.join(_ROOT, "perfbench", "geometries", "p1-o1.json"))
+    codes = {}
+    for path in paths:
+        for cmd in ("check", "ifun", "mirror-map", "invariants", "serre"):
+            rc = main(["--geometry", path, "--cmd", cmd, "--max-degree", "4"])
+            codes.setdefault(cmd, set()).add(rc)
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert held == []
+    assert kinds and set(kinds) == {GeometrySpec.__init__.__code__}
+    # serre refuses the concave bundles and reports the P3 obstruction
+    assert codes == {"check": {0}, "ifun": {0}, "mirror-map": {0}, "invariants": {0}, "serre": {0, 1}}

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from gwtwist import (
     z_closed_form,
     z_from_log,
 )
-from gwtwist import series
+from gwtwist import series, twist
 from gwtwist.ring import coh_to_obj
 from gwtwist.series import HbarLaurent, compose_substitute
 from gwtwist.twist import _combined_degrees
@@ -282,11 +283,36 @@ def test_substitution_sums_hold_one_numerator_list(monkeypatch, factors, lines, 
     assert out == qs_substitute(S, list(m.f1))
 
 
-@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
+def _counting_classify(monkeypatch) -> list:
+    """Replace ``twist.classify`` in every gwtwist module that binds it by
+    a wrapper that records, per call, the code of the function calling it
+    (a comprehension's own frame skipped); return the record."""
+    calls = []
+    classify = twist.classify
+
+    def counting(l):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        calls.append(frame.f_code)
+        return classify(l)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gwtwist" and getattr(module, "classify", None) is classify:
+            monkeypatch.setattr(module, "classify", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "factors,lines,D",
+    [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5), ((1,), ((-1,), (-1,)), 10)],
+)
 def test_n_numbers_checks_no_curve_class_it_builds(monkeypatch, factors, lines, D):
-    # the ambient series, the twisted series and e(E) I' take their classes
-    # from the engine's own enumeration; checking each key again made 39 and
-    # 63 calls here
+    # the engine reads the series it built at classes of its own
+    # enumeration, and the summand kinds GeometrySpec keeps; re-checking
+    # made 40, 65 and 33 curve-class checks here and re-classifying 9, 11
+    # and 18 classify calls
+    g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
     calls = []
     check = AmbientSpace.check_curve_class
 
@@ -295,9 +321,10 @@ def test_n_numbers_checks_no_curve_class_it_builds(monkeypatch, factors, lines, 
         return check(self, beta)
 
     monkeypatch.setattr(AmbientSpace, "check_curve_class", counting)
-    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), D)
+    kinds = _counting_classify(monkeypatch)
+    n_numbers(g, D)
     monkeypatch.undo()
-    assert calls == []
+    assert calls == [] and kinds == []
 
 
 def test_solve_builds_fractions_only_for_its_output(monkeypatch):

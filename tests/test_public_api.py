@@ -11,8 +11,9 @@ loads an attribute of that name outside the method's own definition.  The
 receiver's type is not known statically, so a method that shares its name
 with one in use elsewhere (``scale``, ``zero``) always counts as used.
 
-The package also keeps its promise of no dependencies: its modules import
-only the standard library and ``gwtwist`` itself.
+Only ``gwtwist.twist`` classifies bundle summands.  The package also keeps
+its promise of no dependencies: its modules import only the standard
+library and ``gwtwist`` itself.
 """
 
 import ast
@@ -203,6 +204,23 @@ def test_every_allowlist_entry_is_used_by_a_file_its_reason_names():
         named = [path for path in uses if path in reason]
         assert named, f"{entry}: the reason names no file that uses it"
         assert any(uses[path] for path in named), f"{entry}: unused in {', '.join(named)}"
+
+
+# -- one classification --------------------------------------------------------
+
+
+def test_only_the_twist_module_classifies():
+    # GeometrySpec classifies each summand once and keeps the kinds; every
+    # other module reads them through it
+    loaders = sorted(
+        path.stem
+        for path in SRC.glob("*.py")
+        if any(
+            isinstance(node, ast.Name) and node.id == "classify" and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert loaders == ["twist"]
 
 
 # -- dependencies --------------------------------------------------------------

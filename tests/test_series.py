@@ -801,19 +801,29 @@ def test_single_factor_inversion_convolves_once_per_factor_level(monkeypatch):
 @pytest.mark.parametrize(
     "beta, message",
     [
-        ((1, 2), "invalid curve class (1, 2)"),
-        ((-1,), "invalid curve class (-1,)"),
-        ((1.0,), "invalid curve class (1.0,)"),
+        ((1, 2), "invalid curve class (1, 2) for"),
+        ((-1,), "invalid curve class (-1,) for"),
+        ((1.0,), "invalid curve class (1.0,) for"),
+        (("1",), "invalid curve class ('1',) for"),
         ((7,), "term (7,) beyond truncation degree 3"),
     ],
-    ids=["length", "negative", "non-integral", "beyond-D"],
+    ids=["length", "negative", "non-integral", "string", "beyond-D"],
 )
 def test_lookup_refuses_a_class_the_series_cannot_hold(beta, message):
-    # such a class must not read as a held class with no term, 0
+    # such a class must not read as a held class with no term, 0; the
+    # readers and the writer of one term refuse it through the one
+    # validator, AmbientSpace.check_curve_class, which knows no degree D
     scalar = ScalarQSeries(P1, 3, {(1,): 2})
-    with pytest.raises(ValueError, match=re.escape(message)):
-        scalar.coeff(beta)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        QSeries.unit(P1, 3).term(beta)
+    refusals = [scalar.coeff, QSeries.unit(P1, 3).term, lambda b: scalar.set_coeff(b, 1)]
+    if "beyond" in message:
+        assert P1.check_curve_class(beta) == beta
+    else:
+        refusals.append(P1.check_curve_class)
+    messages = set()
+    for refuse in refusals:
+        with pytest.raises(ValueError) as exc:
+            refuse(beta)
+        messages.add(str(exc.value))
+    assert len(messages) == 1 and messages.pop().startswith(message)
     assert scalar.coeff((1,)) == 2 and scalar.coeff((3,)) == 0
     assert QSeries.unit(P1, 3).term((3,)) == HbarLaurent.zero(P1)
