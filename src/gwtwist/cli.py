@@ -31,148 +31,123 @@ from .ring import format_fraction
 from .series import qseries_to_obj
 from .twist import check_conditions, geometry_from_obj, i_function
 
-COMMANDS = ("check", "ifun", "mirror-map", "invariants", "serre", "oracle", "verify")
+
+# Each command returns its JSON-ready report, its TSV lines (None when it has
+# no TSV form) and its exit code; _run renders, prints and writes it.
+def _check(g, args):
+    return check_conditions(g).to_obj(), None, 0
 
 
-def _load_geometry(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return geometry_from_obj(obj)
+def _ifun(g, args):
+    return qseries_to_obj(i_function(g, args.max_degree)), None, 0
 
 
-def _beta_label(beta) -> str:
-    if len(beta) == 1:
-        return str(beta[0])
-    return ",".join(str(d) for d in beta)
+def _mirror_map(g, args):
+    # checked on the series it was solved on
+    m, S = _solve(g, args.max_degree)
+    _apply(S, m)
+    return m.to_obj(), None, 0
 
 
-def _invariant_rows(g, max_degree: int):
-    N = n_numbers(g, max_degree)
+def _invariants(g, args):
+    N = n_numbers(g, args.max_degree)
     try:
         n_int = aspinwall_morrison(g, N)
     except Unsupported:
         n_int = None
-    rows = []
-    for beta, value in N.items():
-        row = {
-            "degree": _beta_label(beta),
+    rows = [
+        {
+            "degree": ",".join(map(str, beta)),
             "N": format_fraction(value),
-            "n": None,
+            "n": None if n_int is None else format_fraction(n_int[beta[0]]),
         }
-        if n_int is not None:
-            row["n"] = format_fraction(n_int[beta[0]])
-        rows.append(row)
-    return rows
+        for beta, value in N.items()
+    ]
+    tsv = ["degree\tN\tn"] + [f"{row['degree']}\t{row['N']}\t{row['n'] or '-'}" for row in rows]
+    return {"D": args.max_degree, "rows": rows}, tsv, 0
 
 
-def _cmd_invariants(g, args):
-    rows = _invariant_rows(g, args.max_degree)
-    if args.format == "tsv":
-        lines = ["degree\tN\tn"]
-        for row in rows:
-            lines.append(
-                "\t".join([row["degree"], row["N"], row["n"] if row["n"] else "-"])
-            )
-        return "\n".join(lines) + "\n", 0
-    return _dump_json({"D": args.max_degree, "rows": rows}), 0
+def _serre(g, args):
+    pair = serre_dual_pair(g, args.max_degree)
+    return {"sign": pair.sign, **solve_serre_factor(pair).to_obj()}, None, 0
 
 
-def _cmd_verify(g, args):
+def _oracle_draws(g, args, refusal: str):
+    """The single factor r, the summand degrees, and the lazy oracle draws
+    (d, value, formatted weights) for d <= min(2, D); a product ambient is
+    refused with ``refusal`` at once."""
     if g.space.nfactors != 1:
-        raise Unsupported("verification runs over a single projective space")
-    top = min(2, args.max_degree)
+        raise Unsupported(refusal)
+    r, lines = g.space.factors[0], tuple(l[0] for l in g.bundle.lines)
+
+    def draws():
+        for d in range(1, min(2, args.max_degree) + 1):
+            value, weights = oracle_n_value(r, d, lines, seed=args.seed)
+            yield d, value, [format_fraction(w) for w in weights.values]
+
+    return r, lines, draws()
+
+
+def _oracle(g, args):
+    r, lines, draws = _oracle_draws(
+        g, args, "the fixed-point oracle runs over a single projective space"
+    )
+    reports = [
+        {
+            "geometry": {"ambient": [r], "bundle": [{"l": [l]} for l in lines]},
+            "d": d,
+            "value": format_fraction(value),
+            "weights_used": weights,
+            "graphs_evaluated": _graph_count(r, d),
+        }
+        for d, value, weights in draws
+    ]
+    return {"seed": args.seed, "reports": reports}, None, 0
+
+
+def _verify(g, args):
+    _, _, draws = _oracle_draws(g, args, "verification runs over a single projective space")
     # counts are truncation-stable, so the compared degrees are enough
-    pipeline = n_numbers(g, top)
-    lines = tuple(l[0] for l in g.bundle.lines)
-    rows = []
-    status = "MATCH"
-    for d in range(1, top + 1):
-        engine_value = pipeline[(d,)]
-        oracle_value, weights = oracle_n_value(
-            g.space.factors[0], d, lines, seed=args.seed
-        )
-        ok = engine_value == oracle_value
-        if not ok:
-            status = "MISMATCH"
-        rows.append(
-            {
-                "d": d,
-                "pipeline": format_fraction(engine_value),
-                "oracle": format_fraction(oracle_value),
-                "weights": [format_fraction(w) for w in weights.values],
-                "match": ok,
-            }
-        )
-    if args.format == "tsv":
-        out = ["d\tpipeline\toracle\tmatch"]
-        for row in rows:
-            out.append(
-                f"{row['d']}\t{row['pipeline']}\t{row['oracle']}\t{row['match']}"
-            )
-        out.append(status)
-        return "\n".join(out) + "\n", 0 if status == "MATCH" else 1
-    payload = {"status": status, "D": args.max_degree, "rows": rows}
-    return _dump_json(payload), 0 if status == "MATCH" else 1
+    pipeline = n_numbers(g, min(2, args.max_degree))
+    rows = [
+        {
+            "d": d,
+            "pipeline": format_fraction(pipeline[(d,)]),
+            "oracle": format_fraction(value),
+            "weights": weights,
+            "match": pipeline[(d,)] == value,
+        }
+        for d, value, weights in draws
+    ]
+    status = "MATCH" if all(row["match"] for row in rows) else "MISMATCH"
+    tsv = ["d\tpipeline\toracle\tmatch"]
+    tsv += [f"{row['d']}\t{row['pipeline']}\t{row['oracle']}\t{row['match']}" for row in rows]
+    report = {"status": status, "D": args.max_degree, "rows": rows}
+    return report, tsv + [status], 0 if status == "MATCH" else 1
 
 
-def _cmd_oracle(g, args):
-    if g.space.nfactors != 1:
-        raise Unsupported("the fixed-point oracle runs over a single projective space")
-    r = g.space.factors[0]
-    lines = tuple(l[0] for l in g.bundle.lines)
-    reports = []
-    for d in range(1, min(2, args.max_degree) + 1):
-        value, weights = oracle_n_value(r, d, lines, seed=args.seed)
-        reports.append(
-            {
-                "geometry": {"ambient": [r], "bundle": [{"l": [l]} for l in lines]},
-                "d": d,
-                "value": format_fraction(value),
-                "weights_used": [format_fraction(w) for w in weights.values],
-                "graphs_evaluated": _graph_count(r, d),
-            }
-        )
-    return _dump_json({"seed": args.seed, "reports": reports}), 0
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+COMMANDS = {
+    "check": _check,
+    "ifun": _ifun,
+    "mirror-map": _mirror_map,
+    "invariants": _invariants,
+    "serre": _serre,
+    "oracle": _oracle,
+    "verify": _verify,
+}
 
 
 def _run(g, args) -> int:
-    if args.cmd == "check":
-        report = check_conditions(g)
-        return _emit(args, _dump_json(report.to_obj()), 0)
-    if args.cmd == "ifun":
-        series = i_function(g, args.max_degree)
-        return _emit(args, _dump_json(qseries_to_obj(series)), 0)
-    if args.cmd == "mirror-map":
-        # checked on the series it was solved on
-        m, S = _solve(g, args.max_degree)
-        _apply(S, m)
-        return _emit(args, _dump_json(m.to_obj()), 0)
-    if args.cmd == "invariants":
-        text, code = _cmd_invariants(g, args)
-        return _emit(args, text, code)
-    if args.cmd == "serre":
-        pair = serre_dual_pair(g, args.max_degree)
-        solution = solve_serre_factor(pair)
-        payload = {"sign": pair.sign, **solution.to_obj()}
-        return _emit(args, _dump_json(payload), 0)
-    if args.cmd == "oracle":
-        text, code = _cmd_oracle(g, args)
-        return _emit(args, text, code)
-    text, code = _cmd_verify(g, args)
-    return _emit(args, text, code)
-
-
-def _emit(args, text: str, code: int) -> int:
+    report, tsv, code = COMMANDS[args.cmd](g, args)
+    if args.format == "tsv" and tsv is not None:
+        text, ext = "\n".join(tsv) + "\n", "tsv"
+    else:
+        text, ext = json.dumps(report, indent=2) + "\n", "json"
     sys.stdout.write(text)
     if args.out:
-        ext = "tsv" if args.format == "tsv" and args.cmd in ("invariants", "verify") else "json"
-        path = Path(args.out) / f"{args.cmd}.{ext}"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{args.cmd}.{ext}").write_text(text, encoding="utf-8")
     return code
 
 
@@ -203,7 +178,8 @@ def main(argv=None) -> int:
         return 2
     g = None
     try:
-        g = _load_geometry(args.geometry)
+        with open(args.geometry, "r", encoding="utf-8") as fh:
+            g = geometry_from_obj(json.load(fh))
         return _run(g, args)
     except EngineError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")

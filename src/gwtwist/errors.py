@@ -1,4 +1,4 @@
-"""Domain exceptions shared across the engine.
+"""Domain exceptions shared across the engine, and its refusal of floats.
 
 Every error carries optional structured context (a curve class, a degree, a
 serialized residual) so the command-line layer can emit machine-readable
@@ -7,7 +7,15 @@ failure reports without string parsing.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float is refused, its binary value not being exact."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} in exact arithmetic; use an int, Fraction or string")
+    return Fraction(x)
 
 
 class EngineError(Exception):

@@ -59,7 +59,7 @@ from itertools import permutations
 from math import factorial, lcm, prod
 from numbers import Integral
 
-from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision
+from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision, _exact
 
 MAX_DEGREE = 2
 WEIGHT_POOL = range(1, 98)
@@ -67,12 +67,13 @@ WEIGHT_POOL = range(1, 98)
 
 @dataclass(frozen=True)
 class TorusWeights:
-    """Pairwise-distinct rational weights, one per fixed point of P^r."""
+    """Pairwise-distinct rational weights, one per fixed point of P^r;
+    a float is refused."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(_exact(v) for v in self.values)
         if len(set(vals)) != len(vals):
             raise WeightCollision("weights must be pairwise distinct")
         object.__setattr__(self, "values", vals)
@@ -277,7 +278,14 @@ def localized_invariant(
 
 
 def draw_weights(r: int, rng: random.Random) -> TorusWeights:
-    """Distinct small integer weights from a caller-owned generator."""
+    """Distinct small integer weights from a caller-owned generator.  P^r
+    needs r + 1 of them; more than the pool holds raises Unsupported."""
+    if r + 1 > len(WEIGHT_POOL):
+        raise Unsupported(
+            f"P^{r} needs {r + 1} distinct weights; the pool holds {len(WEIGHT_POOL)}",
+            r=r,
+            pool=len(WEIGHT_POOL),
+        )
     vals = rng.sample(WEIGHT_POOL, r + 1)
     return TorusWeights(tuple(Fraction(v) for v in vals))
 

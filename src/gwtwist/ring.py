@@ -20,7 +20,7 @@ from itertools import product as _cartesian
 from math import gcd, lcm
 from numbers import Integral
 
-from .errors import SpaceMismatch
+from .errors import SpaceMismatch, _exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,13 +30,6 @@ def format_fraction(x: Fraction) -> str:
     """Render a rational as "num/den", always with an explicit denominator."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; a float is refused, its binary value not being exact."""
-    if isinstance(x, float):
-        raise TypeError(f"float {x!r} in exact arithmetic; use an int, Fraction or string")
-    return Fraction(x)
 
 
 def _integer(x) -> int:

@@ -353,20 +353,25 @@ def geometry_from_obj(obj) -> GeometrySpec:
     The object has the keys ``ambient`` (a list of integers),
     ``bundle`` (a list of objects ``{"l": [integers]}``) and optionally
     ``external_j`` (a serialized series, or null; see ``qseries_from_obj``).
-    Booleans, floats and strings are not integers here.  Anything else
-    raises ValueError naming the field, such as ``bundle[0].l[0]`` or
+    Booleans, floats and strings are not integers here, and each ``l`` has
+    one entry per ambient factor.  Anything else raises ValueError naming
+    the field, such as ``bundle[0].l[0]`` or
     ``external_j.terms[0].hbar[0].pow``, before any arithmetic.
     """
     _check_fields(obj, "geometry", ("ambient", "bundle"), ("external_j",))
-    ambient = _int_list(obj["ambient"], "ambient")
+    space = AmbientSpace(_int_list(obj["ambient"], "ambient"))
     if not isinstance(obj["bundle"], list):
         raise ValueError("bundle must be a list")
     lines = []
     for j, entry in enumerate(obj["bundle"]):
         _check_fields(entry, f"bundle[{j}]", ("l",))
-        lines.append(_int_list(entry["l"], f"bundle[{j}].l"))
+        line = _int_list(entry["l"], f"bundle[{j}].l")
+        if len(line) != space.nfactors:
+            raise ValueError(
+                f"bundle[{j}].l needs {space.nfactors} entries, one per ambient factor, got {len(line)}"
+            )
+        lines.append(line)
     ext = obj.get("external_j")
-    space = AmbientSpace(ambient)
     bundle = BundleSpec(tuple(lines))
     external_j = None if ext is None else qseries_from_obj(space, ext, "external_j")
     return GeometrySpec(space, bundle, external_j)

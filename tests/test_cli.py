@@ -265,6 +265,19 @@ def test_oracle_refuses_integrand_above_dimension(tmp_path, capsys):
         assert payload["virtual_dimension"] == 1
 
 
+def test_oracle_refuses_ambient_beyond_weight_pool(tmp_path, capsys):
+    # an input outside the oracle's scope, not an engine fault (exit 3)
+    path = tmp_path / "p97-o98.json"
+    path.write_text(json.dumps({"ambient": [97], "bundle": [{"l": [98]}]}))
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "oracle", "--max-degree", "2"]
+    )
+    assert rc == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert (payload["error"], payload["module"], payload["r"]) == ("Unsupported", "localization", 97)
+
+
 def test_serre_refuses_short_external_j(tmp_path, capsys):
     ext = qseries_to_obj(j_ambient(AmbientSpace((1,)), 2))
     path = tmp_path / "p1-o1-short-j.json"
@@ -366,6 +379,7 @@ def test_verify_stops_at_compared_degrees(monkeypatch, capsys):
         pytest.param({"ambient": [4.2], "bundle": [{"l": [True]}]}, "ambient[0]", id="float-ambient"),
         pytest.param({"ambient": [4], "bundle": [{"l": [True]}]}, "bundle[0].l[0]", id="bool-l"),
         pytest.param({"ambient": [4], "bundle": [{"l": 5}]}, "bundle[0].l", id="int-l"),
+        pytest.param({"ambient": [4], "bundle": [{"l": [1, 2]}]}, "bundle[0].l needs 1", id="long-l"),
         pytest.param({"ambient": [4], "bundle": [{"l": ["5"]}]}, "bundle[0].l[0]", id="string-l"),
         pytest.param({"ambient": [4], "bundle": [{"l": [5], "m": [1]}]}, "bundle[0]", id="extra-entry-key"),
         pytest.param({"ambient": [4], "bundle": [5]}, "bundle[0]", id="entry-not-object"),

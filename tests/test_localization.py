@@ -113,6 +113,22 @@ def test_duplicate_weights_rejected():
         TorusWeights((Fraction(1), Fraction(1), Fraction(2)))
 
 
+def test_float_weights_refused():
+    # 0.1 would be stored as its binary value, 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"float 0\.1 in exact arithmetic"):
+        TorusWeights((0.1, 0.2, 0.3, 0.4, 0.5))
+
+
+def test_oracle_refuses_p_r_beyond_the_weight_pool():
+    # P^97 needs 98 distinct weights, and the pool 1..97 holds 97
+    with pytest.raises(Unsupported, match=r"P\^97 needs 98 distinct weights"):
+        draw_weights(97, random.Random(0))
+    with pytest.raises(Unsupported) as info:
+        oracle_n_value(97, 1, (98,))
+    assert info.value.payload()["pool"] == 97
+    assert len(draw_weights(96, random.Random(0))) == 97
+
+
 def test_wrong_weight_count_rejected():
     with pytest.raises(WeightCollision):
         localized_invariant(4, 1, (5,), 0, 1, W2)

@@ -11,6 +11,7 @@ from gwtwist import (
     GeometrySpec,
     HbarLaurent,
     QSeries,
+    SpaceMismatch,
     TruncationMismatch,
     Unclassifiable,
     Unsupported,
@@ -35,6 +36,15 @@ P4 = AmbientSpace((4,))
 
 def _geometry(factors, lines):
     return GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+
+
+def test_wrong_length_multidegree_refused_as_input_or_space_mismatch():
+    # a file is refused as bad input before any arithmetic; a spec built in
+    # Python still meets the engine's own space check
+    with pytest.raises(ValueError, match=r"bundle\[0\]\.l needs 1 entries"):
+        geometry_from_obj({"ambient": [4], "bundle": [{"l": [1, 2]}]})
+    with pytest.raises(SpaceMismatch):
+        GeometrySpec(P4, BundleSpec(((1, 2),)))
 
 
 def test_classify_signs():
