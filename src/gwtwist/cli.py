@@ -26,7 +26,7 @@ from .invariants import (
     serre_dual_pair,
     solve_serre_factor,
 )
-from .localization import _graph_count, oracle_n_value
+from .localization import enumerate_graphs, oracle_n_value
 from .ring import format_fraction
 from .series import qseries_to_obj
 from .twist import check_conditions, geometry_from_obj, i_function
@@ -98,7 +98,7 @@ def _oracle(g, args):
             "d": d,
             "value": format_fraction(value),
             "weights_used": weights,
-            "graphs_evaluated": _graph_count(r, d),
+            "graphs_evaluated": len(enumerate_graphs(r, d)),
         }
         for d, value, weights in draws
     ]
@@ -151,24 +151,21 @@ def _run(g, args) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gwtwist",
-        description="Exact genus-zero curve counts for split-bundle geometries",
-    )
-    parser.add_argument("--geometry", required=True, help="geometry JSON file")
-    parser.add_argument("--cmd", required=True, choices=COMMANDS)
-    parser.add_argument(
-        "--max-degree", type=int, default=6, help="series truncation degree"
-    )
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="oracle weight seed")
-    parser.add_argument("--out", default=None, help="directory for report files")
-    return parser
+# built once: parsing leaves the parser as it was
+_PARSER = argparse.ArgumentParser(
+    prog="gwtwist",
+    description="Exact genus-zero curve counts for split-bundle geometries",
+)
+_PARSER.add_argument("--geometry", required=True, help="geometry JSON file")
+_PARSER.add_argument("--cmd", required=True, choices=COMMANDS)
+_PARSER.add_argument("--max-degree", type=int, default=6, help="series truncation degree")
+_PARSER.add_argument("--format", choices=("json", "tsv"), default="json")
+_PARSER.add_argument("--seed", type=int, default=0, help="oracle weight seed")
+_PARSER.add_argument("--out", default=None, help="directory for report files")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.max_degree < 0:
         print("max degree must be non-negative", file=sys.stderr)
         return 2

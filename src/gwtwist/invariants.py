@@ -12,16 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Infeasible, StructureViolation, Unsupported
-from .mirror import MirrorMap, _solve_relative_map, apply_transform, solve_mirror_map
+from .mirror import MirrorMap, _solve_relative_map, apply_transform, normal_form, solve_mirror_map
 from .ring import BundleSpec, CohClass, euler_class, format_fraction
 from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
-    CONVEX,
     GeometrySpec,
     _ambient_series,
     _combined_degrees,
     _linear_products,
-    _prime_table,
+    _summand_tables,
     _twisted,
     check_conditions,
     i_function,
@@ -177,9 +176,11 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     a change of the dials of ``solve_serre_factor``.
 
     Both products are read from per-summand tables indexed by d_j, the
-    first from the table that also builds the pipeline's start-1 series
-    (``twist.i_prime``).  A geometry that fails the positivity condition is
-    refused first.
+    first from the summand table that also builds ``twist.i_prime`` and
+    ``twist.i_function``.  The dual keeps its own rows: a summand with
+    d_j = 0 contributes 1 there, not a class, so the dual is no Euler class
+    times K.  A geometry that fails the positivity condition is refused
+    first.
     """
     _require_nonneg(g)
     space = g.space
@@ -187,12 +188,12 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
         raise Unsupported("dual pair construction needs a convex bundle")
     J = _ambient_series(g, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
-    prime = [(l, _prime_table(space, l, CONVEX)) for l in g.bundle.lines]
     # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
     dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]
+    one = space.unit()
     return SerrePair(
-        i_prime=_twisted(J, prime, space.unit()),
-        i_prime_dual=_twisted(J, dual, space.unit()).scale(sign),
+        i_prime=_twisted(J, _summand_tables(g), one, one),
+        i_prime_dual=_twisted(J, dual, one, one).scale(sign),
         sign=sign,
     )
 
@@ -243,7 +244,8 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     ``serre_dual_pair``).
     """
     space, D = pair.i_prime.space, pair.i_prime.max_degree
-    m, ratio = _solve_relative_map(pair.i_prime, pair.i_prime_dual.scale(pair.sign))
+    target = pair.i_prime_dual.scale(pair.sign)
+    m, ratio = _solve_relative_map(*(normal_form(S, space.unit()) for S in (pair.i_prime, target)))
     current = apply_transform(pair.i_prime, m).scale(pair.sign)
     residual = pair.i_prime_dual - current
     if not residual.is_zero:

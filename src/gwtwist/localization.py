@@ -55,6 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, lcm, prod
 from numbers import Integral
@@ -100,8 +101,10 @@ class FixedGraph:
     auto: Fraction
 
 
-def enumerate_graphs(r: int, d: int, n: int = 1):
-    """All decorated graphs for degree d on P^r with one marked point.
+@lru_cache(maxsize=None, typed=True)
+def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
+    """All decorated graphs for degree d on P^r with one marked point, built
+    once per (r, d) and shared: every weight draw sums over the same tuple.
 
     Degree 1: both orientations of each edge, marking at either position,
     listed with factor 1/2 (every stratum appears twice).  Degree 2: the
@@ -126,7 +129,7 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
                     continue
                 for mark in (0, 1):
                     graphs.append(FixedGraph((i, j), (1,), mark, half))
-        return graphs
+        return tuple(graphs)
     for i in labels:
         for j in labels:
             if i != j:
@@ -140,12 +143,7 @@ def enumerate_graphs(r: int, d: int, n: int = 1):
                     continue
                 graphs.append(FixedGraph((a, j, c), (1, 1), 0, one))
                 graphs.append(FixedGraph((a, j, c), (1, 1), 1, half))
-    return graphs
-
-
-def _graph_count(r: int, d: int) -> int:
-    """len(enumerate_graphs(r, d)) in closed form, for d = 1 or 2."""
-    return 2 * r * (r + 1) if d == 1 else r * (r + 1) * (2 * r + 1)
+    return tuple(graphs)
 
 
 def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) -> int:

@@ -215,11 +215,11 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     return _solve_relative_map(normal_form(S, start), trivial)[0]
 
 
-def _solve_relative_map(S, target) -> tuple[MirrorMap, ScalarQSeries]:
-    """The map m with apply_transform(S, m) equal to ``target`` in the hbar^0
-    and hbar^-1 layers, and e^{f0}, in closed form.
+def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, ScalarQSeries]:
+    """The map m taking a series of normal form a to one that matches
+    normal form b in the hbar^0 and hbar^-1 layers, and e^{f0}, in closed
+    form.
 
-    S and target are series that start at 1, or their normal forms a and b.
     With h = div_a/g_a and k = div_b/g_b, the divisor layer asks for
     f1 + h(q e^{f1}) = k, which one shifted inversion solves; the others give
     e^{f0} = g_b (1/g_a)(q e^{f1}) and string = s_b/g_b - (s_a/g_a)(q e^{f1}).
@@ -227,7 +227,6 @@ def _solve_relative_map(S, target) -> tuple[MirrorMap, ScalarQSeries]:
     builds each exp(beta . f1) once; both substitutions here and
     ``apply_transform`` read them off its table, which the map keeps.
     """
-    a, b = (x if isinstance(x, NormalForm) else normal_form(x, x.space.unit()) for x in (S, target))
     inv_ga, inv_gb = (qs_exp(qs_log(nf.g).scale(-1)) for nf in (a, b))
     f1, factors = _invert_with_factors(
         [d * inv_ga for d in a.divisor_part], [d * inv_gb for d in b.divisor_part]

@@ -645,8 +645,6 @@ def _invert_with_factors(h: list[ScalarQSeries], k: list[ScalarQSeries]):
     and the table a substitution reads.  In general g = k + G(q e^k), G the
     inverse of q -> q e^h: with u = q e^k, G(u) + h(u e^{G(u)}) = 0.
     """
-    if not h:
-        return [], ((), {})
     space, D = h[0].space, h[0].max_degree
     _check_substitution(space, D, h)
     _check_substitution(space, D, k)

@@ -6,18 +6,21 @@ multidegree entries >= 0) or concave (all entries <= -1).  This module
 classifies the summands, evaluates the positivity and triviality conditions
 the downstream solver relies on, and assembles the hypergeometric series
 
-    I(beta) = J(beta) * prod_j H_beta(L_j),
+    I(beta) = e(E_conv) K(beta)   and   I'(beta) = e(E_conc) K(beta)
 
-where J is the closed-form ambient series and each H factor is the finite
-product of linear terms attached to a summand, and the same series started
-at 1 (``i_prime``), from which the change of variables is read.
+for beta != 0, where K(beta) is the closed-form ambient series J(beta) times
+each summand's linear factors (c1 + k hbar) without the k = 0 factor c1:
+k = 1..n for a convex summand and k = n+1..-1 for a concave one, at
+n = <L, beta>.  I starts at e(E) and is the twisted series; I' starts at 1
+(``i_prime``), and the change of variables is read from it.
 
 Both are read off closed forms on integer tables, with x = p/hbar: each
 ambient factor gets a table of the univariate A_i[d] = prod_{k<=d}
 (x_i + k)^-(r_i+1), and J(beta) is the outer product of the A_i[beta_i];
-each summand gets a table of H indexed by the pairing <L, beta>, an integer
-polynomial in c1(x) per row (``_linear_products``).  Each row or term read
-is one class.  The tables live for one call only.
+each summand gets one table of its factors indexed by the pairing n
+(``_summand_table``), an integer polynomial in c1(x) per row
+(``_linear_products``).  Each row or term read is one class.  The tables
+live for one call only.
 """
 
 from __future__ import annotations
@@ -218,31 +221,16 @@ def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
     return row
 
 
-def _twist_table(space: AmbientSpace, l, kind: str):
-    """Return n -> H(L) at pairing n = <L, beta> for one summand of ``kind``.
-
-    Convex: H[n] = prod_{k=0}^{n} (c1 + k hbar), so H[0] = c1 and
-    H[n] = H[n-1] (c1 + n hbar).  Concave: H[n] = prod_{k=n+1}^{-1}
-    (c1 + k hbar), so H[0] = H[-1] = 1 and H[n] = H[n+1] (c1 + (n+1) hbar).
-    """
-    c1 = space.divisor(l)
-    if kind == CONVEX:
-        row = _linear_products(space, c1, 0, 1)
-        return lambda n: row(n + 1)
-    row = _linear_products(space, c1, -1, -1)
-    return lambda n: row(max(-n - 1, 0))
-
-
-def _prime_table(space: AmbientSpace, l, kind: str):
-    """Return n -> the start-1 factor of a summand of ``kind`` at pairing
-    n = <L, beta>: prod_{k=1}^{n} (c1 + k hbar) if convex, and
-    prod_{k=n+1}^{0} (c1 + k hbar), the k = 0 factor c1 included, if concave
-    (where n < 0 for beta != 0)."""
+def _summand_table(space: AmbientSpace, l, kind: str):
+    """Return n -> K(L) at pairing n = <L, beta> for one summand of ``kind``,
+    its linear factors without the k = 0 factor c1: prod_{k=1}^{n}
+    (c1 + k hbar) if convex, prod_{k=n+1}^{-1} (c1 + k hbar) if concave.
+    An empty range gives 1."""
     c1 = space.divisor(l)
     if kind == CONVEX:
         return _linear_products(space, c1, 1, 1)
-    row = _linear_products(space, c1, 0, -1)
-    return lambda n: row(-n)
+    row = _linear_products(space, c1, -1, -1)
+    return lambda n: row(max(-n - 1, 0))
 
 
 def _pairing(l, beta) -> int:
@@ -295,53 +283,65 @@ def _ambient_series(g: GeometrySpec, max_degree: int) -> QSeries:
 def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     """The finite linear-factor product a bundle summand contributes at beta.
 
-    Convex summands multiply (c1 + k*hbar) for k = 0..<c1,beta>; concave ones
-    for k = <c1,beta>+1..-1.  An empty range gives 1.
+    Convex summands multiply (c1 + k*hbar) for k = 0..<c1,beta>, which is c1
+    times their ``_summand_table`` row; concave ones for k = <c1,beta>+1..-1,
+    which is the row itself.  An empty range gives 1.
     """
     l = tuple(_integer(x) for x in l)
     beta = space.check_curve_class(beta)
-    return _twist_table(space, l, classify(l))(_pairing(l, beta))
+    kind = classify(l)
+    row = _summand_table(space, l, kind)(_pairing(l, beta))
+    return row * HbarLaurent(space, {0: space.divisor(l)}) if kind == CONVEX else row
 
 
-def _twisted(J: QSeries, tables, start: CohClass) -> QSeries:
-    """J_beta times prod_j table_j(<L_j, beta>) for beta != 0, and ``start``
-    at hbar^0 for beta = 0; ``tables`` pairs each multidegree L_j with a
-    row function such as ``_twist_table`` or ``_linear_products``."""
+def _twisted(J: QSeries, tables, start: CohClass, euler: CohClass) -> QSeries:
+    """``euler`` times J_beta times prod_j table_j(<L_j, beta>) for beta != 0,
+    and ``start`` at hbar^0 for beta = 0; ``tables`` pairs each multidegree
+    L_j with a row function such as ``_summand_table`` or
+    ``_linear_products``.  A unit ``euler`` multiplies nothing."""
     space = J.space
     terms = {J.zero_beta: HbarLaurent(space, {0: start})}
+    factor = None if euler == space.unit() else HbarLaurent(space, {0: euler})
     for beta in J.curve_classes()[1:]:
         hl = J.terms.get(beta)
         if hl is not None:
             for l, table in tables:
                 hl = hl * table(_pairing(l, beta))
-            terms[beta] = hl
+            terms[beta] = hl if factor is None else hl * factor
     return J._new(terms)
 
 
+def _summand_tables(g: GeometrySpec):
+    """Each summand's multidegree with its ``_summand_table``."""
+    return [(l, _summand_table(g.space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
+
+
 def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Twisted series: J(beta) times the summand factors, for beta != 0.
+    """Twisted series: for beta != 0, I_beta = e(E_conv) K_beta, with K_beta
+    J_beta times each summand's ``_summand_table`` row (its linear factors
+    (c1 + k hbar) without k = 0) and E_conv the convex summands.
 
     The beta = 0 term is the Euler class of the bundle.  For a concave
     summand the degree-zero twist is taken as the Euler factor rather than an
     empty product, so the series starts where the geometry actually starts
     (zero when the Euler class vanishes on the ambient).
 
-    Each summand's factor is read from one table indexed by the pairing
-    n = <L, beta> (``_twist_table``), one class per row read, so the series
-    costs one class product per curve class and summand.
+    Each row is read from one table indexed by the pairing n = <L, beta>,
+    one class per row read, so the series costs one class product per curve
+    class and summand, and one more for the Euler class.
     """
-    space = g.space
-    tables = [(l, _twist_table(space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
-    return _twisted(_ambient_series(g, max_degree), tables, euler_class(space, g.bundle))
+    conv = euler_class(g.space, BundleSpec(g.convex_lines()))
+    start = euler_class(g.space, g.bundle)
+    return _twisted(_ambient_series(g, max_degree), _summand_tables(g), start, conv)
 
 
 def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
-    """The twisted series I' that starts at 1 (Coates-Givental): J(beta)
-    times each summand's ``_prime_table`` factor for beta != 0.  Without
-    concave summands, e(E) I' is ``i_function`` exactly."""
-    space = g.space
-    tables = [(l, _prime_table(space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
-    return _twisted(_ambient_series(g, max_degree), tables, space.unit())
+    """The twisted series I' that starts at 1 (Coates-Givental): for
+    beta != 0, I'_beta = e(E_conc) K_beta, with K_beta as in ``i_function``
+    and E_conc the concave summands.  So without concave summands I' is K
+    and e(E) I' is ``i_function`` exactly."""
+    conc = euler_class(g.space, BundleSpec(g.concave_lines()))
+    return _twisted(_ambient_series(g, max_degree), _summand_tables(g), g.space.unit(), conc)
 
 
 # -- serialization -----------------------------------------------------------

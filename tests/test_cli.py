@@ -517,3 +517,22 @@ def test_cli_pass_checks_each_class_and_summand_once(monkeypatch, capsys):
     assert kinds and set(kinds) == {GeometrySpec.__init__.__code__}
     # serre refuses the concave bundles and reports the P3 obstruction
     assert codes == {"check": {0}, "ifun": {0}, "mirror-map": {0}, "invariants": {0}, "serre": {0, 1}}
+
+
+def test_second_run_in_one_process_keeps_nothing_of_the_first(tmp_path, monkeypatch, capsys):
+    # main parses with one parser for the whole process; a run after one
+    # with --out and --format tsv writes no file and prints what a fresh
+    # process prints
+    monkeypatch.chdir(tmp_path)
+    out_dir = tmp_path / "first"
+    argv = ["--geometry", QUINTIC, "--cmd", "invariants", "--max-degree", "3"]
+    rc, first, _ = _run(capsys, argv + ["--format", "tsv", "--out", str(out_dir)])
+    assert rc == 0 and first.startswith("degree\tN\tn\n")
+    second = _run(capsys, argv)
+    assert sorted(tmp_path.rglob("*")) == [out_dir, out_dir / "invariants.tsv"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwtwist.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gwtwist.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert second == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -131,6 +131,40 @@ def test_local_p2_counts():
     assert info.value.payload()["module"] == "invariants"
 
 
+def test_concave_count_refuses_a_layer_e_conc_does_not_divide(monkeypatch):
+    # P3 with O(-1)+O(-1): e(E_conc) = p^2 and I'_1 has total degree -2; a
+    # unit class added there at hbar^-2 leaves the map as it was but gives
+    # a_2 a p^0 part that p^2 cannot divide
+    build = invariants.i_prime
+
+    def spoiled(g, max_degree):
+        S = build(g, max_degree)
+        term = S.terms[(1,)] + HbarLaurent(P3, {-2: P3.unit()})
+        return QSeries(P3, max_degree, S.terms | {(1,): term})
+
+    monkeypatch.setattr(invariants, "i_prime", spoiled)
+    g = GeometrySpec(P3, BundleSpec(((-1,), (-1,))))
+    message = r"hbar\^-2 coefficient is not divisible by e\(E_conc\)"
+    with pytest.raises(StructureViolation, match=message) as info:
+        n_numbers(g, 3)
+    assert info.value.context == {"beta": [1]}
+
+
+@pytest.mark.parametrize(
+    "r, lines, D, n1",
+    [(2, ((-3,),), 12, 3), (4, ((2,), (2,), (-1,)), 8, 16), (3, ((3,), (-1,)), 8, 27)],
+    ids=["local-p2", "local-dp5", "local-dp6"],
+)
+def test_concave_and_mixed_bundles_give_integral_bps_numbers(r, lines, D, n1):
+    # genus-0 Gopakumar-Vafa numbers of a Calabi-Yau threefold are integers;
+    # I' of these bundles carries the Euler class of the concave summand
+    g = GeometrySpec(AmbientSpace((r,)), BundleSpec(lines))
+    n = aspinwall_morrison(g, n_numbers(g, D))
+    assert sorted(n) == list(range(1, D + 1))
+    assert n[1] == n1
+    assert all(v.denominator == 1 for v in n.values())
+
+
 @pytest.mark.parametrize(
     "r, lines, want",
     [

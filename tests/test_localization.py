@@ -20,7 +20,6 @@ from gwtwist import (
     localized_invariant,
     oracle_n_value,
 )
-from gwtwist.localization import _graph_count
 
 W2 = TorusWeights((Fraction(0), Fraction(1)))
 W5 = TorusWeights(tuple(Fraction(v) for v in (1, 3, 9, 27, 81)))
@@ -42,7 +41,16 @@ def test_graph_counts_on_p4():
 @pytest.mark.parametrize("d", [1, 2])
 def test_graph_count_closed_form(d):
     for r in range(1, 9):
-        assert _graph_count(r, d) == len(enumerate_graphs(r, d))
+        want = 2 * r * (r + 1) if d == 1 else r * (r + 1) * (2 * r + 1)
+        assert len(enumerate_graphs(r, d)) == want
+
+
+def test_graphs_are_enumerated_once_per_shape():
+    # every weight draw of an oracle call sums over the same frozen tuple
+    graphs = enumerate_graphs(4, 2)
+    assert isinstance(graphs, tuple)
+    assert enumerate_graphs(4, 2) is graphs
+    assert enumerate_graphs(4, 1) is not graphs
 
 
 def test_graph_listing_factors():

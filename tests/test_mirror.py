@@ -99,6 +99,22 @@ def test_normal_form_rejects_bad_divisor_residual():
         normal_form(S, euler_class(sp, g.bundle))
 
 
+def test_normal_form_refuses_a_start_it_cannot_read():
+    message = "series does not start at the given class"
+    S, start = _quintic(2)
+    with pytest.raises(SpaceMismatch):
+        normal_form(S, P1.unit())
+    with pytest.raises(StructureViolation, match=message) as info:
+        normal_form(S, start.scale(2))
+    assert info.value.context == {"beta": [0]}
+    # I' of the bicubic starts at 1, not at its Euler class
+    sp = AmbientSpace((2, 2))
+    g = GeometrySpec(sp, BundleSpec(((3, 3),)))
+    with pytest.raises(StructureViolation, match=message) as info:
+        normal_form(i_prime(g, 1), euler_class(sp, g.bundle))
+    assert info.value.context == {"beta": [0, 0]}
+
+
 def test_solve_against_ctop_never_returns_a_silent_zero():
     # the quintic's I has a non-zero map, so a start at ctop is refused
     g = GeometrySpec(P4, BundleSpec(((5,),)))
