@@ -17,7 +17,6 @@ from .ring import BundleSpec, CohClass, euler_class, format_fraction
 from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
 from .twist import (
     GeometrySpec,
-    _ambient_series,
     _combined_degrees,
     _linear_products,
     _summand_tables,
@@ -25,6 +24,7 @@ from .twist import (
     check_conditions,
     i_function,
     i_prime,
+    j_ambient,
 )
 
 
@@ -186,7 +186,7 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     space = g.space
     if g.concave_lines():
         raise Unsupported("dual pair construction needs a convex bundle")
-    J = _ambient_series(g, max_degree)
+    J = j_ambient(space, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
     # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
     dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]

@@ -40,11 +40,6 @@ def _integer(x) -> int:
     raise ValueError(f"{x!r} is not an integer")
 
 
-def parse_fraction(s: str) -> Fraction:
-    """Parse "num/den" or a bare integer string."""
-    return Fraction(s.strip())
-
-
 @dataclass(frozen=True)
 class AmbientSpace:
     """A product of projective spaces, recorded by its factor dimensions."""
@@ -377,28 +372,3 @@ def _check_fields(obj, field: str, required, optional=()):
     for key in required:
         if key not in obj:
             raise ValueError(f"missing {field} field {key!r}")
-
-
-def coh_from_obj(space: AmbientSpace, obj, field: str = "class") -> CohClass:
-    """Read a class from ``coh_to_obj`` form: a list of ``{exp, coeff}``
-    with ``exp`` a monomial's exponent list and ``coeff`` a rational string.
-    Any other shape raises ValueError naming the field, such as
-    ``class[1].coeff``."""
-    if not isinstance(obj, list):
-        raise ValueError(f"{field} must be a list")
-    out = space.zero()
-    for i, entry in enumerate(obj):
-        where = f"{field}[{i}]"
-        _check_fields(entry, where, ("exp", "coeff"))
-        exp = _int_list(entry["exp"], f"{where}.exp")
-        if exp not in space.basis_index:
-            raise ValueError(f"{where}.exp {list(exp)} is not a monomial of {space}")
-        coeff = entry["coeff"]
-        if not isinstance(coeff, str):
-            raise ValueError(f"{where}.coeff must be a string, got {coeff!r}")
-        try:
-            value = parse_fraction(coeff)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{where}.coeff is not a rational: {coeff!r}") from None
-        out = out + space.monomial(exp, value)
-    return out

@@ -49,12 +49,9 @@ from .ring import (
     CohClass,
     ONE,
     ZERO,
-    _check_fields,
     _exact,
-    _int_list,
     _integer,
     _mul_table,
-    coh_from_obj,
     coh_to_obj,
     format_fraction,
 )
@@ -286,16 +283,6 @@ class _TruncatedSeries:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def truncate(self, max_degree: int):
-        """The terms up to ``max_degree``, which may not exceed this series' own."""
-        if max_degree > self.max_degree:
-            raise TruncationMismatch(
-                "series truncated below the requested degree",
-                have=self.max_degree,
-                want=max_degree,
-            )
-        return self._truncated(max_degree)
-
     def __repr__(self):
         return f"{type(self).__name__}(D={self.max_degree}, terms={len(self.terms)})"
 
@@ -360,10 +347,6 @@ class QSeries(_TruncatedSeries):
         for beta, n, delta, a in left:
             sums.add_products(self.max_degree, beta, n, delta, a, da * db, right)
         return self._new({beta: sums.pop(beta) for beta in list(sums.sums)})
-
-    def _truncated(self, max_degree: int) -> "QSeries":
-        terms = {b: c for b, c in self.terms.items() if _degree(b) <= max_degree}
-        return QSeries(self.space, max_degree, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -509,11 +492,6 @@ class ScalarQSeries(_TruncatedSeries):
         if other.is_zero or self._is_one():
             return other
         return self._like(_product(self.space.nfactors, self.levels, other.levels))
-
-    def _truncated(self, max_degree: int) -> "ScalarQSeries":
-        out = ScalarQSeries.zero(self.space, max_degree)
-        out.levels = self.levels[: max_degree + 1]
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -661,28 +639,6 @@ def hl_to_obj(hl: HbarLaurent) -> list:
     return [{"pow": k, "class": coh_to_obj(c)} for k, c in sorted(hl.terms.items())]
 
 
-def hl_from_obj(space: AmbientSpace, obj, field: str = "hbar") -> HbarLaurent:
-    """Read ``hl_to_obj`` form, a list of ``{pow, class}`` with distinct
-    integer powers and one total degree; anything else raises ValueError
-    naming the field."""
-    if not isinstance(obj, list):
-        raise ValueError(f"{field} must be a list")
-    terms = {}
-    for i, entry in enumerate(obj):
-        where = f"{field}[{i}]"
-        _check_fields(entry, where, ("pow", "class"))
-        k = entry["pow"]
-        if type(k) is not int:
-            raise ValueError(f"{where}.pow must be an integer, got {k!r}")
-        if k in terms:
-            raise ValueError(f"{where}.pow {k} repeats an earlier entry")
-        terms[k] = coh_from_obj(space, entry["class"], f"{where}.class")
-    try:
-        return HbarLaurent(space, terms)
-    except StructureViolation as exc:
-        raise ValueError(f"{field} mixes total degrees {exc.context['degrees']}") from None
-
-
 def qseries_to_obj(S: QSeries) -> dict:
     """Terms in graded-lex order; the beta = 0 entry is written even when zero."""
     betas = sorted(S.terms.keys() | {S.zero_beta}, key=_graded)
@@ -691,34 +647,6 @@ def qseries_to_obj(S: QSeries) -> dict:
         "D": S.max_degree,
         "terms": [{"beta": list(b), "hbar": hl_to_obj(S.terms.get(b, zero))} for b in betas],
     }
-
-
-def qseries_from_obj(space: AmbientSpace, obj, field: str = "series") -> QSeries:
-    """Read ``qseries_to_obj`` form: ``{D, terms}`` with ``D`` a non-negative
-    integer and ``terms`` a list of ``{beta, hbar}``, each ``beta`` a distinct
-    curve class of degree at most D.  Any other shape raises ValueError
-    naming the field, such as ``series.terms[0].hbar[0].class[1].coeff``."""
-    _check_fields(obj, field, ("D", "terms"))
-    D = obj["D"]
-    if type(D) is not int or D < 0:
-        raise ValueError(f"{field}.D must be a non-negative integer, got {D!r}")
-    if not isinstance(obj["terms"], list):
-        raise ValueError(f"{field}.terms must be a list")
-    terms = {}
-    for i, entry in enumerate(obj["terms"]):
-        where = f"{field}.terms[{i}]"
-        _check_fields(entry, where, ("beta", "hbar"))
-        beta = _int_list(entry["beta"], f"{where}.beta")
-        if len(beta) != space.nfactors or any(d < 0 for d in beta):
-            raise ValueError(
-                f"{where}.beta must list {space.nfactors} non-negative degrees, got {list(beta)}"
-            )
-        if _degree(beta) > D:
-            raise ValueError(f"{where}.beta {list(beta)} is beyond the degree D = {D}")
-        if beta in terms:
-            raise ValueError(f"{where}.beta {list(beta)} repeats an earlier term")
-        terms[beta] = hl_from_obj(space, entry["hbar"], f"{where}.hbar")
-    return QSeries(space, D, terms)
 
 
 def scalar_to_obj(f: ScalarQSeries) -> list:

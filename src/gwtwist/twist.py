@@ -28,14 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
 
-from .errors import SpaceMismatch, Unclassifiable, Unsupported
+from .errors import Unclassifiable, Unsupported
 from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, _integer, euler_class
-from .series import (
-    HbarLaurent,
-    QSeries,
-    all_curve_classes,
-    qseries_from_obj,
-)
+from .series import HbarLaurent, QSeries, all_curve_classes
 
 CONVEX = "Convex"
 CONCAVE = "Concave"
@@ -65,24 +60,18 @@ def classify(l) -> str:
 
 
 class GeometrySpec:
-    """Ambient space + split bundle, with an optional externally supplied J.
+    """Ambient space + split bundle; the ambient J is always ``j_ambient``.
 
     Construction validates everything downstream code assumes: summands match
-    the ambient, each classifies cleanly, concave summands only appear over a
-    single projective space, and an external J starts with the unit class
-    and is graded as the closed form is: J_beta has total degree
-    -sum_i (r_i + 1) beta_i.  The summands are classified here only; the
-    kinds are kept, one per summand, and everything downstream reads them.
+    the ambient, each classifies cleanly, and concave summands only appear
+    over a single projective space.  The summands are classified here only;
+    the kinds are kept, one per summand, and everything downstream reads
+    them.
     """
 
-    __slots__ = ("space", "bundle", "external_j", "_kinds")
+    __slots__ = ("space", "bundle", "_kinds")
 
-    def __init__(
-        self,
-        space: AmbientSpace,
-        bundle: BundleSpec,
-        external_j: QSeries | None = None,
-    ):
+    def __init__(self, space: AmbientSpace, bundle: BundleSpec):
         bundle.validate_for(space)
         kinds = [classify(l) for l in bundle.lines]
         if CONCAVE in kinds and space.nfactors > 1:
@@ -90,21 +79,8 @@ class GeometrySpec:
                 "concave summands are only supported over a single projective space",
                 nfactors=space.nfactors,
             )
-        if external_j is not None:
-            if external_j.space != space:
-                raise SpaceMismatch("external J on a different ambient space")
-            expected = HbarLaurent.unit(space)
-            if external_j.term(external_j.zero_beta) != expected:
-                raise ValueError("external J must start with the unit class")
-            for beta, hl in external_j.terms.items():
-                want = -sum((r + 1) * d for r, d in zip(space.factors, beta))
-                if hl.delta != want:
-                    raise ValueError(
-                        f"external J at beta = {list(beta)} has total degree {hl.delta}, not {want}"
-                    )
         self.space = space
         self.bundle = bundle
-        self.external_j = external_j
         self._kinds = tuple(kinds)
 
     def convex_lines(self):
@@ -118,7 +94,6 @@ class GeometrySpec:
             isinstance(other, GeometrySpec)
             and self.space == other.space
             and self.bundle == other.bundle
-            and self.external_j == other.external_j
         )
 
     def __repr__(self):
@@ -272,14 +247,6 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     return QSeries(space, max_degree)._new(terms)
 
 
-def _ambient_series(g: GeometrySpec, max_degree: int) -> QSeries:
-    """The geometry's J through ``max_degree``: the external J truncated
-    (TruncationMismatch if it stops below), else the closed form."""
-    if g.external_j is not None:
-        return g.external_j.truncate(max_degree)
-    return j_ambient(g.space, max_degree)
-
-
 def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     """The finite linear-factor product a bundle summand contributes at beta.
 
@@ -332,7 +299,7 @@ def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     """
     conv = euler_class(g.space, BundleSpec(g.convex_lines()))
     start = euler_class(g.space, g.bundle)
-    return _twisted(_ambient_series(g, max_degree), _summand_tables(g), start, conv)
+    return _twisted(j_ambient(g.space, max_degree), _summand_tables(g), start, conv)
 
 
 def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
@@ -341,7 +308,7 @@ def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
     and E_conc the concave summands.  So without concave summands I' is K
     and e(E) I' is ``i_function`` exactly."""
     conc = euler_class(g.space, BundleSpec(g.concave_lines()))
-    return _twisted(_ambient_series(g, max_degree), _summand_tables(g), g.space.unit(), conc)
+    return _twisted(j_ambient(g.space, max_degree), _summand_tables(g), g.space.unit(), conc)
 
 
 # -- serialization -----------------------------------------------------------
@@ -352,13 +319,15 @@ def geometry_from_obj(obj) -> GeometrySpec:
 
     The object has the keys ``ambient`` (a list of integers),
     ``bundle`` (a list of objects ``{"l": [integers]}``) and optionally
-    ``external_j`` (a serialized series, or null; see ``qseries_from_obj``).
-    Booleans, floats and strings are not integers here, and each ``l`` has
-    one entry per ambient factor.  Anything else raises ValueError naming
-    the field, such as ``bundle[0].l[0]`` or
-    ``external_j.terms[0].hbar[0].pow``, before any arithmetic.
+    ``external_j``, which must be null: the ambient J is always the closed
+    form.  Booleans, floats and strings are not integers here, and each
+    ``l`` has one entry per ambient factor.  Anything else raises
+    ValueError naming the field, such as ``bundle[0].l[0]`` or
+    ``external_j``, before any arithmetic.
     """
     _check_fields(obj, "geometry", ("ambient", "bundle"), ("external_j",))
+    if obj.get("external_j") is not None:
+        raise ValueError("external_j must be null or absent: the ambient J is always the closed form")
     space = AmbientSpace(_int_list(obj["ambient"], "ambient"))
     if not isinstance(obj["bundle"], list):
         raise ValueError("bundle must be a list")
@@ -371,7 +340,4 @@ def geometry_from_obj(obj) -> GeometrySpec:
                 f"bundle[{j}].l needs {space.nfactors} entries, one per ambient factor, got {len(line)}"
             )
         lines.append(line)
-    ext = obj.get("external_j")
-    bundle = BundleSpec(tuple(lines))
-    external_j = None if ext is None else qseries_from_obj(space, ext, "external_j")
-    return GeometrySpec(space, bundle, external_j)
+    return GeometrySpec(space, BundleSpec(tuple(lines)))

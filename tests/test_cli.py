@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import gwtwist
-from gwtwist import AmbientSpace, GeometrySpec, QSeries, j_ambient, qseries_to_obj, series
+from gwtwist import AmbientSpace, GeometrySpec, QSeries, geometry_from_obj, j_ambient, qseries_to_obj, series
 from gwtwist.cli import main
 from test_mirror import _counting_classify
 
@@ -287,12 +288,10 @@ def test_serre_refuses_short_external_j(tmp_path, capsys):
     rc, out, err = _run(
         capsys, ["--geometry", str(path), "--cmd", "serre", "--max-degree", "4"]
     )
-    assert rc == 1
+    # refused as bad input when the geometry loads, before any series is built
+    assert rc == 2
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "TruncationMismatch"
-    assert payload["have"] == 2
-    assert payload["want"] == 4
+    assert err.startswith("ValueError: external_j must be null")
 
 
 def _inhomogeneous_j():
@@ -312,6 +311,15 @@ def _inhomogeneous_j():
     }
 
 
+def _scaled_quintic_j():
+    """The quintic with its own J, but J_2 scaled by 101/100: graded as J of
+    P4 is, so only the values tell it from J; accepted, it gave
+    n_2 = 20337635/32 and n_3 = 537701075/2 with exit 0."""
+    J = j_ambient(AmbientSpace((4,)), 3)
+    J = QSeries(J.space, 3, J.terms | {(2,): J.term((2,)).scale(Fraction(101, 100))})
+    return {"ambient": [4], "bundle": [{"l": [5]}], "external_j": qseries_to_obj(J)}
+
+
 def _misgraded_quintic_j():
     """The quintic with its own J, but J_2 shifted by hbar^-1 to total
     degree -11: accepted, it would give N_2 = -2020500."""
@@ -329,7 +337,7 @@ def test_serre_refuses_inhomogeneous_external_j(tmp_path, capsys):
     )
     assert rc == 2
     assert out == ""
-    assert err == "ValueError: external_j.terms[1].hbar mixes total degrees [-2, 1]\n"
+    assert err.startswith("ValueError: external_j must be null")
 
 
 def test_error_payload_names_raising_module(tmp_path):
@@ -427,67 +435,58 @@ def _with_external_j(unit_term):
 
 
 @pytest.mark.parametrize(
-    "geometry, field",
+    "geometry",
     [
+        pytest.param(_scaled_quintic_j(), id="scaled-j2"),
         pytest.param(
-            {"ambient": [1], "bundle": [{"l": [1]}], "external_j": {"D": 2}},
-            "missing external_j field 'terms'",
-            id="no-terms",
+            {
+                "ambient": [1],
+                "bundle": [{"l": [1]}],
+                "external_j": qseries_to_obj(j_ambient(AmbientSpace((1,)), 2)),
+            },
+            id="closed-form",
         ),
-        pytest.param(
-            _with_external_j([{"pow": 0, "class": ["1/1", True]}]),
-            "external_j.terms[0].hbar[0].class[0]",
-            id="class-not-objects",
-        ),
+        pytest.param(_inhomogeneous_j(), id="inhomogeneous"),
+        pytest.param(_misgraded_quintic_j(), id="misgraded"),
+        pytest.param({"ambient": [1], "bundle": [{"l": [1]}], "external_j": {"D": 2}}, id="no-terms"),
+        pytest.param(_with_external_j([{"pow": 0, "class": ["1/1", True]}]), id="class-not-objects"),
         pytest.param(
             {
                 "ambient": [1, 1],
                 "bundle": [{"l": [1, 1]}],
                 "external_j": {"D": 1, "terms": [{"beta": [0], "hbar": []}]},
             },
-            "external_j.terms[0].beta",
             id="short-beta",
         ),
         pytest.param(
             _with_external_j([{"pow": 0.5, "class": [{"exp": [0], "coeff": "1/1"}]}]),
-            "external_j.terms[0].hbar[0].pow",
             id="non-integer-pow",
         ),
         pytest.param(
             _with_external_j([{"pow": 0, "class": [{"exp": [0], "coeff": 1}]}]),
-            "external_j.terms[0].hbar[0].class[0].coeff",
             id="number-coeff",
         ),
         pytest.param(
             _with_external_j([{"pow": 0, "class": [{"exp": [2], "coeff": "1/1"}]}]),
-            "external_j.terms[0].hbar[0].class[0].exp",
             id="exp-out-of-range",
-        ),
-        pytest.param(_inhomogeneous_j(), "external_j.terms[1].hbar mixes", id="inhomogeneous"),
-        pytest.param(
-            _misgraded_quintic_j(),
-            "external J at beta = [2] has total degree -11, not -10",
-            id="misgraded",
         ),
     ],
 )
-def test_malformed_external_j_names_the_field(tmp_path, capsys, geometry, field):
+def test_malformed_external_j_names_the_field(tmp_path, capsys, geometry):
+    # the ambient J is always the closed form: any external_j but null is
+    # refused at the door, the correct J of P1 and a J wrong only in its
+    # values alike
+    with pytest.raises(ValueError, match="external_j"):
+        geometry_from_obj(geometry)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(geometry))
-    rc, out, err = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
+    rc, out, err = _run(
+        capsys, ["--geometry", str(path), "--cmd", "invariants", "--max-degree", "3"]
+    )
     assert rc == 2
     assert out == ""
     assert err.startswith("ValueError: ")
-    assert field in err
-
-
-def test_valid_external_j_still_loads(tmp_path, capsys):
-    good = _with_external_j([{"pow": 0, "class": [{"exp": [0], "coeff": "1/1"}]}])
-    path = tmp_path / "good.json"
-    path.write_text(json.dumps(good))
-    rc, out, _ = _run(capsys, ["--geometry", str(path), "--cmd", "check"])
-    assert rc == 0
-    assert json.loads(out) == {"theorem1_nonneg": [True], "theorem2_case": None}
+    assert "external_j" in err
 
 
 def test_cli_pass_checks_each_class_and_summand_once(monkeypatch, capsys):

@@ -14,7 +14,6 @@ from gwtwist import (
     QSeries,
     ScalarQSeries,
     StructureViolation,
-    TruncationMismatch,
     Unsupported,
     aspinwall_morrison,
     check_conditions,
@@ -38,7 +37,7 @@ from gwtwist.ring import format_fraction
 from gwtwist.series import HbarLaurent, qs_exp
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _naive_class_mul, _promote, _reference_apply_transform, _scalar_one
-from test_series import _assert_table_is_truncated_exps, _count_tables
+from test_series import _assert_table_is_truncated_exps, _count_tables, _truncate
 from test_yukawa import yukawa_n_numbers
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,13 +87,6 @@ def test_local_p1_counts_do_not_build_the_start_one_series(monkeypatch):
     invariants._apply(S, m)
     assert calls == []
     assert m.is_zero
-
-
-def test_local_p1_refuses_short_external_j():
-    g = GeometrySpec(P1, BundleSpec(((-1,), (-1,))), external_j=j_ambient(P1, 2))
-    with pytest.raises(TruncationMismatch) as info:
-        n_numbers(g, 4)
-    assert info.value.context == {"have": 2, "want": 4}
 
 
 def test_local_p1_still_checks_the_normalized_series(monkeypatch):
@@ -152,12 +144,21 @@ def test_concave_count_refuses_a_layer_e_conc_does_not_divide(monkeypatch):
 
 @pytest.mark.parametrize(
     "r, lines, D, n1",
-    [(2, ((-3,),), 12, 3), (4, ((2,), (2,), (-1,)), 8, 16), (3, ((3,), (-1,)), 8, 27)],
-    ids=["local-p2", "local-dp5", "local-dp6"],
+    [
+        (2, ((-3,),), 12, 3),
+        (4, ((2,), (2,), (-1,)), 8, 16),
+        (3, ((3,), (-1,)), 8, 27),
+        (4, ((5,),), 20, 2875),
+        (5, ((3,), (3,)), 12, 1053),
+        (6, ((3,), (2,), (2,)), 12, 720),
+        (7, ((2,), (2,), (2,), (2,)), 12, 512),
+    ],
+    ids=["local-p2", "local-dp5", "local-dp6", "quintic", "p5-o3-o3", "p6-o3-o2-o2", "p7-o2x4"],
 )
 def test_concave_and_mixed_bundles_give_integral_bps_numbers(r, lines, D, n1):
-    # genus-0 Gopakumar-Vafa numbers of a Calabi-Yau threefold are integers;
-    # I' of these bundles carries the Euler class of the concave summand
+    # genus-0 Gopakumar-Vafa numbers of a Calabi-Yau threefold are integers:
+    # on the local ones I' carries the Euler class of the concave summand,
+    # and the convex complete intersections are checked far past degree 3
     g = GeometrySpec(AmbientSpace((r,)), BundleSpec(lines))
     n = aspinwall_morrison(g, n_numbers(g, D))
     assert sorted(n) == list(range(1, D + 1))
@@ -378,21 +379,11 @@ def test_dual_pair_refuses_failed_positivity():
     assert info.value.payload()["module"] == "invariants"
 
 
-def test_dual_pair_refuses_short_external_j():
-    g = GeometrySpec(P1, BundleSpec(((1,),)), external_j=j_ambient(P1, 2))
-    with pytest.raises(TruncationMismatch) as info:
-        serre_dual_pair(g, 4)
-    assert info.value.context == {"have": 2, "want": 4}
-
-
 def _reference_serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     space = g.space
     if any(classify(l) != CONVEX for l in g.bundle.lines):
         raise Unsupported("dual pair construction needs a convex bundle")
-    if g.external_j is not None:
-        J = g.external_j.truncate(max_degree)
-    else:
-        J = j_ambient(space, max_degree)
+    J = j_ambient(space, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
     prime: dict = {}
     dual: dict = {}
@@ -419,16 +410,6 @@ def _reference_serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     )
 
 
-def _external_j_p1():
-    # an external J that is not the ambient series: every beta != 0 term halved
-    ambient = j_ambient(P1, 6)
-    terms = {
-        b: hl if sum(b) == 0 else hl.scale(Fraction(1, 2))
-        for b, hl in ambient.terms.items()
-    }
-    return GeometrySpec(P1, BundleSpec(((1,),)), external_j=QSeries(P1, 6, terms))
-
-
 SERRE_CASES = {
     "quintic": (lambda: QUINTIC, 8),
     "bicubic": (lambda: GeometrySpec(AmbientSpace((2, 2)), BundleSpec(((3, 3),))), 4),
@@ -438,7 +419,6 @@ SERRE_CASES = {
         lambda: GeometrySpec(AmbientSpace((1, 1)), BundleSpec(((1, 0), (0, 2)))),
         4,
     ),
-    "external-j": (_external_j_p1, 5),
     "empty-bundle": (lambda: GeometrySpec(AmbientSpace((2,)), BundleSpec(())), 6),
 }
 
@@ -553,10 +533,10 @@ def test_serre_factor_matches_two_assembles_per_level(name, monkeypatch):
 
 def _truncated(sol: SerreFactorSolution, D: int) -> SerreFactorSolution:
     return SerreFactorSolution(
-        phi=sol.phi.truncate(D),
-        map=MirrorMap(f0=sol.map.f0.truncate(D), f1=[f.truncate(D) for f in sol.map.f1]),
-        string=sol.string.truncate(D),
-        residual=sol.residual.truncate(D),
+        phi=_truncate(sol.phi, D),
+        map=MirrorMap(f0=_truncate(sol.map.f0, D), f1=[_truncate(f, D) for f in sol.map.f1]),
+        string=_truncate(sol.string, D),
+        residual=_truncate(sol.residual, D),
     )
 
 

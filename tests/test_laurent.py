@@ -28,7 +28,7 @@ from gwtwist import (
     n_numbers,
 )
 from gwtwist.ring import coh_to_obj
-from gwtwist.series import hl_from_obj, hl_to_obj
+from gwtwist.series import hl_to_obj
 from gwtwist.twist import _combined_degrees
 
 SPACES = [AmbientSpace(f) for f in ((1,), (2,), (3,), (1, 1), (2, 1))]
@@ -166,7 +166,6 @@ def test_serialization_matches_hbar_powers(seed):
         obj = hl_to_obj(a)
         ref = sorted(_pruned(terms).items())
         assert obj == [{"pow": k, "class": coh_to_obj(c)} for k, c in ref]
-        assert hl_from_obj(sp, obj) == a
 
 
 @pytest.mark.parametrize("seed", range(3))

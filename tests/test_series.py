@@ -26,7 +26,6 @@ from gwtwist import (
     qs_exp,
     qs_log,
     qs_substitute,
-    qseries_from_obj,
     qseries_to_obj,
     solve_mirror_map,
 )
@@ -35,7 +34,6 @@ from gwtwist.series import (
     _degree,
     all_curve_classes,
     compose_substitute,
-    hl_from_obj,
     hl_to_obj,
     qs_exp_full,
     scalar_to_obj,
@@ -185,8 +183,6 @@ def test_mixed_kinds_refused(op, scalar_first):
 def test_negative_truncation_refused(cls):
     with pytest.raises(ValueError):
         cls(P1, -1)
-    with pytest.raises(ValueError, match="truncation degree -1"):
-        cls(P1, 2).truncate(-1)
 
 
 @pytest.mark.parametrize(
@@ -304,6 +300,11 @@ def test_substitute_inverse_round_trip_randomized():
             assert comp + g == ScalarQSeries.zero(sp, D)
 
 
+def _truncate(S, D: int):
+    """The terms of S up to degree D, as a series truncated at D."""
+    return type(S)(S.space, D, {b: c for b, c in S.terms.items() if sum(b) <= D})
+
+
 def test_truncation_stability_randomized():
     # 20 seeded cases: computing at higher D then truncating matches direct computation
     rng = random.Random(77)
@@ -323,8 +324,8 @@ def test_truncation_stability_randomized():
                     store[beta] = HbarLaurent(sp, {power: cls})
         A = QSeries(sp, hi_D, terms_a)
         B = QSeries(sp, hi_D, terms_b)
-        hi = (A * B).truncate(lo_D)
-        lo = A.truncate(lo_D) * B.truncate(lo_D)
+        hi = _truncate(A * B, lo_D)
+        lo = _truncate(A, lo_D) * _truncate(B, lo_D)
         assert hi == lo
 
 
@@ -354,12 +355,14 @@ def test_qseries_serialization_round_trip():
     assert betas == sorted(betas, key=lambda b: (sum(b), b))
     # the beta = 0 entry is written even when that term is zero
     assert obj["terms"][0] == {"beta": [0], "hbar": []}
-    assert qseries_from_obj(P1, obj) == S
 
 
 def test_hl_serialization_round_trip():
+    # 1/(p + hbar) = sum_k (-p)^k hbar^(-k-1), cut off at p^4 = 0
     a = hl_invert(_linear(P4, 1))
-    assert hl_from_obj(P4, hl_to_obj(a)) == a
+    assert hl_to_obj(a) == [
+        {"pow": -k - 1, "class": [{"exp": [k], "coeff": f"{(-1) ** k}/1"}]} for k in range(4, -1, -1)
+    ]
 
 
 def test_scalar_serialization_round_trip():

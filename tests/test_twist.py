@@ -12,7 +12,6 @@ from gwtwist import (
     HbarLaurent,
     QSeries,
     SpaceMismatch,
-    TruncationMismatch,
     Unclassifiable,
     Unsupported,
     check_conditions,
@@ -210,38 +209,12 @@ def test_i_function_trivial_cases_start_below_hbar_minus_two():
                 assert max(hl.exponents()) <= -2, (factors, lines, beta)
 
 
-def test_external_j_override():
-    ext = j_ambient(P4, 5)
-    g = GeometrySpec(P4, BundleSpec(((5,),)), external_j=ext)
-    assert i_function(g, 4) == i_function(GeometrySpec(P4, BundleSpec(((5,),))), 4)
-
-
-def test_external_j_below_requested_degree_refused():
-    g = GeometrySpec(P1, BundleSpec(((1,),)), external_j=j_ambient(P1, 2))
-    with pytest.raises(TruncationMismatch) as info:
-        i_function(g, 4)
-    assert info.value.context == {"have": 2, "want": 4}
-
-
-def test_external_j_must_start_at_unit():
-    bad = j_ambient(P4, 2).scale(2)
-    with pytest.raises(ValueError):
-        GeometrySpec(P4, BundleSpec(((5,),)), external_j=bad)
-
-
 def test_geometry_serialization_round_trip():
     g = _geometry((3,), ((1,), (1,)))
     obj = {"ambient": [3], "bundle": [{"l": [1]}, {"l": [1]}], "external_j": None}
     assert geometry_from_obj(obj) == g
     del obj["external_j"]
     assert geometry_from_obj(obj) == g
-
-
-def test_geometry_serialization_with_external_j():
-    ext = j_ambient(P1, 2)
-    obj = {"ambient": [1], "bundle": [{"l": [1]}], "external_j": qseries_to_obj(ext)}
-    back = geometry_from_obj(obj)
-    assert back.external_j == ext
 
 
 def test_product_ambient_series():
@@ -293,16 +266,7 @@ def _reference_h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
 
 def _reference_i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     space = g.space
-    if g.external_j is not None:
-        if g.external_j.max_degree < max_degree:
-            raise TruncationMismatch(
-                "external J truncated below the requested degree",
-                have=g.external_j.max_degree,
-                want=max_degree,
-            )
-        J = g.external_j.truncate(max_degree)
-    else:
-        J = _reference_j_ambient(space, max_degree)
+    J = _reference_j_ambient(space, max_degree)
     terms = {}
     for beta in J.curve_classes():
         if sum(beta) == 0:
@@ -316,13 +280,6 @@ def _reference_i_function(g: GeometrySpec, max_degree: int) -> QSeries:
     return QSeries(space, max_degree, terms)
 
 
-def _external_j_geometry():
-    # an external J that is not the ambient series: every beta != 0 term tripled
-    ambient = _reference_j_ambient(P4, 6)
-    terms = {b: hl if sum(b) == 0 else hl.scale(3) for b, hl in ambient.terms.items()}
-    return GeometrySpec(P4, BundleSpec(((5,),)), external_j=QSeries(P4, 6, terms))
-
-
 TABLE_CASES = {
     "quintic": (lambda: _geometry((4,), ((5,),)), 8),
     "bicubic": (lambda: _geometry((2, 2), ((3, 3),)), 4),
@@ -332,7 +289,6 @@ TABLE_CASES = {
     "p1xp1-o22": (lambda: _geometry((1, 1), ((2, 2),)), 4),
     "p1xp1-zero-pairings": (lambda: _geometry((1, 1), ((1, 0), (0, 2))), 4),
     "mixed-p4": (lambda: _geometry((4,), ((2,), (-1,))), 5),
-    "external-j": (_external_j_geometry, 5),
     "empty-bundle": (lambda: GeometrySpec(AmbientSpace((2,)), BundleSpec(())), 6),
     "p2xp1xp1-o322": (lambda: _geometry((2, 1, 1), ((3, 2, 2),)), 3),
     "p1x4-o2222": (lambda: _geometry((1, 1, 1, 1), ((2, 2, 2, 2),)), 3),
@@ -368,7 +324,7 @@ def _reference_start_one(g: GeometrySpec, max_degree: int, dual: bool) -> QSerie
     concave, n = <L, beta>), or with ``dual`` the Serre dual series:
     (-1)^rank times each (-c1 + k hbar) for k = -n+1..0."""
     space = g.space
-    J = g.external_j.truncate(max_degree) if g.external_j else _reference_j_ambient(space, max_degree)
+    J = _reference_j_ambient(space, max_degree)
     sign = (-1) ** g.bundle.rank if dual else 1
     terms = {}
     for beta in J.curve_classes():
