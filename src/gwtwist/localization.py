@@ -35,12 +35,14 @@ A vanishing factor in any denominator means the drawn weights are too
 special; WeightCollision asks the caller to redraw.
 
 Each weight draw is tabulated once.  At the integer weights W_i = c w_i,
-c the lcm of the weights' denominators, the edge factors per ordered pair
-(i, j) and edge degree delta and the vertex factors per label are stored as
-integer numerators and denominators; a graph multiplies its entries with
-its flag, smoothing, ev and psi factors into one Fraction.  Every term is
-homogeneous of degree (integrand degree - virtual dimension) in the
-weights, so the sum at the W_i is multiplied once by c to minus that degree.
+c the lcm of the weights' denominators, each edge's bundle over normal-bundle
+factor per ordered pair (i, j) and degree delta, and the vertex factors per
+label, are integer numerator-denominator pairs.  A graph multiplies its
+entries with its flag, smoothing, ev and psi factors and adds the term, with
+one gcd, to one running numerator over one running denominator, so a draw
+builds one Fraction.  Every term is homogeneous of degree (integrand degree
+- virtual dimension) in the weights, so the sum at the W_i is multiplied
+once by c to minus that degree.
 
 The sum is weight-independent only when the integrand's degree is at most
 the virtual dimension r + (r+1)d - 2 of the one-pointed moduli space.  The
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from numbers import Integral
 
 from .errors import DegreeOutOfScope, Unclassifiable, Unsupported, WeightCollision, _exact
@@ -101,6 +103,20 @@ class FixedGraph:
     auto: Fraction
 
 
+def _require_shape(r: int, d: int) -> None:
+    """Refuse a P^r or a degree the graph sums do not cover, before any
+    weight is drawn: r and d must be integers, r >= 1 and d in 1..2."""
+    for name, value in (("r", r), ("d", d)):
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} = {value!r} is not an integer")
+    if r < 1:
+        raise ValueError(f"r = {r} is below 1; P^r needs r >= 1")
+    if not 1 <= d <= MAX_DEGREE:
+        raise DegreeOutOfScope(
+            f"fixed-point sums are shipped for degrees 1..{MAX_DEGREE}", degree=d
+        )
+
+
 @lru_cache(maxsize=None, typed=True)
 def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
     """All decorated graphs for degree d on P^r with one marked point, built
@@ -115,10 +131,7 @@ def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
     """
     if n != 1:
         raise DegreeOutOfScope("only one marked point is supported", points=n)
-    if not 1 <= d <= MAX_DEGREE:
-        raise DegreeOutOfScope(
-            f"fixed-point sums are shipped for degrees 1..{MAX_DEGREE}", degree=d
-        )
+    _require_shape(r, d)
     labels = range(r + 1)
     half, one = Fraction(1, 2), Fraction(1)
     graphs = []
@@ -168,11 +181,11 @@ def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) ->
 def _tables(r: int, d: int, lines, W):
     """The per-draw tables at the integer weights W.
 
-    ``edges[i, j, delta]`` holds the numerator and denominator of the edge's
-    bundle factor, then of its normal-bundle factor (numerator 0 when an edge
-    character hits a fixed-point weight).  ``tangent[v]`` is
-    prod_{m != v} (W_v - W_m), and ``middle[v]`` the numerator and
-    denominator of the bundle factor at a two-valent vertex labeled v.
+    ``edges[i, j, delta]`` holds the edge's bundle factor over its
+    normal-bundle factor as one numerator and denominator (denominator 0
+    when an edge character hits a fixed-point weight).  ``middle[v]`` holds
+    the numerator and denominator of the bundle factor at a two-valent
+    vertex labeled v, its numerator times prod_{m != v} (W_v - W_m).
     """
     labels = range(r + 1)
     edges = {}
@@ -191,13 +204,13 @@ def _tables(r: int, d: int, lines, W):
                     for a in range(delta + 1):
                         normal *= a * wi + (delta - a) * wj - delta * W[m]
             characters = 2 * delta + (r - 1) * (delta + 1)
-            edges[i, j, delta] = (bundle, delta**factors, normal, delta**characters)
+            edges[i, j, delta] = (bundle * delta**characters, delta**factors * normal)
     tangent = [prod(W[v] - W[m] for m in labels if m != v) for v in labels]
     middle = [
-        (prod(l * w for l in lines if l < 0), prod(l * w for l in lines if l > 0))
-        for w in W
+        (prod(l * w for l in lines if l < 0) * t, prod(l * w for l in lines if l > 0))
+        for w, t in zip(W, tangent)
     ]
-    return edges, tangent, middle
+    return edges, middle
 
 
 def _power(top: int, bottom: int, e: int):
@@ -221,30 +234,37 @@ def localized_invariant(
 
     Exact rational; the same for every admissible weight choice.
     """
+    graphs = enumerate_graphs(r, d)
     if len(weights) != r + 1:
         raise WeightCollision(f"need {r + 1} weights for P^{r}", got=len(weights))
     excess = _require_top_degree(r, d, lines, psi_power, ev_power)
-    graphs = enumerate_graphs(r, d)
-    if graphs and 0 in lines:
+    if 0 in lines:
         raise Unclassifiable("zero twist has no type")
-    ws = [Fraction(weights[i]) for i in range(r + 1)]
-    c = lcm(*(w.denominator for w in ws))
-    W = [w.numerator * (c // w.denominator) for w in ws]
-    edges, tangent, middle = _tables(r, d, lines, W)
-    total = Fraction(0)
+    c = lcm(*(w.denominator for w in weights.values))
+    W = [w.numerator * (c // w.denominator) for w in weights.values]
+    edges, middle = _tables(r, d, lines, W)
+    ev = [_power(w, 1, ev_power) for w in W]
+    total, common = 0, 1
     for g in graphs:
         vs, ds, marked = g.vertices, g.degrees, g.marked
         last = len(vs) - 1
         num, den = g.auto.numerator, g.auto.denominator
         for k, delta in enumerate(ds):
-            edge = edges[vs[k], vs[k + 1], delta]
-            num, den = num * edge[0], den * edge[1]
+            top, bottom = edges[vs[k], vs[k + 1], delta]
+            if bottom == 0:
+                raise WeightCollision("edge character hits a fixed-point weight")
+            num, den = num * top, den * bottom
         if last == 2:
             top, bottom = middle[vs[1]]
             if bottom == 0:
                 raise WeightCollision("bundle vertex weight vanishes")
-            num, den = num * top, den * bottom
-        top, bottom = _power(W[vs[marked]], 1, ev_power)
+            # both edges of a two-edge graph have degree 1
+            om1, om2 = W[vs[1]] - W[vs[0]], W[vs[1]] - W[vs[2]]
+            smoothing = om1 * om2 if marked == 1 else om1 + om2
+            if smoothing == 0:
+                raise WeightCollision("node-smoothing weight vanishes")
+            num, den = num * top, den * bottom * smoothing
+        top, bottom = ev[vs[marked]]
         num, den = num * top, den * bottom
         if psi_power:
             # minus the flag weight at an end marking, 0 at the middle one
@@ -252,18 +272,6 @@ def localized_invariant(
             flag = W[vs[nbr]] - W[vs[marked]] if marked in (0, last) else 0
             top, bottom = _power(flag, delta, psi_power)
             num, den = num * top, den * bottom
-        for k, delta in enumerate(ds):
-            edge = edges[vs[k], vs[k + 1], delta]
-            if edge[2] == 0:
-                raise WeightCollision("edge character hits a fixed-point weight")
-            num, den = num * edge[3], den * edge[2]
-        if last == 2:
-            # both edges of a two-edge graph have degree 1
-            om1, om2 = W[vs[1]] - W[vs[0]], W[vs[1]] - W[vs[2]]
-            smoothing = om1 * om2 if marked == 1 else om1 + om2
-            if smoothing == 0:
-                raise WeightCollision("node-smoothing weight vanishes")
-            num, den = num * tangent[vs[1]], den * smoothing
         if num == 0:
             # skipped only once the draw's Euler-class checks have passed
             continue
@@ -271,8 +279,11 @@ def localized_invariant(
             if v != marked:
                 # an unmarked end divides the Euler class by its flag weight
                 num, den = num * (W[vs[v]] - W[vs[nbr]]), den * delta
-        total += Fraction(num, den)
-    return total * c**excess
+        # total / common += num / den, over the lcm of the two denominators
+        shared = gcd(common, den)
+        total = total * (den // shared) + num * (common // shared)
+        common *= den // shared
+    return Fraction(total * c**excess, common)
 
 
 def draw_weights(r: int, rng: random.Random) -> TorusWeights:
@@ -292,6 +303,7 @@ def oracle_n_value(r: int, d: int, lines, seed: int = 0):
     """Curve count per degree via the graph sum: the divisor-inserted
     integral divided by d.  Redraws weights until no denominator collides.
     """
+    _require_shape(r, d)
     rng = random.Random(seed)
     last = None
     for _ in range(64):

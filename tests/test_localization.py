@@ -446,3 +446,61 @@ def test_non_integral_twist_refused():
         localization._require_top_degree(1, 1, (-1.5, -1), 0, 1)
     with pytest.raises(ValueError, match=r"-1\.0 is not an integer"):
         localized_invariant(1, 1, (-1, -1.0), 0, 1, W2)
+
+
+def _refuse_draws(monkeypatch):
+    def no_draw(r, rng):
+        raise AssertionError("weights drawn before r and d were checked")
+
+    monkeypatch.setattr(localization, "draw_weights", no_draw)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_degree_below_one_refused_before_the_dimension_gate(monkeypatch, d):
+    # P1 with no bundle used to meet the dimension gate first, whose
+    # Unsupported named an integrand degree above a negative dimension
+    _refuse_draws(monkeypatch)
+    with pytest.raises(DegreeOutOfScope) as info:
+        oracle_n_value(1, d, ())
+    assert info.value.payload()["degree"] == d
+    with pytest.raises(DegreeOutOfScope):
+        localized_invariant(1, d, (), 0, 1, W2)
+
+
+@pytest.mark.parametrize("r", [-3, 0, 4.0])
+def test_r_refused_unless_an_integer_of_at_least_one(monkeypatch, r):
+    # -3 used to reach random.sample ("Sample larger than population"), 4.0
+    # a TypeError from the weight arithmetic
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"^r = "):
+        oracle_n_value(r, 1, (5,))
+    with pytest.raises(ValueError, match=r"^r = "):
+        localized_invariant(r, 1, (5,), 0, 1, W5)
+
+
+def test_float_degree_refused_by_name(monkeypatch):
+    # 1.0 used to reach range() as a TypeError
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"^d = 1\.0 is not an integer"):
+        oracle_n_value(4, 1.0, (5,))
+    with pytest.raises(ValueError, match=r"^d = 1\.0 is not an integer"):
+        localized_invariant(4, 1.0, (5,), 0, 1, W5)
+
+
+def test_draw_sums_its_graphs_into_one_accumulator(monkeypatch):
+    # each graph's term joins one integer numerator over one running
+    # denominator; a Fraction per graph built 186 of them for the 180 graphs
+    # of P4 at degree 2
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    assert len(enumerate_graphs(4, 2)) == 180
+    monkeypatch.setattr(localization, "Fraction", Counting)
+    value = localized_invariant(4, 2, (5,), 0, 1, W5)
+    monkeypatch.undo()
+    assert value == Fraction(4876875, 4)
+    assert len(built) <= 4 + 2

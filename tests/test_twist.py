@@ -80,6 +80,17 @@ def test_conditions_fano_case():
     assert report.trivial_transform_case == "FanoIndex2plus"
 
 
+def test_conditions_fano_index_read_on_every_factor():
+    # O(1,1) leaves index 2 on P2 and 1 on P1, so P2xP1 is not the Fano case
+    # though its first factor alone would be; P1xP2 is the same with the
+    # factors swapped, and P3xP2 has index 3 and 2
+    assert check_conditions(_geometry((2, 1), ((1, 1),))).trivial_transform_case is None
+    assert check_conditions(_geometry((1, 2), ((1, 1),))).trivial_transform_case is None
+    report = check_conditions(_geometry((3, 2), ((1, 1),)))
+    assert report.nonneg == (True, True)
+    assert report.trivial_transform_case == "FanoIndex2plus"
+
+
 def test_conditions_fano_index_one_is_not_trivial():
     report = check_conditions(_geometry((1,), ((1,),)))
     assert report.nonneg == (True,)
