@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .errors import EngineError, Unsupported
 from .invariants import (
-    _apply,
     _solve,
     aspinwall_morrison,
     n_numbers,
@@ -27,6 +26,7 @@ from .invariants import (
     solve_serre_factor,
 )
 from .localization import enumerate_graphs, oracle_n_value
+from .mirror import _check_normalized
 from .ring import format_fraction
 from .series import qseries_to_obj
 from .twist import check_conditions, geometry_from_obj, i_function
@@ -45,7 +45,7 @@ def _ifun(g, args):
 def _mirror_map(g, args):
     # checked on the series it was solved on
     m, S = _solve(g, args.max_degree)
-    _apply(S, m)
+    _check_normalized(S, m)
     return m.to_obj(), None, 0
 
 

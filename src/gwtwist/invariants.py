@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Infeasible, StructureViolation, Unsupported
-from .mirror import MirrorMap, _solve_relative_map, apply_transform, normal_form, solve_mirror_map
-from .ring import BundleSpec, CohClass, euler_class, format_fraction
-from .series import HbarLaurent, QSeries, ScalarQSeries, _graded, qseries_to_obj, scalar_to_obj
+from .mirror import MirrorMap, _check_normalized, _paired_layers, _solve_relative_map, apply_transform
+from .mirror import normal_form, solve_mirror_map
+from .ring import ZERO, BundleSpec, euler_class, format_fraction
+from .series import QSeries, ScalarQSeries, _graded, compose_substitute, qseries_to_obj, scalar_to_obj
 from .twist import (
     GeometrySpec,
     _combined_degrees,
@@ -50,18 +51,6 @@ def _solve(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, QSeries]:
     return solve_mirror_map(S, g.space.unit()), S
 
 
-def _apply(S: QSeries, m: MirrorMap) -> QSeries:
-    """Apply the map once and refuse a result with an hbar^0 or hbar^-1
-    layer at any curve class beta != 0."""
-    T = apply_transform(S, m)
-    zero = HbarLaurent.zero(T.space)
-    for beta in T.curve_classes()[1:]:
-        powers = T.terms.get(beta, zero).exponents()
-        if 0 in powers or -1 in powers:
-            raise StructureViolation("transformed series is not normalized", beta=list(beta))
-    return T
-
-
 def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
     """The twisted series under the change of variables read off I': the
     map applied to ``i_function``, checked to have vanishing hbar^0 and
@@ -76,45 +65,48 @@ def normalized_series(g: GeometrySpec, max_degree: int) -> QSeries:
             "a concave bundle's series is normalized only under the zero map",
             beta=list(min(moved, key=_graded)),
         )
-    return _apply(i_function(g, max_degree), m)
+    T = apply_transform(i_function(g, max_degree), m)
+    _check_normalized(T, MirrorMap.zero(g.space, max_degree))
+    return T
 
 
-def _divide(a: CohClass, e: CohClass, beta) -> CohClass:
-    """a / e for the monomial e = c H^k on one projective space: each H^i of
-    a shifts down to H^(i-k).  A term below H^k is refused."""
-    [((k,), c)] = e.items()
-    if any(i < k for (i,), _ in a.items()):
-        raise StructureViolation("hbar^-2 coefficient is not divisible by e(E_conc)", beta=list(beta))
-    return sum((a.space.monomial((i - k,), x / c) for (i,), x in a.items()), a.space.zero())
+def _pairing(g: GeometrySpec) -> list:
+    """The count pairing P(c) = integral of D e(E_conv) c, D the sum of the
+    hyperplane classes, as integer weights on the monomial basis over one
+    positive denominator, then a unit row per slot it refuses.  Where
+    e(E_conc) = c H^k != 0 on one projective space, P pairs c / e(E_conc),
+    dividing before the product overflows the top degree: P(H^m) reads
+    D e(E_conv) at the top over H^(m-k), over c, and H^m for m < k is refused."""
+    space = g.space
+    pairing = space.divisor_sum() * euler_class(space, BundleSpec(g.convex_lines()))
+    conc = euler_class(space, BundleSpec(g.concave_lines()))  # 1 for a convex bundle
+    [(shift, c)] = list(conc.items()) or [((0,) * space.nfactors, 1)]
+    top = [r + k for r, k in zip(space.factors, shift)]
+    slots = [space.basis_index.get(tuple(t - x for t, x in zip(top, e))) for e in space.basis]
+    weights = [0 if j is None else pairing.num[j] * c.denominator * (1 if c > 0 else -1) for j in slots]
+    units = [([int(j == k) for j in range(len(slots))], 1) for k in range(sum(shift))]
+    return [(weights, pairing.den * abs(c.numerator))] + units
 
 
 def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     """Curve counts per curve class, from the hbar^{-2} layer.
 
-    The map is applied to the series it was solved on (``_solve``), and
-    N_beta = (integral of D e(E_conv) a_2) / |beta|, with a_2 its hbar^-2
-    coefficient and D the sum of the hyperplane classes.  For a convex
-    bundle that is the integral of D a_2 on the transformed e(E) I', the
-    transform commuting with a constant class.  Where a concave summand has
-    a non-zero Euler class e(E_conc), a_2 is first divided by it: dividing
-    first keeps the product below the top degree, where multiplying first
-    would overflow it.  Where e(E_conc) = 0 the series is ``i_function``
-    and, under the positivity gate, there is no convex summand.
-    """
+    N_beta |beta| is the beta coefficient of the hbar^-2 layer of the series
+    the map is solved on (``_solve``), transformed and paired by ``_pairing``;
+    for a convex bundle that pairs D with the transformed e(E) I'.  The layer
+    is paired to scalars before the substitution q -> q e^{f1}
+    (``mirror._paired_layers``), which then is one scalar compose, so the
+    series is never transformed as classes.  A layer that e(E_conc) does not
+    divide is refused before the substitution, which on one factor keeps the
+    lowest term of a series.  Where e(E_conc) = 0 the series is
+    ``i_function``, with no convex summand."""
     m, S = _solve(g, max_degree)
-    T = _apply(S, m)
-    space = g.space
-    conc = euler_class(space, BundleSpec(g.concave_lines()))
-    divide = bool(g.concave_lines()) and not conc.is_zero
-    pairing = space.divisor_sum() * euler_class(space, BundleSpec(g.convex_lines()))
-    zero = HbarLaurent.zero(space)
-    out: dict = {}
-    for beta in T.curve_classes()[1:]:
-        a = T.terms.get(beta, zero).coefficient(-2)
-        if divide:
-            a = _divide(a, conc, beta)
-        out[beta] = space.integrate(pairing * a) / sum(beta)
-    return out
+    Y, *spoilt = _paired_layers(S, m, _pairing(g))
+    if bad := [beta for y in spoilt for beta in y.terms]:
+        beta = list(min(bad, key=_graded))
+        raise StructureViolation("hbar^-2 coefficient is not divisible by e(E_conc)", beta=beta)
+    Y = compose_substitute(Y, m.f1, m._factors).terms
+    return {beta: Y.get(beta, ZERO) / sum(beta) for beta in S.curve_classes()[1:]}
 
 
 def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:

@@ -160,8 +160,12 @@ def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
 
 
 def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) -> int:
-    """Refuse an integrand of degree above the virtual dimension; return the
-    dimension minus the integrand degree."""
+    """Refuse powers that are not non-negative integers and an integrand of
+    degree above the virtual dimension, before any weight arithmetic; return
+    the dimension minus the integrand degree."""
+    for name, value in (("psi_power", psi_power), ("ev_power", ev_power)):
+        if not isinstance(value, Integral) or value < 0:
+            raise ValueError(f"{name} = {value!r} is not a non-negative integer")
     degree = ev_power + psi_power
     for l in lines:
         if not isinstance(l, Integral):
@@ -213,15 +217,6 @@ def _tables(r: int, d: int, lines, W):
     return edges, middle
 
 
-def _power(top: int, bottom: int, e: int):
-    """(top/bottom)**e as (numerator, denominator); 0**-e divides by zero."""
-    if e < 0:
-        top, bottom, e = bottom, top, -e
-    if bottom == 0:
-        raise ZeroDivisionError("zero to a negative power")
-    return top**e, bottom**e
-
-
 def localized_invariant(
     r: int,
     d: int,
@@ -243,7 +238,7 @@ def localized_invariant(
     c = lcm(*(w.denominator for w in weights.values))
     W = [w.numerator * (c // w.denominator) for w in weights.values]
     edges, middle = _tables(r, d, lines, W)
-    ev = [_power(w, 1, ev_power) for w in W]
+    ev = [w**ev_power for w in W]
     total, common = 0, 1
     for g in graphs:
         vs, ds, marked = g.vertices, g.degrees, g.marked
@@ -264,14 +259,12 @@ def localized_invariant(
             if smoothing == 0:
                 raise WeightCollision("node-smoothing weight vanishes")
             num, den = num * top, den * bottom * smoothing
-        top, bottom = ev[vs[marked]]
-        num, den = num * top, den * bottom
+        num *= ev[vs[marked]]
         if psi_power:
             # minus the flag weight at an end marking, 0 at the middle one
             nbr, delta = (1, ds[0]) if marked == 0 else (last - 1, ds[-1])
             flag = W[vs[nbr]] - W[vs[marked]] if marked in (0, last) else 0
-            top, bottom = _power(flag, delta, psi_power)
-            num, den = num * top, den * bottom
+            num, den = num * flag**psi_power, den * delta**psi_power
         if num == 0:
             # skipped only once the draw's Euler-class checks have passed
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import SpaceMismatch, StructureViolation
@@ -33,6 +34,7 @@ from .series import (
     QSeries,
     ScalarQSeries,
     _check_dials,
+    _graded,
     _invert_with_factors,
     compose_substitute,
     qs_exp,
@@ -47,12 +49,13 @@ from .series import (
 class MirrorMap:
     """Change-of-variables data: a scalar dial f0, one dial f1^i per factor,
     and the string dial (zero unless given).  A solved map also keeps its
-    solve's exp(beta . f1) table, left out of ==, repr and ``to_obj``."""
+    solve's exp(beta . f1) table and normal form, left out of ==, repr and ``to_obj``."""
 
     f0: ScalarQSeries
     f1: tuple[ScalarQSeries, ...]
     string: ScalarQSeries | None = None
     _factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _source: NormalForm | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "f1", tuple(self.f1))
@@ -90,6 +93,12 @@ class NormalForm:
     g: ScalarQSeries
     string: ScalarQSeries
     divisor_part: tuple[ScalarQSeries, ...]
+
+    @cached_property
+    def _over_g(self):
+        """1/g, and what the dials f0, string and f1 cancel: log g, s/g and div/g."""
+        inv = qs_exp((log_g := qs_log(self.g)).scale(-1))
+        return inv, (log_g, *(x * inv for x in (self.string, *self.divisor_part)))
 
 
 def _hyperplane_slots(space: AmbientSpace) -> list[int]:
@@ -206,13 +215,15 @@ def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
     ``_solve_relative_map`` against the trivial target g = 1, s = 0, div = 0,
     handed over as a normal form: f1 + (div/g)(q e^{f1}) = 0,
     f0 = -log g(q e^{f1}) and string = -(s/g)(q e^{f1}).  A start other than 1
-    gives the zero map or a refusal (see ``normal_form``).  The pipeline
-    applies the map once and checks the result (``invariants._apply``).
+    gives the zero map or a refusal (see ``normal_form``).  The map keeps the
+    normal form of S, which the count read reuses (``_paired_layers``).
     """
     zero = ScalarQSeries.zero(S.space, S.max_degree)
     one = zero._like([_ONE] + zero.levels[1:])
     trivial = NormalForm(one, zero, (zero,) * S.space.nfactors)
-    return _solve_relative_map(normal_form(S, start), trivial)[0]
+    m = _solve_relative_map(a := normal_form(S, start), trivial)[0]
+    object.__setattr__(m, "_source", a)
+    return m
 
 
 def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, ScalarQSeries]:
@@ -227,15 +238,57 @@ def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, Scalar
     builds each exp(beta . f1) once; both substitutions here and
     ``apply_transform`` read them off its table, which the map keeps.
     """
-    inv_ga, inv_gb = (qs_exp(qs_log(nf.g).scale(-1)) for nf in (a, b))
-    f1, factors = _invert_with_factors(
-        [d * inv_ga for d in a.divisor_part], [d * inv_gb for d in b.divisor_part]
-    )
+    (inv_ga, (_, s_a, *h)), (inv_gb, (_, s_b, *k)) = a._over_g, b._over_g
+    f1, factors = _invert_with_factors(h, k)
     ratio = b.g * compose_substitute(inv_ga, f1, factors)
-    string = b.string * inv_gb - compose_substitute(a.string * inv_ga, f1, factors)
+    string = s_b - compose_substitute(s_a, f1, factors)
     m = MirrorMap(f0=qs_log(ratio), f1=tuple(f1), string=string)
     object.__setattr__(m, "_factors", factors)
     return m, ratio
+
+
+def _check_normalized(S: QSeries, m: MirrorMap) -> None:
+    """Refuse a map under which S is not normalized, naming the first curve
+    class beta != 0, in graded order, with an hbar^0 or hbar^-1 layer: S's
+    own under the zero map, else e^{f0} g~ - 1 and e^{f0} (s~ + string g~ +
+    sum_i p_i (div_i~ + f1^i g~)), ~ at q e^{f1}, which vanish with
+    f0 + (log g)~, string + (s/g)~ and each f1^i + (div_i/g)~."""
+    if m.is_zero:
+        bad = [b for b, hl in S.terms.items() if sum(b) and {0, -1} & set(hl.exponents())]
+    else:
+        dials = zip((m.f0, m.string, *m.f1), m._source._over_g[1])
+        bad = [b for f, x in dials for b in (f + compose_substitute(x, m.f1, m._factors)).terms]
+    if bad:
+        raise StructureViolation("transformed series is not normalized", beta=list(min(bad, key=_graded)))
+
+
+def _paired_layers(S: QSeries, m: MirrorMap, rows: list) -> list[ScalarQSeries]:
+    """The hbar^-2 layer of the transform of S by m, (S_-2/g - 1/2 (S_-1/g)^2)~,
+    paired by each row (w, den) of integer weights on the monomial basis,
+    P(c) = sum_k w_k c_k / den, and read before q -> q e^{f1}: as
+    Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b), with p_0 = 1, c_0 = s/g
+    and c_i = div_i/g, or as P(S_-2) under the zero map.  The map is checked
+    first (``_check_normalized``)."""
+    _check_normalized(S, m)
+    space, D, n = S.space, S.max_degree, S.space.nfactors
+    units = [space.basis[i] for i in [0] + _hyperplane_slots(space)]
+    out = []
+    for row, den in rows:
+        weights = [(k, w, sum(e)) for k, (w, e) in enumerate(zip(row, space.basis)) if w]
+        entries = [
+            (b, sum(w * hl.cls.num[k] for k, w, d in weights if d == hl.delta + 2), den * hl.cls.den)
+            for b, hl in S.terms.items()
+        ]
+        y = ScalarQSeries._of(space, D, _levels_of(n, D, entries))
+        if not m.is_zero:
+            inv_g, (_, *c) = m._source._over_g
+            y, weight_of = y * inv_g, dict(zip(space.basis, row))
+            for a in range(n + 1):
+                for b in range(a, n + 1):
+                    if w := weight_of.get(tuple(x + z for x, z in zip(units[a], units[b]))):
+                        y = y - (c[a] * c[b]).scale(Fraction(w * (2 - (a == b)), 2 * den))
+        out.append(y)
+    return out
 
 
 # -- descendant generating value ----------------------------------------------

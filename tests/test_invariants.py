@@ -29,12 +29,12 @@ from gwtwist import (
     solve_mirror_map,
     solve_serre_factor,
 )
-from gwtwist import invariants
+from gwtwist import invariants, mirror
 from gwtwist.cli import main
 from gwtwist.invariants import SerreFactorSolution, SerrePair
-from gwtwist.mirror import apply_transform
+from gwtwist.mirror import _check_normalized, apply_transform
 from gwtwist.ring import format_fraction
-from gwtwist.series import HbarLaurent, qs_exp
+from gwtwist.series import HbarLaurent, compose_substitute, qs_exp
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _naive_class_mul, _promote, _reference_apply_transform, _scalar_one
 from test_series import _assert_table_is_truncated_exps, _count_tables, _truncate
@@ -84,7 +84,7 @@ def test_local_p1_counts_do_not_build_the_start_one_series(monkeypatch):
     assert [N[(d,)] for d in range(1, 11)] == [Fraction(1, d**3) for d in range(1, 11)]
     # mirror-map makes the same two calls, so it does not build I' either
     m, S = invariants._solve(LOCAL_P1, 3)
-    invariants._apply(S, m)
+    _check_normalized(S, m)
     assert calls == []
     assert m.is_zero
 
@@ -225,24 +225,27 @@ def test_multiple_cover_gate_product_ambient():
     ],
     ids=["quintic", "bicubic", "K_P2", "P4 O(2)+O(2)+O(-1)", "P4 O(1)"],
 )
-def test_counts_transform_the_series_the_map_is_solved_on(monkeypatch, factors, lines):
+def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines):
+    # the counts read three hbar layers of I' paired to scalars: I' is built
+    # once, and neither it nor i_function is transformed as classes
     built, transformed, detours = [], [], []
-    build, apply = invariants.i_prime, invariants.apply_transform
+    build, apply = invariants.i_prime, apply_transform
 
     def building(*args):
         built.append(build(*args))
         return built[-1]
 
-    def applying(S, m):
-        transformed.append(S)
-        return apply(S, m)
+    def applying(*args):
+        transformed.append(args)
+        return apply(*args)
 
     monkeypatch.setattr(invariants, "i_prime", building)
     monkeypatch.setattr(invariants, "apply_transform", applying)
+    monkeypatch.setattr(mirror, "apply_transform", applying)
     monkeypatch.setattr(invariants, "normalized_series", lambda *args: detours.append(args))
     n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), 3)
     assert len(built) == 1
-    assert len(transformed) == 1 and transformed[0] is built[0]
+    assert transformed == []
     assert detours == []
 
 
@@ -266,7 +269,11 @@ def _counts_via_euler_times_i_prime(g, D):
     for beta in T.curve_classes()[1:]:
         a = T.term(beta).coefficient(-2)
         if g.concave_lines() and not conc.is_zero:
-            a = invariants._divide(a, conc, beta) * euler_class(space, BundleSpec(g.convex_lines()))
+            # a / e(E_conc), for e(E_conc) = c H^k: H^i shifts down to H^(i-k)
+            [((k,), c)] = conc.items()
+            assert all(i >= k for (i,), _ in a.items()), beta
+            a = sum((space.monomial((i - k,), x / c) for (i,), x in a.items()), space.zero())
+            a = a * euler_class(space, BundleSpec(g.convex_lines()))
         out[beta] = space.integrate(space.divisor_sum() * a) / sum(beta)
     return out
 
@@ -287,6 +294,15 @@ def test_counts_match_the_euler_times_i_prime_route():
         ((2, 2), ((3, 3),), 4),
         ((2, 1, 1), ((3, 2, 2),), 3),
         ((1, 1), ((2, 1),), 4),
+        # deep cases: every count past the sweep's degree 3
+        ((4,), ((5,),), 20),
+        ((2, 2), ((3, 3),), 8),
+        ((2, 1, 1), ((3, 2, 2),), 5),
+        ((1, 1, 1, 1), ((2, 2, 2, 2),), 4),
+        ((2,), ((-3,),), 10),
+        ((4,), ((2,), (2,), (-1,)), 8),
+        ((3,), ((3,), (-1,)), 8),
+        ((5,), ((-1,), (-5,)), 6),
     ]:
         g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
         assert n_numbers(g, D) == _counts_via_euler_times_i_prime(g, D), g
@@ -294,15 +310,16 @@ def test_counts_match_the_euler_times_i_prime_route():
 
 def test_every_pipeline_path_checks_the_normalized_series(monkeypatch, tmp_path, capsys):
     # a solve that is off by one coefficient must be caught wherever the
-    # pipeline applies the map
-    solve = invariants.solve_mirror_map
+    # pipeline applies the map or reads the counts off it; the shared solve
+    # body is patched, so the map still keeps the normal form of I'
+    solve = mirror._solve_relative_map
 
-    def off_by_one(S, ctop):
-        m = solve(S, ctop)
+    def off_by_one(a, b):
+        m, ratio = solve(a, b)
         f1 = m.f1[0]
-        return MirrorMap(f0=m.f0, f1=(f1.set_coeff((1,), f1.coeff((1,)) + 1),))
+        return MirrorMap(f0=m.f0, f1=(f1.set_coeff((1,), f1.coeff((1,)) + 1),)), ratio
 
-    monkeypatch.setattr(invariants, "solve_mirror_map", off_by_one)
+    monkeypatch.setattr(mirror, "_solve_relative_map", off_by_one)
     with pytest.raises(StructureViolation):
         normalized_series(QUINTIC, 3)
     with pytest.raises(StructureViolation):
@@ -311,6 +328,26 @@ def test_every_pipeline_path_checks_the_normalized_series(monkeypatch, tmp_path,
     path.write_text('{"ambient": [4], "bundle": [{"l": [5]}]}')
     assert main(["--geometry", str(path), "--cmd", "mirror-map", "--max-degree", "3"]) == 1
     assert capsys.readouterr().err.startswith('{"error": "StructureViolation"')
+
+
+@pytest.mark.parametrize("r, l", [(4, 5), (3, 3)], ids=["quintic", "cubic surface"])
+def test_counts_check_the_divisor_dial_on_its_own(monkeypatch, r, l):
+    # f1 off by one with f0 and the string dial solved for that f1, so only
+    # the divisor identity f1 + (div/g)(q e^{f1}) = 0 fails
+    solve = mirror._solve_relative_map
+
+    def off_in_f1(a, b):
+        m, ratio = solve(a, b)
+        f1 = [m.f1[0].set_coeff((1,), m.f1[0].coeff((1,)) + 1)]
+        _, (log_g, s_over_g, _) = a._over_g
+        f0, string = (compose_substitute(x, f1).scale(-1) for x in (log_g, s_over_g))
+        return MirrorMap(f0=f0, f1=f1, string=string), ratio
+
+    monkeypatch.setattr(mirror, "_solve_relative_map", off_in_f1)
+    g = GeometrySpec(AmbientSpace((r,)), BundleSpec(((l,),)))
+    with pytest.raises(StructureViolation, match="not normalized") as info:
+        n_numbers(g, 3)
+    assert info.value.context == {"beta": [1]}
 
 
 def test_normalized_series_requires_nonnegative_weights():

@@ -504,3 +504,27 @@ def test_draw_sums_its_graphs_into_one_accumulator(monkeypatch):
     monkeypatch.undo()
     assert value == Fraction(4876875, 4)
     assert len(built) <= 4 + 2
+
+
+@pytest.mark.parametrize(
+    "name, psi, ev",
+    [
+        ("psi_power", -1, 1),
+        ("psi_power", Fraction(1, 2), 1),
+        ("ev_power", 0, -1),
+        ("ev_power", 0, Fraction(1, 2)),
+        ("ev_power", 0, 1.0),
+    ],
+)
+def test_powers_refused_unless_non_negative_integers(monkeypatch, name, psi, ev):
+    # a negative power used to give a value that depends on the weights (ev
+    # -1 on P1: -1/2 at weights 1, 2 and -1/21 at 3, 7), a fractional one a
+    # TypeError from the weight arithmetic
+    _refuse_draws(monkeypatch)
+
+    def no_tables(*args):
+        raise AssertionError("weight arithmetic before the powers were checked")
+
+    monkeypatch.setattr(localization, "_tables", no_tables)
+    with pytest.raises(ValueError, match=rf"^{name} = "):
+        localized_invariant(4, 1, (), psi, ev, W5)
