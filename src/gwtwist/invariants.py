@@ -125,6 +125,9 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
     if any(_combined_degrees(g)):
         raise Unsupported("multiple-cover inversion needs vanishing combined degree")
     counts = {beta[0]: value for beta, value in N.items()}
+    missing = {d // k for d in counts for k in range(2, d + 1) if d % k == 0} - counts.keys()
+    if missing:
+        raise ValueError(f"counts lack the divisor degree {min(missing)}")
     out: dict = {}
     for d in sorted(counts):
         total = counts[d]

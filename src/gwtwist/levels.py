@@ -5,9 +5,10 @@ vanish, else a pair (numerators, den): the integer numerators of the curve
 classes of total degree n, in lex order, over one positive denominator, in
 lowest terms.  So equal series have equal levels, and products, exp, log,
 the substitution q -> q e^g and its inverse are integer dot products with one
-gcd per level (``_settle``).  While a level is summed it is held as
-``parts``, a dict {den: numerator list} standing for sum_den list/den, so
-terms of one denominator, the common case, add in place.  The class tables
+gcd per level (``_settle``).  While a level is summed it is held as one
+accumulator, a list [numerators, den] written in place: its first term sets
+den, a term over a divisor of den is scaled into it, and any other rescales
+it once to the lcm (``_merge``; inline in the two hot loops).  The class tables
 are pure functions of the number of factors and the degrees, as
 ``ring._mul_table`` is of the factors; no value outlives its call.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 _ONE = ((1,), 1)  # level 0 of a series with constant term 1
 
@@ -35,42 +37,38 @@ def _class_index(n: int, d: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _sum_table(n: int, a: int, b: int) -> tuple:
-    """Row i lists the pairs (j, k) with class i of level a plus class j of
-    level b equal to class k of level a + b, for n factors."""
-    index = _class_index(n, a + b)
-    level_b = list(enumerate(_classes_of_degree(n, b)))
-    return tuple(
-        tuple((j, index[tuple(x + y for x, y in zip(alpha, gamma))]) for j, gamma in level_b)
-        for alpha in _classes_of_degree(n, a)
-    )
+def _sum_tables(nfactors: int, n: int) -> tuple:
+    """Entry m pairs the classes of level m with their rows: row i lists the
+    pairs (j, k) with class i of level m plus class j of level n - m equal to
+    class k of level n, for ``nfactors`` factors."""
+    index, out = _class_index(nfactors, n), []
+    for m in range(n + 1):
+        alphas, gammas = _classes_of_degree(nfactors, m), _classes_of_degree(nfactors, n - m)
+        sums = ((tuple(map(add, a, c)) for c in gammas) for a in alphas)
+        out.append((alphas, tuple(tuple(enumerate(map(index.__getitem__, s))) for s in sums)))
+    return tuple(out)
 
 
-def _vec(parts: dict, den: int, size: int) -> list:
-    """The numerator list of ``parts`` over ``den``, added when missing."""
-    vec = parts.get(den)
-    if vec is None:
-        vec = parts[den] = [0] * size
-    return vec
+def _merge(acc: list, den: int, size: int):
+    """The numerator list of the accumulator ``acc`` and the factor that a
+    term over ``den`` takes in it: 1 when den is its denominator, which the
+    first term sets; rescaled once to the lcm when den does not divide it."""
+    vec, d = acc
+    if d != den:
+        if not d:
+            vec, d = [0] * size, den
+        elif d % den:
+            m = lcm(d, den)
+            vec, d = [x * (m // d) for x in vec], m
+        acc[:] = vec, d
+    return vec, d // den
 
 
-def _gather(parts: dict):
-    """sum_den list / den of non-empty ``parts`` as one numerator list over
-    the lcm of its denominators, not reduced."""
-    if len(parts) == 1:
-        [(den, num)] = parts.items()
-        return num, den
-    den = lcm(*parts)
-    scaled = [(den // d, vec) for d, vec in parts.items()]
-    return [sum(f * vec[i] for f, vec in scaled) for i in range(len(scaled[0][1]))], den
-
-
-def _settle(parts: dict, div: int = 1):
-    """The level sum_den list / (den * div) of ``parts``, or None when zero."""
-    if not parts:
-        return None
-    num, den = _gather(parts)
-    if not any(num):
+def _settle(acc: list, div: int = 1):
+    """The level of the accumulator ``acc`` divided by div, in lowest terms
+    with one gcd, or None when zero or never written."""
+    num, den = acc
+    if not den or not any(num):
         return None
     den *= div
     g = gcd(den, *num)
@@ -79,10 +77,11 @@ def _settle(parts: dict, div: int = 1):
     return tuple(num), den
 
 
-def _add_level(parts: dict, level, k: int = 1):
-    """Add k times a level to ``parts``."""
+def _add_level(acc: list, level, k: int = 1):
+    """Add k times a level to the accumulator ``acc``."""
     nums, den = level
-    vec = _vec(parts, den, len(nums))
+    vec, f = _merge(acc, den, len(nums))
+    k *= f
     for i, x in enumerate(nums):
         if x:
             vec[i] += k * x
@@ -91,19 +90,20 @@ def _add_level(parts: dict, level, k: int = 1):
 def _levels_of(nfactors: int, max_degree: int, entries) -> list:
     """The levels of the terms (beta, numerator, den), distinct classes of
     degree at most ``max_degree``."""
-    parts = [{} for _ in range(max_degree + 1)]
+    accs = [[None, 0] for _ in range(max_degree + 1)]
     for beta, num, den in entries:
         n = sum(beta)
-        size = len(_classes_of_degree(nfactors, n))
-        _vec(parts[n], den, size)[_class_index(nfactors, n)[beta]] = num
-    return [_settle(p) for p in parts]
+        vec, f = _merge(accs[n], den, len(_classes_of_degree(nfactors, n)))
+        vec[_class_index(nfactors, n)[beta]] = num * f
+    return [_settle(acc) for acc in accs]
 
 
-def _convolve_level(nfactors: int, n: int, theta, levels, parts: dict, k: int = 1):
-    """Add k sum_m theta_m levels[n - m] to the level-n ``parts``, theta a
+def _convolve_level(nfactors: int, n: int, theta, levels, acc: list, k: int = 1):
+    """Add k sum_m theta_m levels[n - m] to the level-n accumulator, theta a
     list of (m, level) by increasing m: one level of a product and one step
     of the exp and log recurrences."""
-    size = len(_classes_of_degree(nfactors, n))
+    vec, den = acc
+    tables = _sum_tables(nfactors, n)
     for m, (xn, dx) in theta:
         if m > n:
             break
@@ -111,37 +111,59 @@ def _convolve_level(nfactors: int, n: int, theta, levels, parts: dict, k: int = 
         if other is None:
             continue
         yn, dy = other
-        vec = _vec(parts, dx * dy, size)
-        for a, row in zip(xn, _sum_table(nfactors, m, n - m)):
+        d = dx * dy
+        if d != den:
+            if not den:
+                vec, den = [0] * len(tables[n][0]), d
+            elif den % d:
+                s = lcm(den, d)
+                vec, den = [x * (s // den) for x in vec], s
+        f = k * (den // d)
+        if len(vec) == 1:
+            vec[0] += f * xn[0] * yn[0]
+            continue
+        for a, row in zip(xn, tables[m][1]):
             if a:
-                a *= k
+                a *= f
                 for j, t in row:
                     b = yn[j]
                     if b:
                         vec[t] += a * b
+    acc[:] = vec, den
 
 
-def _compose_level(nfactors: int, n: int, levels, table: dict, parts: dict, k: int = 1):
-    """Add k times level n of f(q e^g) = sum_beta f_beta q^beta E_beta to
-    ``parts``, for f given by its levels and E_beta = exp(beta . g) read off
-    the factor table of ``_invert``."""
-    size = len(_classes_of_degree(nfactors, n))
-    for b in range(n + 1):
+def _compose_level(nfactors: int, n: int, levels, table: dict, acc: list, k: int = 1):
+    """Add k times level n of f(q e^g) = sum_beta f_beta q^beta E_beta to the
+    accumulator ``acc``, for f given by its levels and E_beta = exp(beta . g)
+    read off the factor table of ``_invert``."""
+    vec, den = acc
+    tables = _sum_tables(nfactors, n)
+    for b, (classes, rows) in enumerate(tables):
         if levels[b] is None:
             continue
-        nums, den = levels[b]
+        nums, dn = levels[b]
         m = n - b
-        for beta, c, row in zip(_classes_of_degree(nfactors, b), nums, _sum_table(nfactors, b, m)):
+        for beta, c, row in zip(classes, nums, rows):
             e = table[beta][m] if c else None
             if e is None:
                 continue
             en, de = e
-            vec = _vec(parts, den * de, size)
-            c *= k
+            d = dn * de
+            if d != den:
+                if not den:
+                    vec, den = [0] * len(tables[n][0]), d
+                elif den % d:
+                    s = lcm(den, d)
+                    vec, den = [x * (s // den) for x in vec], s
+            c *= k * (den // d)
+            if len(vec) == 1:
+                vec[0] += c * en[0]
+                continue
             for j, t in row:
                 x = en[j]
                 if x:
                     vec[t] += c * x
+    acc[:] = vec, den
 
 
 def _nonzero(nfactors: int, levels: list):
@@ -159,7 +181,7 @@ def _scaled(levels: list, num: int, den: int) -> list:
     """The levels times num/den, for den > 0."""
     if not num:
         return [None] * len(levels)
-    return [lv and _settle({lv[1] * den: [num * x for x in lv[0]]}) for lv in levels]
+    return [lv and _settle([[num * x for x in lv[0]], lv[1] * den]) for lv in levels]
 
 
 def _sum(x: list, y: list) -> list:
@@ -169,10 +191,9 @@ def _sum(x: list, y: list) -> list:
         if a is None or b is None:
             out.append(a or b)
             continue
-        parts: dict = {}
-        _add_level(parts, a)
-        _add_level(parts, b)
-        out.append(_settle(parts))
+        acc = [list(a[0]), a[1]]
+        _add_level(acc, b)
+        out.append(_settle(acc))
     return out
 
 
@@ -181,9 +202,9 @@ def _product(nfactors: int, x: list, y: list) -> list:
     theta = [(m, lv) for m, lv in enumerate(x) if lv]
     out = []
     for n in range(len(x)):
-        parts: dict = {}
-        _convolve_level(nfactors, n, theta, y, parts)
-        out.append(_settle(parts))
+        acc = [None, 0]
+        _convolve_level(nfactors, n, theta, y, acc)
+        out.append(_settle(acc))
     return out
 
 
@@ -195,9 +216,9 @@ def _exp(nfactors: int, levels: list) -> list:
     out = [_ONE] + [None] * (len(levels) - 1)
     theta = [(m, (tuple(m * x for x in lv[0]), lv[1])) for m, lv in enumerate(levels) if lv]
     for n in range(1, len(levels) if theta else 1):  # exp(0) = 1 at once
-        parts: dict = {}
-        _convolve_level(nfactors, n, theta, out, parts)
-        out[n] = _settle(parts, n)
+        acc = [None, 0]
+        _convolve_level(nfactors, n, theta, out, acc)
+        out[n] = _settle(acc, n)
     return out
 
 
@@ -207,11 +228,11 @@ def _log(nfactors: int, levels: list) -> list:
     out = [None] * len(levels)
     theta: list = []  # (m, m L_m) found so far
     for n in range(1, len(levels) if any(levels[1:]) else 1):  # log(1) = 0 at once
-        parts: dict = {}
+        acc = [None, 0]
         if levels[n] is not None:
-            _add_level(parts, levels[n], n)
-        _convolve_level(nfactors, n, theta, levels, parts, -1)
-        out[n] = level = _settle(parts, n)
+            _add_level(acc, levels[n], n)
+        _convolve_level(nfactors, n, theta, levels, acc, -1)
+        out[n] = level = _settle(acc, n)
         if level is not None:
             theta.append((n, (tuple(n * x for x in level[0]), level[1])))
     return out
@@ -222,9 +243,9 @@ def _compose(nfactors: int, levels: list, table: dict) -> list:
     table of ``_invert`` built for g."""
     out = []
     for n in range(len(levels)):
-        parts: dict = {}
-        _compose_level(nfactors, n, levels, table, parts)
-        out.append(_settle(parts))
+        acc = [None, 0]
+        _compose_level(nfactors, n, levels, table, acc)
+        out.append(_settle(acc))
     return out
 
 
@@ -235,7 +256,9 @@ def _invert(nfactors: int, classes: list, h: list, k: list):
 
     The degree-n terms of h(q e^g) = sum_beta h_beta q^beta E_beta, with
     E_beta = exp(beta . g), read g only below degree n.  Round n therefore
-    grows each E_beta by one level of the ``_exp`` recurrence and sets
+    grows each E_beta by one level of the ``_exp`` recurrence,
+    m E_beta[m] = sum_i beta_i sum_j theta_i[j] E_beta[m - j], with theta_i
+    the (j, j g_i[j]) levels of factor i settled so far, and sets
     g_n = k_n - [h(q e^g)]_n.  E_beta holds its levels 0..D - |beta|.
     """
     D = len(k[0]) - 1
@@ -243,27 +266,22 @@ def _invert(nfactors: int, classes: list, h: list, k: list):
     g = [list(f) for f in k]
     if not any(any(f) for f in (*h, *k)):
         return g, table  # g = 0, and every factor is exp(0) = 1
-    # per beta != 0: the (m, m (beta . g)_m) levels of theta(beta . g) so far
-    theta: dict = {beta: [] for beta in classes[1:]}
+    theta: list = [[] for _ in g]
     for n in range(1, D + 1):
         for b in range(1, n):
             m = n - b
             for beta in _classes_of_degree(nfactors, b):
-                parts: dict = {}
-                for x, gi in zip(beta, g):
-                    if x and gi[m] is not None:
-                        _add_level(parts, gi[m], x * m)
-                level, th = _settle(parts), theta[beta]
-                if level is not None:
-                    th.append((m, level))
-                if th:
-                    parts = {}
-                    _convolve_level(nfactors, m, th, table[beta], parts)
-                    table[beta][m] = _settle(parts, m)
-        for gi, hi in zip(g, h):
-            parts = {}
+                acc, e = [None, 0], table[beta]
+                for x, th in zip(beta, theta):
+                    if x and th:
+                        _convolve_level(nfactors, m, th, e, acc, x)
+                e[m] = _settle(acc, m)
+        for gi, hi, th in zip(g, h, theta):
+            acc = [None, 0]
             if gi[n] is not None:
-                _add_level(parts, gi[n])
-            _compose_level(nfactors, n, hi, table, parts, -1)
-            gi[n] = _settle(parts)
+                _add_level(acc, gi[n])
+            _compose_level(nfactors, n, hi, table, acc, -1)
+            gi[n] = level = _settle(acc)
+            if level is not None:
+                th.append((n, (tuple(n * x for x in level[0]), level[1])))
     return g, table

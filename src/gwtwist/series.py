@@ -34,15 +34,14 @@ from .levels import (
     _classes_of_degree,
     _compose,
     _exp,
-    _gather,
     _invert,
     _levels_of,
     _log,
+    _merge,
     _nonzero,
     _product,
     _scaled,
     _sum,
-    _vec,
 )
 from .ring import (
     AmbientSpace,
@@ -367,18 +366,20 @@ def _over_one_den(S: QSeries):
 
 
 class _ClassSums:
-    """Sums of homogeneous ``HbarLaurent`` terms per curve class, held as
-    integer numerator lists per (total degree, denominator) and settled into
-    one class each, with one gcd, as ``levels`` settles a scalar level."""
+    """Sums of homogeneous ``HbarLaurent`` terms per curve class, held as one
+    accumulator (``levels._merge``) per (curve class, total degree) and
+    settled into one class each, as ``levels`` settles a scalar level."""
 
     __slots__ = ("space", "table", "sums")
 
     def __init__(self, space: AmbientSpace):
         self.space, self.table, self.sums = space, _mul_table(space.factors), {}
 
-    def vec(self, beta, delta: int, den: int) -> list:
-        """The numerators of the terms at (beta, delta) over den, to add into."""
-        return _vec(self.sums.setdefault(beta, {}).setdefault(delta, {}), den, len(self.table))
+    def vec(self, beta, delta: int, den: int):
+        """The numerators of the sum at (beta, delta), to add into, and the
+        factor that a term over den takes there."""
+        acc = self.sums.setdefault(beta, {}).setdefault(delta, [None, 0])
+        return _merge(acc, den, len(self.table))
 
     def add_products(self, D: int, beta, n: int, delta: int, a, den: int, terms):
         """Add the products of the term (beta, |beta| = n, delta, numerators a)
@@ -386,8 +387,9 @@ class _ClassSums:
         rows = [(x, row) for x, row in zip(a, self.table) if x]
         for gamma, m, d, b in terms:
             if n + m <= D:
-                vec = self.vec(tuple(x + y for x, y in zip(beta, gamma)), delta + d, den)
+                vec, f = self.vec(tuple(x + y for x, y in zip(beta, gamma)), delta + d, den)
                 for x, row in rows:
+                    x *= f
                     for j, t in row:
                         y = b[j]
                         if y:
@@ -396,8 +398,7 @@ class _ClassSums:
     def pop(self, beta, div: int = 1) -> HbarLaurent:
         """The sum at beta divided by div, as one class.  Non-zero sums at two
         total degrees raise StructureViolation with the degrees sorted."""
-        sums = {delta: _gather(parts) for delta, parts in self.sums.pop(beta, {}).items()}
-        live = {delta: (num, den) for delta, (num, den) in sums.items() if any(num)}
+        live = {delta: acc for delta, acc in self.sums.pop(beta, {}).items() if any(acc[0])}
         if len(live) > 1:
             raise StructureViolation(
                 "sum of hbar-Laurent elements of different total degrees", degrees=sorted(live)
@@ -592,8 +593,8 @@ def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries
     sums = _ClassSums(S.space)
     for beta, _, delta, a in terms:
         for gamma, e, de in _nonzero(S.space.nfactors, table[beta]):
-            vec = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), delta, den * dt)
-            e *= dt // de
+            vec, f = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), delta, den * dt)
+            e *= f * (dt // de)
             for i, x in enumerate(a):
                 if x:
                     vec[i] += e * x

@@ -30,7 +30,7 @@ from math import comb, gcd, lcm, prod
 
 from .errors import Unclassifiable, Unsupported
 from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, _integer, euler_class
-from .series import HbarLaurent, QSeries, all_curve_classes
+from .series import HbarLaurent, QSeries
 
 CONVEX = "Convex"
 CONCAVE = "Concave"
@@ -237,14 +237,15 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     A_i of ``_inverse_products``; it is built as one class, the outer
     product of the A_i[beta_i] over the monomial basis.
     """
-    tables = [_inverse_products(r, max_degree) for r in space.factors]
+    empty = QSeries(space, max_degree)  # refuses a degree that is not a non-negative integer
+    tables = [_inverse_products(r, empty.max_degree) for r in space.factors]
     terms = {}
-    for beta in all_curve_classes(space, max_degree):
+    for beta in empty.curve_classes():
         rows = [table[d] for table, d in zip(tables, beta)]
         num = [prod(a[e] for (a, _), e in zip(rows, m)) for m in space.basis]
         delta = -sum((r + 1) * d for r, d in zip(space.factors, beta))
         terms[beta] = HbarLaurent._of(space, delta, CohClass(space, num, prod(d for _, d in rows)))
-    return QSeries(space, max_degree)._new(terms)
+    return empty._new(terms)
 
 
 def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:

@@ -193,6 +193,77 @@ def test_multiple_cover_correction_quintic():
     assert n[3] == Fraction(317206375)
 
 
+def _fraction_exp(a: list) -> list:
+    """exp of a Fraction list without a constant term: k E_k = sum_j j a_j E_{k-j}."""
+    e = [Fraction(1)]
+    for k in range(1, len(a)):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
+
+
+@pytest.mark.parametrize(
+    "r, lines, D",
+    [
+        (4, (5,), 20),
+        (2, (-3,), 12),
+        (4, (2, 2, -1), 8),
+        (3, (3, -1), 8),
+        (5, (3, 3), 12),
+        (7, (2, 2, 2, 2), 10),
+        (4, (3,), 8),
+        (3, (2,), 8),
+        (4, (1,), 6),
+        (1, (-1, -1), 8),
+    ],
+    ids=str,
+)
+def test_counts_match_lagrange_buermann_inversion(r, lines, D):
+    # With h = div/g, the map f1 + h(q e^{f1}) = 0 is t = Q e^{h(Q)} for
+    # Q = t e^{f1(t)}, and N_n n is the t^n coefficient of Y(Q(t)), so
+    # Lagrange-Buermann gives N_n = (1/n^2) [t^(n-1)] Y'(t) e^{-n h(t)}:
+    # plain Fraction lists, read off the solve, against the inversion
+    # and the substitution of n_numbers
+    g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
+    m, S = invariants._solve(g, D)
+    [Y, *_] = mirror._paired_layers(S, m, invariants._pairing(g))
+    h = m._source._over_g[1][2] if not m.is_zero else ScalarQSeries.zero(g.space, D)
+    y, h = ([f.coeff((d,)) for d in range(D + 1)] for f in (Y, h))
+    N = n_numbers(g, D)
+    for n in range(1, D + 1):
+        e = _fraction_exp([-n * x for x in h[:n]])
+        assert N[(n,)] == sum((j + 1) * y[j + 1] * e[n - 1 - j] for j in range(n)) / n**2
+
+
+def test_multiple_cover_correction_names_a_missing_divisor_degree():
+    # N_4 needs n_1 and n_2; a dict without them raised a bare KeyError
+    with pytest.raises(ValueError, match="divisor degree 1$"):
+        aspinwall_morrison(QUINTIC, {(2,): Fraction(1)})
+    N = n_numbers(QUINTIC, 4)
+    del N[(2,)]
+    with pytest.raises(ValueError, match="divisor degree 2$"):
+        aspinwall_morrison(QUINTIC, N)
+
+
+@pytest.mark.parametrize("D", [2.0, 2.5, "2"], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        i_function,
+        i_prime,
+        n_numbers,
+        normalized_series,
+        serre_dual_pair,
+        lambda g, D: j_ambient(g.space, D),
+    ],
+    ids=["i_function", "i_prime", "n_numbers", "normalized_series", "serre_dual_pair", "j_ambient"],
+)
+def test_series_builders_name_a_non_integral_degree(build, D):
+    # each reached a range() or a string sum with D before any series
+    # checked it, and raised a raw TypeError
+    with pytest.raises(ValueError, match=f"truncation degree {D!r} is not a non-negative integer"):
+        build(QUINTIC, D)
+
+
 def test_multiple_cover_correction_local():
     N = n_numbers(LOCAL_P1, 4)
     n = aspinwall_morrison(LOCAL_P1, N)

@@ -278,24 +278,29 @@ def test_apply_transform_builds_four_classes_per_curve_class(monkeypatch, factor
 
 @pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
 def test_substitution_sums_hold_one_numerator_list(monkeypatch, factors, lines, D):
-    # e(E) I' and the table levels it reads are each over one denominator;
-    # a list per (term, level) denominator held up to 12 and 4 lists per
-    # sum here
+    # e(E) I' and the table levels it reads are each brought over one
+    # denominator, so every term arrives over it and no accumulator is
+    # rescaled; a term over its own (term, level) denominator would rescale
     sp = AmbientSpace(factors)
     g = GeometrySpec(sp, BundleSpec(lines))
     m = solve_mirror_map(i_prime(g, D), sp.unit())
     S = i_function(g, D)
-    lists = []
-    pop = series._ClassSums.pop
+    arrived, held = [], []
+    vec, pop = series._ClassSums.vec, series._ClassSums.pop
+
+    def recording(self, beta, delta, den):
+        arrived.append(den)
+        return vec(self, beta, delta, den)
 
     def counting(self, beta, div=1):
-        lists.extend(len(parts) for parts in self.sums.get(beta, {}).values())
+        held.extend(den for _, den in self.sums.get(beta, {}).values())
         return pop(self, beta, div)
 
+    monkeypatch.setattr(series._ClassSums, "vec", recording)
     monkeypatch.setattr(series._ClassSums, "pop", counting)
     out = qs_substitute(S, list(m.f1), m._factors)
     monkeypatch.undo()
-    assert len(lists) == len(out.terms) and max(lists) == 1
+    assert len(set(arrived)) == 1 and len(held) == len(out.terms) and set(held) == set(arrived)
     assert out == qs_substitute(S, list(m.f1))
 
 
