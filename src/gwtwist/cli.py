@@ -143,11 +143,12 @@ def _run(g, args) -> int:
         text, ext = "\n".join(tsv) + "\n", "tsv"
     else:
         text, ext = json.dumps(report, indent=2) + "\n", "json"
-    sys.stdout.write(text)
     if args.out:
+        # written first: a run whose --out fails prints no report
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{args.cmd}.{ext}").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return code
 
 

@@ -118,7 +118,7 @@ def _require_shape(r: int, d: int) -> None:
 
 
 @lru_cache(maxsize=None, typed=True)
-def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
+def enumerate_graphs(r: int, d: int) -> tuple[FixedGraph, ...]:
     """All decorated graphs for degree d on P^r with one marked point, built
     once per (r, d) and shared: every weight draw sums over the same tuple.
 
@@ -129,8 +129,6 @@ def enumerate_graphs(r: int, d: int, n: int = 1) -> tuple[FixedGraph, ...]:
     the end marking listed at the first vertex (factor 1, equal outer labels
     allowed) or the marking at the middle (factor 1/2).
     """
-    if n != 1:
-        raise DegreeOutOfScope("only one marked point is supported", points=n)
     _require_shape(r, d)
     labels = range(r + 1)
     half, one = Fraction(1, 2), Fraction(1)

@@ -24,18 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .errors import SpaceMismatch, StructureViolation
-from .levels import _ONE, _classes_of_degree, _levels_of, _scaled
+from .levels import _ONE, _levels_of, _scaled
 from .ring import AmbientSpace, CohClass, coh_to_obj
 from .series import (
     HbarLaurent,
     QSeries,
     ScalarQSeries,
+    _add_term,
     _check_dials,
     _graded,
     _invert_with_factors,
+    _settle_class,
     compose_substitute,
     qs_exp,
     qs_exp_full,
@@ -172,39 +173,26 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     series' degree, with s the map's string dial.  The prefactor is one
     class-valued exponential, f0 at hbar^0 and the rest at hbar^{-1}, taken
     in one pass and applied with one product; it is a finite sum because its
-    exponent has no q = 0 term, built as one class per curve class from the
-    dials' numerators.  A solved map's exp(beta . f1) factors are
-    read off its solve's table.  Dials on another space or degree are
-    refused (f1 by ``qs_substitute``); the zero map returns S itself.
+    exponent has no q = 0 term.  In x = p/hbar the exponent's q^beta term is
+    f0 + sum_i p_i f1^i at total degree 0 and s at -1, so a class where s
+    and another dial are both non-zero is refused.  A solved map's
+    exp(beta . f1) factors are read off its solve's table.  Dials on another
+    space or degree are refused (f1 by ``qs_substitute``); the zero map
+    returns S itself.
     """
     space, D = S.space, S.max_degree
     result = qs_substitute(S, list(m.f1), m._factors)
     _check_dials(space, D, [m.f0, m.string])
     if m.is_zero:
         return S
-    n = space.nfactors
-    size = len(space.basis)
-    slots = [0] + _hyperplane_slots(space)
-    exponent = {}
-    for d in range(1, D + 1):
-        # one class per beta: f0 + sum_i p_i f1^i at total degree 0, over the
-        # common denominator of those dials' level d, or s at degree -1
-        levels = [f.levels[d] for f in (m.f0, *m.f1)]
-        den = lcm(*(lv[1] for lv in levels if lv))
-        string = m.string.levels[d]
-        for j, beta in enumerate(_classes_of_degree(n, d)):
-            num = [0] * size
-            for i, lv in zip(slots, levels):
-                if lv:
-                    num[i] = lv[0][j] * (den // lv[1])
-            s = string[0][j] if string else 0
-            if s and any(num):
-                raise StructureViolation("hbar powers of mixed total degree", degrees=[-1, 0])
-            if s:
-                num[0] = s
-                exponent[beta] = HbarLaurent._of(space, -1, CohClass(space, num, string[1]))
-            elif any(num):
-                exponent[beta] = HbarLaurent._of(space, 0, CohClass(space, num, den))
+    unit = space.unit()
+    dials = [(m.f0, unit, 0), (m.string, unit, -1)]
+    dials += [(f, space.hyperplane(i), 0) for i, f in enumerate(m.f1)]
+    sums = {}
+    for f, c, delta in dials:
+        for beta, x in f.terms.items():
+            _add_term(sums, beta, HbarLaurent._of(space, delta, c.scale(x)))
+    exponent = {beta: _settle_class(space, at) for beta, at in sums.items()}
     return qs_exp_full(result._new(exponent)) * result
 
 

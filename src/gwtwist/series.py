@@ -8,9 +8,10 @@ Two layers sit on top of the cohomology ring:
 * A power series in the curve-class variables q_1..q_N, truncated at a total
   degree D, of two coefficient kinds sharing one layout and its checks.
   ``QSeries`` holds ``HbarLaurent`` values (the twisted series and its
-  transforms) by curve class; its product, exp and substitution add integer
-  numerators per curve class and total degree, then build one class per
-  curve class.  ``ScalarQSeries`` holds rationals (the dials f0 and f1 of
+  transforms) by curve class; its product, exp and substitution add
+  ``HbarLaurent`` terms into one class sum per curve class and total degree
+  (``_add_term``), then settle each curve class (``_settle_class``).
+  ``ScalarQSeries`` holds rationals (the dials f0 and f1 of
   the change of variables) per degree level, as integer numerators over one
   denominator, so its products, exp and log (by the one-pass Euler-operator
   recurrence) and the substitution q -> q e^{f1} run on integers with one
@@ -26,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Integral
+from operator import add, sub
 
 from .errors import NonInvertible, SpaceMismatch, StructureViolation, TruncationMismatch
 from .levels import (
@@ -37,7 +39,6 @@ from .levels import (
     _invert,
     _levels_of,
     _log,
-    _merge,
     _nonzero,
     _product,
     _scaled,
@@ -50,7 +51,6 @@ from .ring import (
     ZERO,
     _exact,
     _integer,
-    _mul_table,
     coh_to_obj,
     format_fraction,
 )
@@ -291,8 +291,8 @@ class QSeries(_TruncatedSeries):
 
     Terms map curve classes to non-zero coefficients; zeros are pruned on
     construction, so equality compares the stored terms.  Products,
-    ``qs_exp_full`` and ``qs_substitute`` sum integer numerators per curve
-    class and total degree, refusing two non-zero degrees (``_ClassSums``).
+    ``qs_exp_full`` and ``qs_substitute`` sum their terms per curve class
+    and total degree, refusing two non-zero degrees at one class (``_settle_class``).
     """
 
     __slots__ = ("terms",)
@@ -340,12 +340,13 @@ class QSeries(_TruncatedSeries):
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._check(other)
-        left, da = _over_one_den(self)
-        right, db = _over_one_den(other)
-        sums = _ClassSums(self.space)
-        for beta, n, delta, a in left:
-            sums.add_products(self.max_degree, beta, n, delta, a, da * db, right)
-        return self._new({beta: sums.pop(beta) for beta in list(sums.sums)})
+        sums = {}
+        for beta, a in self.terms.items():
+            room = self.max_degree - _degree(beta)
+            for gamma, b in other.terms.items():
+                if _degree(gamma) <= room:
+                    _add_term(sums, tuple(map(add, beta, gamma)), a * b)
+        return self._new({beta: _settle_class(self.space, at) for beta, at in sums.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -356,56 +357,23 @@ class QSeries(_TruncatedSeries):
         )
 
 
-def _over_one_den(S: QSeries):
-    """S's terms as (beta, |beta|, delta, numerators) over one denominator, and it."""
-    den = lcm(*(hl.cls.den for hl in S.terms.values()))
-    return [
-        (b, _degree(b), hl.delta, [x * (den // hl.cls.den) for x in hl.cls.num])
-        for b, hl in S.terms.items()
-    ], den
+def _add_term(sums: dict, beta, hl: HbarLaurent):
+    """Add hl into sums, {curve class: {total degree: class}}, at beta and
+    its total degree."""
+    at = sums.setdefault(beta, {})
+    at[hl.delta] = at[hl.delta] + hl.cls if hl.delta in at else hl.cls
 
 
-class _ClassSums:
-    """Sums of homogeneous ``HbarLaurent`` terms per curve class, held as one
-    accumulator (``levels._merge``) per (curve class, total degree) and
-    settled into one class each, as ``levels`` settles a scalar level."""
-
-    __slots__ = ("space", "table", "sums")
-
-    def __init__(self, space: AmbientSpace):
-        self.space, self.table, self.sums = space, _mul_table(space.factors), {}
-
-    def vec(self, beta, delta: int, den: int):
-        """The numerators of the sum at (beta, delta), to add into, and the
-        factor that a term over den takes there."""
-        acc = self.sums.setdefault(beta, {}).setdefault(delta, [None, 0])
-        return _merge(acc, den, len(self.table))
-
-    def add_products(self, D: int, beta, n: int, delta: int, a, den: int, terms):
-        """Add the products of the term (beta, |beta| = n, delta, numerators a)
-        with ``terms`` (see ``_over_one_den``) through degree D, over den."""
-        rows = [(x, row) for x, row in zip(a, self.table) if x]
-        for gamma, m, d, b in terms:
-            if n + m <= D:
-                vec, f = self.vec(tuple(x + y for x, y in zip(beta, gamma)), delta + d, den)
-                for x, row in rows:
-                    x *= f
-                    for j, t in row:
-                        y = b[j]
-                        if y:
-                            vec[t] += x * y
-
-    def pop(self, beta, div: int = 1) -> HbarLaurent:
-        """The sum at beta divided by div, as one class.  Non-zero sums at two
-        total degrees raise StructureViolation with the degrees sorted."""
-        live = {delta: acc for delta, acc in self.sums.pop(beta, {}).items() if any(acc[0])}
-        if len(live) > 1:
-            raise StructureViolation(
-                "sum of hbar-Laurent elements of different total degrees", degrees=sorted(live)
-            )
-        for delta, (num, den) in live.items():
-            return HbarLaurent._of(self.space, delta, CohClass(self.space, num, den * div))
-        return HbarLaurent.zero(self.space)
+def _settle_class(space: AmbientSpace, at: dict) -> HbarLaurent:
+    """The sum of one curve class, {total degree: class}.  Non-zero classes
+    at two total degrees raise StructureViolation with the degrees sorted;
+    a degree whose terms cancel is no mix."""
+    live = {delta: c for delta, c in at.items() if not c.is_zero}
+    if len(live) > 1:
+        raise StructureViolation(
+            "sum of hbar-Laurent elements of different total degrees", degrees=sorted(live)
+        )
+    return HbarLaurent._of(space, *live.popitem()) if live else HbarLaurent.zero(space)
 
 
 class ScalarQSeries(_TruncatedSeries):
@@ -526,22 +494,20 @@ def qs_log(a: ScalarQSeries) -> ScalarQSeries:
 def qs_exp_full(L: QSeries) -> QSeries:
     """exp of a class-valued series whose beta = 0 term vanishes, in one
     pass over the curve classes by the recurrence of ``qs_exp``:
-    |beta| E_beta = sum_{0<gamma<=beta} |gamma| L_gamma E_{beta-gamma},
-    each E_beta adding its products with |gamma| L_gamma once settled."""
+    |beta| E_beta = sum_{0<gamma<=beta} |gamma| L_gamma E_{beta-gamma}."""
     if L.zero_beta in L.terms:
         raise ValueError("qs_exp_full needs a vanishing beta = 0 term")
-    terms, den = _over_one_den(L)
-    theta = [(gamma, n, delta, [n * x for x in a]) for gamma, n, delta, a in terms]
-    sums = _ClassSums(L.space)
-    out = {}
-    e = HbarLaurent.unit(L.space)
-    for beta in L.curve_classes():
-        n = _degree(beta)
-        if n:
-            e = sums.pop(beta, n)
+    theta = [(gamma, hl.scale(_degree(gamma))) for gamma, hl in L.terms.items()]
+    out, sums = {L.zero_beta: HbarLaurent.unit(L.space)}, {}
+    for beta in L.curve_classes()[1:]:
+        for gamma, t in theta:
+            # a negative entry is never a key of out
+            e = out.get(tuple(map(sub, beta, gamma)))
+            if e is not None:
+                _add_term(sums, beta, t * e)
+        e = _settle_class(L.space, sums.pop(beta, {}))
         if not e.is_zero:
-            out[beta] = e
-            sums.add_products(L.max_degree, beta, n, e.delta, e.cls.num, e.cls.den * den, theta)
+            out[beta] = e.scale(Fraction(1, _degree(beta)))
     return L._new(out)
 
 
@@ -582,23 +548,16 @@ def _factor_table(S, f1: list[ScalarQSeries], factors):
 
 def qs_substitute(S: QSeries, f1: list[ScalarQSeries], _factors=None) -> QSeries:
     """Apply q_i -> q_i * exp(f1^i(q)) to a class-valued series: each q^beta
-    term is multiplied by exp(beta . f1), read off the factor table.  S and
-    the table levels it reads are each brought over one denominator, so
-    each sum is one numerator list."""
+    term S_beta adds S_beta E_beta[gamma] at beta + gamma, for each term
+    E_beta[gamma] of exp(beta . f1) on the factor table."""
     table = _factor_table(S, f1, _factors)
     if table is None:
         return S
-    terms, den = _over_one_den(S)
-    dt = lcm(*(lv[1] for beta, *_ in terms for lv in table[beta] if lv))
-    sums = _ClassSums(S.space)
-    for beta, _, delta, a in terms:
-        for gamma, e, de in _nonzero(S.space.nfactors, table[beta]):
-            vec, f = sums.vec(tuple(x + y for x, y in zip(beta, gamma)), delta, den * dt)
-            e *= f * (dt // de)
-            for i, x in enumerate(a):
-                if x:
-                    vec[i] += e * x
-    return S._new({beta: sums.pop(beta) for beta in list(sums.sums)})
+    sums = {}
+    for beta, hl in S.terms.items():
+        for gamma, x, den in _nonzero(S.space.nfactors, table[beta]):
+            _add_term(sums, tuple(map(add, beta, gamma)), hl.scale(Fraction(x, den)))
+    return S._new({beta: _settle_class(S.space, at) for beta, at in sums.items()})
 
 
 def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None) -> ScalarQSeries:

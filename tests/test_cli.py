@@ -198,6 +198,18 @@ def test_out_directory_copy(tmp_path, capsys):
     assert written == out
 
 
+def test_out_naming_a_file_prints_no_report(tmp_path, capsys):
+    # a caller piping stdout must not get a complete-looking report from a
+    # run that exits 2 because --out cannot be written
+    path = tmp_path / "taken"
+    path.write_text("")
+    rc, out, err = _run(capsys, ["--geometry", QUINTIC, "--cmd", "check", "--out", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("FileExistsError: ")
+    assert path.read_text() == ""
+
+
 def test_serre_refuses_failed_positivity(tmp_path, capsys):
     path = tmp_path / "p1-o3.json"
     path.write_text(

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -29,7 +30,7 @@ from gwtwist import (
     solve_mirror_map,
     solve_serre_factor,
 )
-from gwtwist import invariants, mirror
+from gwtwist import invariants, mirror, series
 from gwtwist.cli import main
 from gwtwist.invariants import SerreFactorSolution, SerrePair
 from gwtwist.mirror import _check_normalized, apply_transform
@@ -285,17 +286,17 @@ def test_multiple_cover_gate_product_ambient():
         aspinwall_morrison(g, {})
 
 
-@pytest.mark.parametrize(
-    "factors, lines",
-    [
-        ((4,), ((5,),)),
-        ((2, 2), ((3, 3),)),
-        ((2,), ((-3,),)),
-        ((4,), ((2,), (2,), (-1,))),
-        ((4,), ((1,),)),
-    ],
-    ids=["quintic", "bicubic", "K_P2", "P4 O(2)+O(2)+O(-1)", "P4 O(1)"],
-)
+COUNT_CASES = [
+    ((4,), ((5,),)),
+    ((2, 2), ((3, 3),)),
+    ((2,), ((-3,),)),
+    ((4,), ((2,), (2,), (-1,))),
+    ((4,), ((1,),)),
+]
+COUNT_IDS = ["quintic", "bicubic", "K_P2", "P4 O(2)+O(2)+O(-1)", "P4 O(1)"]
+
+
+@pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
 def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines):
     # the counts read three hbar layers of I' paired to scalars: I' is built
     # once, and neither it nor i_function is transformed as classes
@@ -318,6 +319,52 @@ def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines
     assert len(built) == 1
     assert transformed == []
     assert detours == []
+
+
+def _counting_class_kernels(monkeypatch) -> list:
+    """Wrap ``QSeries.__mul__``, and ``qs_exp_full`` and ``qs_substitute``
+    in every gwtwist module that binds them, by wrappers that record the
+    name of each call; return the record."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(QSeries, "__mul__", counting("QSeries.__mul__", QSeries.__mul__))
+    for name in ("qs_exp_full", "qs_substitute"):
+        fn = getattr(series, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gwtwist" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return calls
+
+
+@pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
+def test_counts_and_mirror_map_run_no_class_kernel(monkeypatch, tmp_path, capsys, factors, lines):
+    # the class-valued product, exp and substitution are on no count or
+    # mirror-map path, so their plain arithmetic is not what these runs
+    # time; a change that puts them back on such a path fails here
+    calls = _counting_class_kernels(monkeypatch)
+    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), 3)
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps({"ambient": list(factors), "bundle": [{"l": list(l)} for l in lines]}))
+    assert main(["--geometry", str(path), "--cmd", "mirror-map", "--max-degree", "3"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_class_kernel_probe_sees_the_serre_factorization(monkeypatch, capsys):
+    # the probe above is live: the Serre factorization applies its map to
+    # a class-valued series
+    calls = _counting_class_kernels(monkeypatch)
+    path = os.path.join(_ROOT, "perfbench", "geometries", "p1-o1.json")
+    assert main(["--geometry", path, "--cmd", "serre", "--max-degree", "3"]) == 0
+    capsys.readouterr()
+    assert calls
 
 
 def _counts_via_euler_times_i_prime(g, D):

@@ -68,8 +68,6 @@ def test_degree_gate():
         enumerate_graphs(1, 3)
     with pytest.raises(DegreeOutOfScope):
         enumerate_graphs(1, 0)
-    with pytest.raises(DegreeOutOfScope):
-        enumerate_graphs(1, 1, n=2)
 
 
 def test_point_and_cotangent_values_on_p1():

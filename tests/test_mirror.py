@@ -33,7 +33,7 @@ from gwtwist import (
     z_closed_form,
     z_from_log,
 )
-from gwtwist import series, twist
+from gwtwist import twist
 from gwtwist.ring import coh_to_obj
 from gwtwist.series import HbarLaurent, compose_substitute
 from gwtwist.twist import _combined_degrees
@@ -252,56 +252,6 @@ def test_normal_form_builds_two_classes_per_curve_class(monkeypatch, factors, li
     monkeypatch.undo()
     assert len(built) <= most
     assert nf == _reference_normal_form(S, sp.unit())
-
-
-@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
-def test_apply_transform_builds_four_classes_per_curve_class(monkeypatch, factors, lines, D):
-    # the substitution, the exponent, its exp and the product each settle one
-    # class per curve class; adding Laurent products pair by pair built 494
-    # and 672 classes here
-    sp = AmbientSpace(factors)
-    g = GeometrySpec(sp, BundleSpec(lines))
-    m = solve_mirror_map(i_prime(g, D), sp.unit())
-    S = i_function(g, D)
-    built = []
-    init = CohClass.__init__
-
-    def counting(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    monkeypatch.setattr(CohClass, "__init__", counting)
-    apply_transform(S, m)
-    monkeypatch.undo()
-    assert len(built) <= 4 * len(S.curve_classes())
-
-
-@pytest.mark.parametrize("factors,lines,D", [((4,), ((5,),), 12), ((2, 2), ((3, 3),), 5)])
-def test_substitution_sums_hold_one_numerator_list(monkeypatch, factors, lines, D):
-    # e(E) I' and the table levels it reads are each brought over one
-    # denominator, so every term arrives over it and no accumulator is
-    # rescaled; a term over its own (term, level) denominator would rescale
-    sp = AmbientSpace(factors)
-    g = GeometrySpec(sp, BundleSpec(lines))
-    m = solve_mirror_map(i_prime(g, D), sp.unit())
-    S = i_function(g, D)
-    arrived, held = [], []
-    vec, pop = series._ClassSums.vec, series._ClassSums.pop
-
-    def recording(self, beta, delta, den):
-        arrived.append(den)
-        return vec(self, beta, delta, den)
-
-    def counting(self, beta, div=1):
-        held.extend(den for _, den in self.sums.get(beta, {}).values())
-        return pop(self, beta, div)
-
-    monkeypatch.setattr(series._ClassSums, "vec", recording)
-    monkeypatch.setattr(series._ClassSums, "pop", counting)
-    out = qs_substitute(S, list(m.f1), m._factors)
-    monkeypatch.undo()
-    assert len(set(arrived)) == 1 and len(held) == len(out.terms) and set(held) == set(arrived)
-    assert out == qs_substitute(S, list(m.f1))
 
 
 def _counting_classify(monkeypatch) -> list:

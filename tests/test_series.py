@@ -248,6 +248,12 @@ def test_qs_log_requires_unit_constant():
         qs_log(ScalarQSeries.zero(P1, 2))
 
 
+def test_qs_exp_full_requires_vanishing_origin_term():
+    L = QSeries(P1, 2, {(0,): _linear(P1, 1), (1,): HbarLaurent.unit(P1)})
+    with pytest.raises(ValueError, match="needs a vanishing beta = 0 term"):
+        qs_exp_full(L)
+
+
 def test_substitute_identity():
     S = QSeries(P1, 3, {(1,): HbarLaurent.unit(P1), (2,): _linear(P1, 2)})
     out = qs_substitute(S, [ScalarQSeries.zero(P1, 3)])
