@@ -15,12 +15,13 @@ from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _check_normalized, _paired_layers, _solve_relative_map, apply_transform
 from .mirror import normal_form, solve_mirror_map
 from .ring import ZERO, BundleSpec, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, _graded, compose_substitute, qseries_to_obj, scalar_to_obj
+from .series import QSeries, ScalarQSeries, _graded, _Layers, compose_substitute, qseries_to_obj
+from .series import all_curve_classes, scalar_to_obj
 from .twist import (
     GeometrySpec,
     _combined_degrees,
+    _count_layers,
     _linear_products,
-    _summand_tables,
     _twisted,
     check_conditions,
     i_function,
@@ -39,15 +40,16 @@ def _require_nonneg(g: GeometrySpec) -> None:
         )
 
 
-def _solve(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, QSeries]:
+def _solve(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, _Layers | QSeries]:
     """Gate the geometry and read the change of variables off the start-1
-    series I'.  Returns the map and the series it was solved on: I', or,
-    where e(E_conc) = 0 and so I' = 1, the zero map and ``i_function``."""
+    series I'.  Returns the map and what it was solved on: the ``_Layers``
+    of I' that the counts read (``twist._count_layers``), or, where
+    e(E_conc) = 0 and so I' = 1, the zero map and ``i_function``."""
     _require_nonneg(g)
     conc = g.concave_lines()
     if conc and euler_class(g.space, BundleSpec(conc)).is_zero:
         return MirrorMap.zero(g.space, max_degree), i_function(g, max_degree)
-    S = i_prime(g, max_degree)
+    S = _count_layers(g, max_degree)
     return solve_mirror_map(S, g.space.unit()), S
 
 
@@ -93,8 +95,9 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
 
     N_beta |beta| is the beta coefficient of the hbar^-2 layer of the series
     the map is solved on (``_solve``), transformed and paired by ``_pairing``;
-    for a convex bundle that pairs D with the transformed e(E) I'.  The layer
-    is paired to scalars before the substitution q -> q e^{f1}
+    for a convex bundle that pairs D with the transformed e(E) I', of which
+    ``_solve`` builds only those layers, in integers.  The layer is paired
+    to scalars before the substitution q -> q e^{f1}
     (``mirror._paired_layers``), which then is one scalar compose, so the
     series is never transformed as classes.  A layer that e(E_conc) does not
     divide is refused before the substitution, which on one factor keeps the
@@ -106,7 +109,7 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
         beta = list(min(bad, key=_graded))
         raise StructureViolation("hbar^-2 coefficient is not divisible by e(E_conc)", beta=beta)
     Y = compose_substitute(Y, m.f1, m._factors).terms
-    return {beta: Y.get(beta, ZERO) / sum(beta) for beta in S.curve_classes()[1:]}
+    return {beta: Y.get(beta, ZERO) / sum(beta) for beta in all_curve_classes(g.space, max_degree)[1:]}
 
 
 def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
@@ -170,25 +173,21 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     and so not invertible, followed by an operator of order rk E; neither is
     a change of the dials of ``solve_serre_factor``.
 
-    Both products are read from per-summand tables indexed by d_j, the
-    first from the summand table that also builds ``twist.i_prime`` and
-    ``twist.i_function``.  The dual keeps its own rows: a summand with
-    d_j = 0 contributes 1 there, not a class, so the dual is no Euler class
-    times K.  A geometry that fails the positivity condition is refused
-    first.
+    The first is ``twist.i_prime`` itself.  The dual reads its own table
+    per summand, indexed by d_j: a summand with d_j = 0 contributes 1 there,
+    not a class, so the dual is no Euler class times K.  A geometry that
+    fails the positivity condition is refused first.
     """
     _require_nonneg(g)
     space = g.space
     if g.concave_lines():
         raise Unsupported("dual pair construction needs a convex bundle")
-    J = j_ambient(space, max_degree)
     sign = -1 if g.bundle.rank % 2 else 1
     # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
     dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]
-    one = space.unit()
     return SerrePair(
-        i_prime=_twisted(J, _summand_tables(g), one, one),
-        i_prime_dual=_twisted(J, dual, one, one).scale(sign),
+        i_prime=i_prime(g, max_degree),
+        i_prime_dual=_twisted(j_ambient(space, max_degree), dual, space.unit(), space.unit()).scale(sign),
         sign=sign,
     )
 

@@ -11,7 +11,7 @@ hbar^0 and hbar^-1 parts.  The map is read off the twisted series that starts
 at 1 (``twist.i_prime``): by homogeneity its hbar^0 part is a scalar and its
 hbar^-1 part a scalar plus a divisor, so no linear solve is needed
 (``solve_mirror_map``).  For geometries in the trivial-transform cases the
-solution is identically zero.
+solution is identically zero.  The readers also take ``series._Layers``.
 
 The module also evaluates the descendant generating value z(x, y), which
 shows the transformed series stays within the allowed shape, two ways: as
@@ -32,6 +32,7 @@ from .series import (
     HbarLaurent,
     QSeries,
     ScalarQSeries,
+    _Layers,
     _add_term,
     _check_dials,
     _graded,
@@ -108,8 +109,8 @@ def _hyperplane_slots(space: AmbientSpace) -> list[int]:
     return [space.basis_index[tuple(int(j == i) for j in range(n))] for i in range(n)]
 
 
-def normal_form(S: QSeries, start: CohClass) -> NormalForm:
-    """Read the scalar, string and divisor layers of S.
+def normal_form(S: QSeries | _Layers, start: CohClass) -> NormalForm:
+    """Read the scalar, string and divisor layers of S, or of ``_Layers``.
 
     Requires the q = 0 term of S to be exactly ``start`` at hbar^0 and no
     q-coefficient to carry a positive hbar power.  A q-coefficient of total
@@ -119,37 +120,38 @@ def normal_form(S: QSeries, start: CohClass) -> NormalForm:
     scalar s).  Every other coefficient, and every one under another start,
     must have both layers zero, else StructureViolation names the curve
     class and the two layers as ``residual``; so another start reads g = 1.
+    ``_Layers`` start at 1.
     """
     space, D = S.space, S.max_degree
     if start.space != space:
         raise SpaceMismatch("start class on a different ambient space")
-    if S.terms.get(S.zero_beta, HbarLaurent.zero(space)) != HbarLaurent(space, {0: start}):
+    starts = start == space.unit() if type(S) is _Layers else (
+        S.terms.get(S.zero_beta, HbarLaurent.zero(space)) == HbarLaurent(space, {0: start}))
+    if not starts:
         raise StructureViolation(
             "series does not start at the given class", beta=[0] * space.nfactors
         )
     from_unit = start == space.unit()
     n = space.nfactors
     p_index = _hyperplane_slots(space)
-    g_terms = [(S.zero_beta, 1, 1)]
+    degrees = [sum(e) for e in space.basis]
+    g_terms = [((0,) * n, 1, 1)]
     s_terms: list = []
     div_terms: list[list] = [[] for _ in p_index]
-    for beta, hl in S.terms.items():
-        if sum(beta) == 0:
-            continue
-        powers = hl.exponents()
-        if powers[-1] > 0:
+    for beta, (delta, num, den) in _Layers.of(S).terms.items():
+        if delta > 0 and (power := delta - min(d for d, x in zip(degrees, num) if x)) > 0:
             raise StructureViolation(
-                "series carries a positive hbar power", beta=list(beta), power=powers[-1]
+                "series carries a positive hbar power", beta=list(beta), power=power
             )
-        num, den = hl.cls.num, hl.cls.den
-        if from_unit and hl.delta == 0:
+        if from_unit and delta == 0:
             g_terms.append((beta, num[0], den))
             for terms, i in zip(div_terms, p_index):
                 terms.append((beta, num[i], den))
-        elif from_unit and hl.delta == -1:
+        elif from_unit and delta == -1:
             s_terms.append((beta, num[0], den))
-        elif 0 in powers or -1 in powers:
+        elif any(x and d - delta in (0, 1) for d, x in zip(degrees, num)):
             want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
+            hl = HbarLaurent._of(space, delta, CohClass(space, [*num, *[0] * (len(degrees) - len(num))], den))
             raise StructureViolation(
                 f"hbar^0 and hbar^-1 coefficients are not {want}",
                 beta=list(beta),
@@ -196,7 +198,7 @@ def apply_transform(S: QSeries, m: MirrorMap) -> QSeries:
     return qs_exp_full(result._new(exponent)) * result
 
 
-def solve_mirror_map(S: QSeries, start: CohClass) -> MirrorMap:
+def solve_mirror_map(S: QSeries | _Layers, start: CohClass) -> MirrorMap:
     """Find the change of variables normalizing S, in closed form.
 
     Normalized means matching 1 in the hbar^0 and hbar^-1 layers, so this is
@@ -235,14 +237,15 @@ def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, Scalar
     return m, ratio
 
 
-def _check_normalized(S: QSeries, m: MirrorMap) -> None:
-    """Refuse a map under which S is not normalized, naming the first curve
-    class beta != 0, in graded order, with an hbar^0 or hbar^-1 layer: S's
-    own under the zero map, else e^{f0} g~ - 1 and e^{f0} (s~ + string g~ +
-    sum_i p_i (div_i~ + f1^i g~)), ~ at q e^{f1}, which vanish with
-    f0 + (log g)~, string + (s/g)~ and each f1^i + (div_i/g)~."""
+def _check_normalized(S: QSeries | _Layers, m: MirrorMap) -> None:
+    """Refuse a map under which S (or its ``_Layers``) is not normalized,
+    naming the first curve class beta != 0, in graded order, with an hbar^0
+    or hbar^-1 layer: S's own under the zero map, else e^{f0} g~ - 1 and
+    e^{f0} (s~ + string g~ + sum_i p_i (div_i~ + f1^i g~)), ~ at q e^{f1},
+    which vanish with f0 + (log g)~, string + (s/g)~ and each f1^i + (div_i/g)~."""
     if m.is_zero:
-        bad = [b for b, hl in S.terms.items() if sum(b) and {0, -1} & set(hl.exponents())]
+        terms, degrees = _Layers.of(S).terms.items(), [sum(e) for e in S.space.basis]
+        bad = [b for b, (delta, x, _) in terms if any(c and d - delta in (0, 1) for d, c in zip(degrees, x))]
     else:
         dials = zip((m.f0, m.string, *m.f1), m._source._over_g[1])
         bad = [b for f, x in dials for b in (f + compose_substitute(x, m.f1, m._factors)).terms]
@@ -250,13 +253,14 @@ def _check_normalized(S: QSeries, m: MirrorMap) -> None:
         raise StructureViolation("transformed series is not normalized", beta=list(min(bad, key=_graded)))
 
 
-def _paired_layers(S: QSeries, m: MirrorMap, rows: list) -> list[ScalarQSeries]:
-    """The hbar^-2 layer of the transform of S by m, (S_-2/g - 1/2 (S_-1/g)^2)~,
-    paired by each row (w, den) of integer weights on the monomial basis,
-    P(c) = sum_k w_k c_k / den, and read before q -> q e^{f1}: as
-    Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b), with p_0 = 1, c_0 = s/g
-    and c_i = div_i/g, or as P(S_-2) under the zero map.  The map is checked
-    first (``_check_normalized``)."""
+def _paired_layers(S: QSeries | _Layers, m: MirrorMap, rows: list) -> list[ScalarQSeries]:
+    """The hbar^-2 layer of the transform of S (or of its ``_Layers``) by m,
+    (S_-2/g - 1/2 (S_-1/g)^2)~, paired by each row (w, den) of integer weights
+    on the monomial basis, P(c) = sum_k w_k c_k / den, and read before
+    q -> q e^{f1}: as Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b), with
+    p_0 = 1, c_0 = s/g and c_i = div_i/g, or as P(S_-2) under the zero map.
+    The map is checked first (``_check_normalized``)."""
+    S = _Layers.of(S)
     _check_normalized(S, m)
     space, D, n = S.space, S.max_degree, S.space.nfactors
     units = [space.basis[i] for i in [0] + _hyperplane_slots(space)]
@@ -264,8 +268,8 @@ def _paired_layers(S: QSeries, m: MirrorMap, rows: list) -> list[ScalarQSeries]:
     for row, den in rows:
         weights = [(k, w, sum(e)) for k, (w, e) in enumerate(zip(row, space.basis)) if w]
         entries = [
-            (b, sum(w * hl.cls.num[k] for k, w, d in weights if d == hl.delta + 2), den * hl.cls.den)
-            for b, hl in S.terms.items()
+            (b, sum(w * num[k] for k, w, e in weights if e == delta + 2), den * d)
+            for b, (delta, num, d) in S.terms.items()
         ]
         y = ScalarQSeries._of(space, D, _levels_of(n, D, entries))
         if not m.is_zero:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Integral
 from operator import add, sub
+from typing import NamedTuple
 
 from .errors import NonInvertible, SpaceMismatch, StructureViolation, TruncationMismatch
 from .levels import (
@@ -374,6 +375,23 @@ def _settle_class(space: AmbientSpace, at: dict) -> HbarLaurent:
             "sum of hbar-Laurent elements of different total degrees", degrees=sorted(live)
         )
     return HbarLaurent._of(space, *live.popitem()) if live else HbarLaurent.zero(space)
+
+
+class _Layers(NamedTuple):
+    """A series as its hbar layers are read: beta != 0 -> (delta, numerators,
+    den) for hbar^delta c(p/hbar), c on a prefix of the graded basis: all of
+    a ``QSeries`` (``of``), degree <= 2 of I' (``twist._count_layers``)."""
+
+    space: AmbientSpace
+    max_degree: int
+    terms: dict
+
+    @classmethod
+    def of(cls, S) -> "_Layers":
+        if type(S) is cls:
+            return S
+        terms = {b: (hl.delta, hl.cls.num, hl.cls.den) for b, hl in S.terms.items() if any(b)}
+        return cls(S.space, S.max_degree, terms)
 
 
 class ScalarQSeries(_TruncatedSeries):

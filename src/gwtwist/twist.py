@@ -19,18 +19,22 @@ ambient factor gets a table of the univariate A_i[d] = prod_{k<=d}
 (x_i + k)^-(r_i+1), and J(beta) is the outer product of the A_i[beta_i];
 each summand gets one table of its factors indexed by the pairing n
 (``_summand_table``), an integer polynomial in c1(x) per row
-(``_linear_products``).  Each row or term read is one class.  The tables
-live for one call only.
+(``_linear_table``).  Each row or term read is one class, but the counts'
+three hbar layers of I' are built in integers off the degree <= 2 prefixes
+of the same tables (``_count_layers``).  The tables live for one call only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd, lcm, prod
+from operator import getitem, mul
 
 from .errors import Unclassifiable, Unsupported
-from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, _integer, euler_class
-from .series import HbarLaurent, QSeries
+from .ring import AmbientSpace, BundleSpec, CohClass, _check_fields, _int_list, _integer, _mul_table
+from .ring import euler_class
+from .series import HbarLaurent, QSeries, _Layers, all_curve_classes
 
 CONVEX = "Convex"
 CONCAVE = "Concave"
@@ -166,34 +170,35 @@ def _fano_index_ok(g: GeometrySpec, convex_lines) -> bool:
     return True
 
 
-def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
-    """Return m -> prod_{j=0}^{m-1} (c + (first + j*step) hbar); row 0 is 1.
-
-    With y = c(x), row m is hbar^m P_m(y) for the integer polynomial
-    P_m = prod_{j<m} (y + first + j*step), kept up to y^dim (past which
-    c^j vanishes) and grown by P_m[j] = k P_{m-1}[j] + P_{m-1}[j-1].  A row
-    read is one class, sum_j P_m[j] c^j over the powers of c computed once;
-    the table lives as long as the returned function.
-    """
+def _linear_table(space: AmbientSpace, c: CohClass, first: int, step: int):
+    """(m -> P_m, weights, den) for prod_{j<m} (c + (first + j*step) hbar), c
+    a divisor: with y = c(x), row m is hbar^m P_m(y), P_m = prod_{j<m} (y +
+    first + j*step) grown by P_m[j] = k P_{m-1}[j] + P_{m-1}[j-1] up to
+    y^dim; a basis monomial e, which sits in c^|e| alone, reads P_m[|e|] w
+    over den for its pair (|e|, w) in ``weights``."""
     powers = [space.unit(), c]
     while len(powers) <= space.dim:
         powers.append(powers[-1] * c)
     den = lcm(*(q.den for q in powers))
-    # the basis coefficients of c^0..c^dim over den, one column per monomial
-    cols = list(zip(*([x * (den // q.den) for x in q.num] for q in powers)))
+    cols = [[x * (den // q.den) for x in q.num] for q in powers]
+    weights = [(sum(e), cols[sum(e)][k]) for k, e in enumerate(space.basis)]
     polys = [[1] + [0] * space.dim]
-    rows = {}
 
-    def row(m: int) -> HbarLaurent:
-        while len(polys) <= m:
-            k, prev = first + (len(polys) - 1) * step, polys[-1]
-            polys.append([k * prev[0]] + [k * a + b for a, b in zip(prev[1:], prev)])
-        if m not in rows:
-            num = [sum(a * x for a, x in zip(polys[m], col)) for col in cols]
-            rows[m] = HbarLaurent._of(space, m, CohClass(space, num, den))
-        return rows[m]
+    def poly(m: int) -> list:
+        for k in range(first + (len(polys) - 1) * step, first + m * step, step):
+            p = polys[-1]
+            polys.append([k * p[0]] + [k * a + b for a, b in zip(p[1:], p)])
+        return polys[m]
 
-    return row
+    return poly, weights, den
+
+
+def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
+    """Return m -> prod_{j<m} (c + (first + j*step) hbar), one class per row
+    read off ``_linear_table``, kept; row 0 is 1."""
+    poly, weights, den = _linear_table(space, c, first, step)
+    return cache(lambda m: HbarLaurent._of(
+        space, m, CohClass(space, [p[j] * w for p in [poly(m)] for j, w in weights], den)))
 
 
 def _summand_table(space: AmbientSpace, l, kind: str):
@@ -209,7 +214,7 @@ def _summand_table(space: AmbientSpace, l, kind: str):
 
 
 def _pairing(l, beta) -> int:
-    return sum(li * di for li, di in zip(l, beta))
+    return sum(map(mul, l, beta))
 
 
 def _inverse_products(r: int, max_degree: int) -> list:
@@ -219,9 +224,9 @@ def _inverse_products(r: int, max_degree: int) -> list:
     C(n+j-1, j) x^j / k^(n+j), here over k^(n+r)."""
     n, rows = r + 1, [([1] + [0] * r, 1)]
     for k in range(1, max_degree + 1):
-        f = [(-1) ** j * comb(n + j - 1, j) * k ** (r - j) for j in range(n)]
+        f = [(-1) ** j * comb(n + j - 1, j) * k ** (r - j) for j in range(n)][::-1]  # f[r - j] is term j
         a, den = rows[-1]
-        num = [sum(a[i] * f[j - i] for i in range(j + 1)) for j in range(n)]
+        num = [sum(map(mul, a, f[r - j :])) for j in range(n)]
         den *= k ** (n + r)
         g = gcd(den, *num)
         rows.append(([x // g for x in num], den // g))
@@ -242,7 +247,7 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     terms = {}
     for beta in empty.curve_classes():
         rows = [table[d] for table, d in zip(tables, beta)]
-        num = [prod(a[e] for (a, _), e in zip(rows, m)) for m in space.basis]
+        num = [prod(map(getitem, [a for a, _ in rows], m)) for m in space.basis]
         delta = -sum((r + 1) * d for r, d in zip(space.factors, beta))
         terms[beta] = HbarLaurent._of(space, delta, CohClass(space, num, prod(d for _, d in rows)))
     return empty._new(terms)
@@ -307,9 +312,43 @@ def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
     """The twisted series I' that starts at 1 (Coates-Givental): for
     beta != 0, I'_beta = e(E_conc) K_beta, with K_beta as in ``i_function``
     and E_conc the concave summands.  So without concave summands I' is K
-    and e(E) I' is ``i_function`` exactly."""
+    and e(E) I' is ``i_function`` exactly.  The counts read only three hbar
+    layers of it, which ``_count_layers`` builds with no class per term."""
     conc = euler_class(g.space, BundleSpec(g.concave_lines()))
     return _twisted(j_ambient(g.space, max_degree), _summand_tables(g), g.space.unit(), conc)
+
+
+def _count_layers(g: GeometrySpec, max_degree: int) -> _Layers:
+    """The layers of ``i_prime`` that the counts read, in integers: its q^beta
+    term hbar^delta c(p/hbar), delta = -<combined degrees, beta> <= 0 under
+    positivity, has them as c's parts of degree delta..delta + 2, so c is kept
+    on the degree <= 2 basis prefix, and left out at delta < -2.  It is J_beta
+    times a ``_linear_table`` row per summand at |<L, beta>|, a concave one's
+    with its c1 (k = n+1..0), on the prefixes of those rows, of the
+    ``_inverse_products`` rows and of ``ring._mul_table``, which are exact:
+    no coefficient reads one of higher degree."""
+    space = g.space
+    D = QSeries(space, max_degree).max_degree  # refuses a degree that is not a non-negative integer
+    size = sum(sum(e) <= 2 for e in space.basis)
+    pairs = [(i, j, k) for i, row in enumerate(_mul_table(space.factors)[:size]) for j, k in row if k < size]
+    tables = [_inverse_products(r, D) for r in space.factors]
+    rows = [(l, *_linear_table(space, space.divisor(l), *((1, 1) if k == CONVEX else (0, -1))))
+            for l, k in zip(g.bundle.lines, g._kinds)]
+    combined, terms = _combined_degrees(g), {}
+    for beta in all_curve_classes(space, D)[1:]:
+        if (delta := -_pairing(combined, beta)) < -2:
+            continue
+        a = [table[d] for table, d in zip(tables, beta)]
+        num = [prod(map(getitem, [x for x, _ in a], e)) for e in space.basis[:size]]
+        den = prod(d for _, d in a)
+        for l, poly, weights, d in rows:
+            p, out = poly(abs(_pairing(l, beta))), [0] * size
+            row = [p[j] * w for j, w in weights[:size]]
+            for i, j, k in pairs:
+                out[k] += num[i] * row[j]
+            num, den = out, den * d
+        terms[beta] = (delta, num, den)
+    return _Layers(space, D, terms)
 
 
 # -- serialization -----------------------------------------------------------

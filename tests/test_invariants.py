@@ -71,15 +71,19 @@ def test_local_geometry_numbers():
 
 
 def test_local_p1_counts_do_not_build_the_start_one_series(monkeypatch):
-    # e(E_conc) = p^2 vanishes on P1, so I' = 1 and the map is zero
+    # e(E_conc) = p^2 vanishes on P1, so I' = 1 and the map is zero: neither
+    # I' nor the layers of it that the counts read are built
     calls = []
-    build = invariants.i_prime
 
-    def counted(*args):
-        calls.append(1)
-        return build(*args)
+    def counting(build):
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
 
-    monkeypatch.setattr(invariants, "i_prime", counted)
+        return counted
+
+    for name in ("i_prime", "_count_layers"):
+        monkeypatch.setattr(invariants, name, counting(getattr(invariants, name)))
     N = n_numbers(LOCAL_P1, 10)
     assert calls == []
     assert [N[(d,)] for d in range(1, 11)] == [Fraction(1, d**3) for d in range(1, 11)]
@@ -126,16 +130,18 @@ def test_local_p2_counts():
 
 def test_concave_count_refuses_a_layer_e_conc_does_not_divide(monkeypatch):
     # P3 with O(-1)+O(-1): e(E_conc) = p^2 and I'_1 has total degree -2; a
-    # unit class added there at hbar^-2 leaves the map as it was but gives
-    # a_2 a p^0 part that p^2 cannot divide
-    build = invariants.i_prime
+    # unit class added there at hbar^-2, to the p^0 numerator of the layers
+    # the counts read, leaves the map as it was but gives a_2 a p^0 part
+    # that p^2 cannot divide
+    build = invariants._count_layers
 
     def spoiled(g, max_degree):
         S = build(g, max_degree)
-        term = S.terms[(1,)] + HbarLaurent(P3, {-2: P3.unit()})
-        return QSeries(P3, max_degree, S.terms | {(1,): term})
+        delta, num, den = S.terms[(1,)]
+        assert delta == -2
+        return S._replace(terms=S.terms | {(1,): (delta, [num[0] + den, *num[1:]], den)})
 
-    monkeypatch.setattr(invariants, "i_prime", spoiled)
+    monkeypatch.setattr(invariants, "_count_layers", spoiled)
     g = GeometrySpec(P3, BundleSpec(((-1,), (-1,))))
     message = r"hbar\^-2 coefficient is not divisible by e\(E_conc\)"
     with pytest.raises(StructureViolation, match=message) as info:
@@ -298,10 +304,11 @@ COUNT_IDS = ["quintic", "bicubic", "K_P2", "P4 O(2)+O(2)+O(-1)", "P4 O(1)"]
 
 @pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
 def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines):
-    # the counts read three hbar layers of I' paired to scalars: I' is built
-    # once, and neither it nor i_function is transformed as classes
+    # the counts read three hbar layers of I' paired to scalars: the layers
+    # are built once, I' is never built as classes, and neither it nor
+    # i_function is transformed as classes
     built, transformed, detours = [], [], []
-    build, apply = invariants.i_prime, apply_transform
+    build, apply = invariants._count_layers, apply_transform
 
     def building(*args):
         built.append(build(*args))
@@ -311,7 +318,8 @@ def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines
         transformed.append(args)
         return apply(*args)
 
-    monkeypatch.setattr(invariants, "i_prime", building)
+    monkeypatch.setattr(invariants, "_count_layers", building)
+    monkeypatch.setattr(invariants, "i_prime", lambda *args: detours.append(args))
     monkeypatch.setattr(invariants, "apply_transform", applying)
     monkeypatch.setattr(mirror, "apply_transform", applying)
     monkeypatch.setattr(invariants, "normalized_series", lambda *args: detours.append(args))

@@ -20,6 +20,7 @@ from gwtwist import (
     GeometrySpec,
     HbarLaurent,
     NonInvertible,
+    QSeries,
     StructureViolation,
     apply_transform,
     hl_invert,
@@ -268,8 +269,9 @@ def test_pipeline_series_have_one_degree_part_per_class(factors, lines, D):
     g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
     I1 = i_prime(g, D)
     _assert_one_part_per_class(g, I1)
-    # the counts' series under the counts' map
+    # the counts' series under the counts' map: I', whose layers the map is
+    # read off, or i_function where e(E_conc) = 0
     m, S = invariants._solve(g, D)
-    T = apply_transform(S, m)
+    T = apply_transform(S if isinstance(S, QSeries) else I1, m)
     assert len(T.terms) >= D
     _assert_one_part_per_class(g, T)

@@ -356,16 +356,35 @@ def _promote(space, f):
 
 
 def _naive_class_mul(a: QSeries, b: QSeries) -> QSeries:
-    """a * b term by term: one HbarLaurent product per pair of terms, added
-    per curve class, the product the integer class kernel replaced."""
+    """a * b with every coefficient expanded into its monomials hbar^k p^e
+    over Fractions: two monomials multiply by adding k and e, a product with
+    some e_i > r_i is dropped (p_i^(r_i+1) = 0), and the sums per curve
+    class are put back together monomial by monomial.  No class or Laurent
+    product is taken, so it shares no code with ``ring._mul_table``."""
     a._check(b)
-    out: dict = {}
+    space = a.space
+
+    def monomials(hl):
+        return [(k, e, x) for k, c in hl.terms.items() for e, x in c.items()]
+
+    sums: dict = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
-            if sum(ba) + sum(bb) <= a.max_degree:
-                beta = tuple(x + y for x, y in zip(ba, bb))
-                out[beta] = out[beta] + ca * cb if beta in out else ca * cb
-    return QSeries(a.space, a.max_degree, out)
+            if sum(ba) + sum(bb) > a.max_degree:
+                continue
+            at = sums.setdefault(tuple(x + y for x, y in zip(ba, bb)), {})
+            for ka, ea, xa in monomials(ca):
+                for kb, eb, xb in monomials(cb):
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    if all(x <= r for x, r in zip(e, space.factors)):
+                        at[ka + kb, e] = at.get((ka + kb, e), 0) + xa * xb
+    out = {}
+    for beta, at in sums.items():
+        classes: dict = {}
+        for (k, e), x in at.items():
+            classes[k] = classes.get(k, space.zero()) + space.monomial(e, x)
+        out[beta] = HbarLaurent(space, classes)
+    return QSeries(space, a.max_degree, out)
 
 
 def _reference_qs_exp_full(L: QSeries) -> QSeries:
