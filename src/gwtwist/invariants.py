@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _check_normalized, _paired_layers, _solve_relative_map, apply_transform
 from .mirror import normal_form, solve_mirror_map
 from .ring import ZERO, BundleSpec, euler_class, format_fraction
-from .series import QSeries, ScalarQSeries, _graded, _Layers, compose_substitute, qseries_to_obj
+from .levels import _combine
+from .series import QSeries, ScalarQSeries, _factor_table, _graded, _Layers, qseries_to_obj
 from .series import all_curve_classes, scalar_to_obj
 from .twist import (
     GeometrySpec,
@@ -98,7 +100,8 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     for a convex bundle that pairs D with the transformed e(E) I', of which
     ``_solve`` builds only those layers, in integers.  The layer is paired
     to scalars before the substitution q -> q e^{f1}
-    (``mirror._paired_layers``), which then is one scalar compose, so the
+    (``mirror._paired_layers``), which then is one scalar compose, each
+    level n settled over n, as every class in it has |beta| = n; so the
     series is never transformed as classes.  A layer that e(E_conc) does not
     divide is refused before the substitution, which on one factor keeps the
     lowest term of a series.  Where e(E_conc) = 0 the series is
@@ -108,8 +111,9 @@ def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
     if bad := [beta for y in spoilt for beta in y.terms]:
         beta = list(min(bad, key=_graded))
         raise StructureViolation("hbar^-2 coefficient is not divisible by e(E_conc)", beta=beta)
-    Y = compose_substitute(Y, m.f1, m._factors).terms
-    return {beta: Y.get(beta, ZERO) / sum(beta) for beta in all_curve_classes(g.space, max_degree)[1:]}
+    D, table = Y.max_degree, _factor_table(Y, m.f1, m._factors)
+    Y = Y._like(_combine(g.space.nfactors, [(1, Y.levels, table)], [1, *range(1, D + 1)])).terms
+    return {beta: Y.get(beta, ZERO) for beta in all_curve_classes(g.space, D)[1:]}
 
 
 def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
@@ -133,11 +137,13 @@ def aspinwall_morrison(g: GeometrySpec, N: dict) -> dict:
         raise ValueError(f"counts lack the divisor degree {min(missing)}")
     out: dict = {}
     for d in sorted(counts):
-        total = counts[d]
+        num, den = counts[d].numerator, counts[d].denominator
         for k in range(2, d + 1):
             if d % k == 0:
-                total -= out[d // k] * Fraction(1, k**3)
-        out[d] = total
+                x = out[d // k]
+                m = lcm(den, c := k**3 * x.denominator)
+                num, den = num * (m // den) - x.numerator * (m // c), m
+        out[d] = Fraction(num, den)
     return out
 
 

@@ -8,7 +8,10 @@ the substitution q -> q e^g and its inverse are integer dot products with one
 gcd per level (``_settle``).  While a level is summed it is held as one
 accumulator, a list [numerators, den] written in place: its first term sets
 den, a term over a divisor of den is scaled into it, and any other rescales
-it once to the lcm (``_merge``; inline in the two hot loops).  The class tables
+it once to the lcm (``_merge``; inline in the two hot loops).  One
+accumulator holds a level of a whole expression, an integer combination of
+levels, products and substitutions, with no series between (``_combine``;
+van der Hoeven's relaxed evaluation, JSC 2002).  The class tables
 are pure functions of the number of factors and the degrees, as
 ``ring._mul_table`` is of the factors; no value outlives its call.
 """
@@ -184,30 +187,6 @@ def _scaled(levels: list, num: int, den: int) -> list:
     return [lv and _settle([[num * x for x in lv[0]], lv[1] * den]) for lv in levels]
 
 
-def _sum(x: list, y: list) -> list:
-    """The levels of a sum."""
-    out = []
-    for a, b in zip(x, y):
-        if a is None or b is None:
-            out.append(a or b)
-            continue
-        acc = [list(a[0]), a[1]]
-        _add_level(acc, b)
-        out.append(_settle(acc))
-    return out
-
-
-def _product(nfactors: int, x: list, y: list) -> list:
-    """The levels of a product, truncated at the operands' degree."""
-    theta = [(m, lv) for m, lv in enumerate(x) if lv]
-    out = []
-    for n in range(len(x)):
-        acc = [None, 0]
-        _convolve_level(nfactors, n, theta, y, acc)
-        out.append(_settle(acc))
-    return out
-
-
 def _exp(nfactors: int, levels: list) -> list:
     """exp of a series without a constant term: theta(e^a) = theta(a) e^a,
     theta = sum_i q_i d/dq_i scaling level m by m, gives
@@ -238,14 +217,27 @@ def _log(nfactors: int, levels: list) -> list:
     return out
 
 
-def _compose(nfactors: int, levels: list, table: dict) -> list:
-    """The levels of f(q e^g), for f given by its levels and the factor
+def _combine(nfactors: int, terms, divs: list) -> list:
+    """The levels 0..len(divs) - 1 of an integer combination of series, each
+    level summed into one accumulator and settled once over its entry of
+    divs.  A term (k, x, y), x given by its levels, adds k x where y is None,
+    k x y where y is a list of levels, and k x(q e^g) where y is the factor
     table of ``_invert`` built for g."""
+    parts = []
+    for k, x, y in terms:
+        if type(y) is list:
+            parts.append((_convolve_level, k, [(m, lv) for m, lv in enumerate(x) if lv], y))
+        else:
+            parts.append((None if y is None else _compose_level, k, x, y))
     out = []
-    for n in range(len(levels)):
+    for n, div in enumerate(divs):
         acc = [None, 0]
-        _compose_level(nfactors, n, levels, table, acc)
-        out.append(_settle(acc))
+        for kernel, k, x, y in parts:
+            if kernel:
+                kernel(nfactors, n, x, y, acc, k)
+            elif x[n] is not None:
+                _add_level(acc, x[n], k)
+        out.append(_settle(acc, div))
     return out
 
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .errors import SpaceMismatch, StructureViolation
-from .levels import _ONE, _levels_of, _scaled
+from .levels import _ONE, _combine, _levels_of, _nonzero, _scaled
 from .ring import AmbientSpace, CohClass, coh_to_obj
 from .series import (
     HbarLaurent,
@@ -35,6 +36,8 @@ from .series import (
     _Layers,
     _add_term,
     _check_dials,
+    _check_layout,
+    _factor_table,
     _graded,
     _invert_with_factors,
     _settle_class,
@@ -223,7 +226,8 @@ def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, Scalar
 
     With h = div_a/g_a and k = div_b/g_b, the divisor layer asks for
     f1 + h(q e^{f1}) = k, which one shifted inversion solves; the others give
-    e^{f0} = g_b (1/g_a)(q e^{f1}) and string = s_b/g_b - (s_a/g_a)(q e^{f1}).
+    e^{f0} = g_b (1/g_a)(q e^{f1}) and string = s_b/g_b - (s_a/g_a)(q e^{f1}),
+    each level of the string dial summed into one accumulator.
     The dials vanishing at q = 0 make the solution unique.  The inversion
     builds each exp(beta . f1) once; both substitutions here and
     ``apply_transform`` read them off its table, which the map keeps.
@@ -231,7 +235,9 @@ def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, Scalar
     (inv_ga, (_, s_a, *h)), (inv_gb, (_, s_b, *k)) = a._over_g, b._over_g
     f1, factors = _invert_with_factors(h, k)
     ratio = b.g * compose_substitute(inv_ga, f1, factors)
-    string = s_b - compose_substitute(s_a, f1, factors)
+    terms = [(1, s_b.levels, None), (-1, s_a.levels, _factor_table(s_a, f1, factors))]
+    s_b._check(s_a)
+    string = s_b._like(_combine(s_b.space.nfactors, terms, [1] * len(s_b.levels)))
     m = MirrorMap(f0=qs_log(ratio), f1=tuple(f1), string=string)
     object.__setattr__(m, "_factors", factors)
     return m, ratio
@@ -242,13 +248,18 @@ def _check_normalized(S: QSeries | _Layers, m: MirrorMap) -> None:
     naming the first curve class beta != 0, in graded order, with an hbar^0
     or hbar^-1 layer: S's own under the zero map, else e^{f0} g~ - 1 and
     e^{f0} (s~ + string g~ + sum_i p_i (div_i~ + f1^i g~)), ~ at q e^{f1},
-    which vanish with f0 + (log g)~, string + (s/g)~ and each f1^i + (div_i/g)~."""
+    which vanish with f0 + (log g)~, string + (s/g)~ and each f1^i + (div_i/g)~.
+    Each level of such a row is one accumulator, seeded with the dial's level
+    and the substitution added into it (``levels._combine``)."""
     if m.is_zero:
         terms, degrees = _Layers.of(S).terms.items(), [sum(e) for e in S.space.basis]
         bad = [b for b, (delta, x, _) in terms if any(c and d - delta in (0, 1) for d, c in zip(degrees, x))]
     else:
-        dials = zip((m.f0, m.string, *m.f1), m._source._over_g[1])
-        bad = [b for f, x in dials for b in (f + compose_substitute(x, m.f1, m._factors)).terms]
+        n, bad = S.space.nfactors, []
+        for f, x in zip((m.f0, m.string, *m.f1), m._source._over_g[1]):
+            terms = [(1, f.levels, None), (1, x.levels, _factor_table(x, m.f1, m._factors))]
+            f._check(x)
+            bad += [b for b, _, _ in _nonzero(n, _combine(n, terms, [1] * len(x.levels)))]
     if bad:
         raise StructureViolation("transformed series is not normalized", beta=list(min(bad, key=_graded)))
 
@@ -259,27 +270,35 @@ def _paired_layers(S: QSeries | _Layers, m: MirrorMap, rows: list) -> list[Scala
     on the monomial basis, P(c) = sum_k w_k c_k / den, and read before
     q -> q e^{f1}: as Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b), with
     p_0 = 1, c_0 = s/g and c_i = div_i/g, or as P(S_-2) under the zero map.
+    Each level of 2 den Y = 2 y (1/g) - sum_{a<=b} w_ab (2 - [a = b]) c_a c_b,
+    y = den P(S_-2) and w_ab = den P(p_a p_b) integers, is one accumulator
+    settled once over 2 den (``levels._combine``), with no series between.
     The map is checked first (``_check_normalized``)."""
     S = _Layers.of(S)
     _check_normalized(S, m)
     space, D, n = S.space, S.max_degree, S.space.nfactors
     units = [space.basis[i] for i in [0] + _hyperplane_slots(space)]
+    if not m.is_zero:
+        inv_g, (_, *c) = m._source._over_g
+        for x in (inv_g, *c):
+            _check_layout(ScalarQSeries, space, D, x)
+        pairs = [(a, b, tuple(map(add, units[a], units[b]))) for a in range(n + 1) for b in range(a, n + 1)]
     out = []
     for row, den in rows:
         weights = [(k, w, sum(e)) for k, (w, e) in enumerate(zip(row, space.basis)) if w]
         entries = [
-            (b, sum(w * num[k] for k, w, e in weights if e == delta + 2), den * d)
+            (b, sum(w * num[k] for k, w, e in weights if e == delta + 2), d)
             for b, (delta, num, d) in S.terms.items()
         ]
-        y = ScalarQSeries._of(space, D, _levels_of(n, D, entries))
-        if not m.is_zero:
-            inv_g, (_, *c) = m._source._over_g
-            y, weight_of = y * inv_g, dict(zip(space.basis, row))
-            for a in range(n + 1):
-                for b in range(a, n + 1):
-                    if w := weight_of.get(tuple(x + z for x, z in zip(units[a], units[b]))):
-                        y = y - (c[a] * c[b]).scale(Fraction(w * (2 - (a == b)), 2 * den))
-        out.append(y)
+        if m.is_zero:
+            y = _levels_of(n, D, [(b, x, den * d) for b, x, d in entries])
+        else:
+            weight_of = dict(zip(space.basis, row))
+            terms = [(2, _levels_of(n, D, entries), inv_g.levels)]
+            terms += [(-w * (2 - (a == b)), c[a].levels, c[b].levels)
+                      for a, b, e in pairs if (w := weight_of.get(e))]
+            y = _combine(n, terms, [2 * den] * (D + 1))
+        out.append(ScalarQSeries._of(space, D, y))
     return out
 
 

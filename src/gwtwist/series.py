@@ -35,15 +35,13 @@ from .levels import (
     _ONE,
     _class_index,
     _classes_of_degree,
-    _compose,
+    _combine,
     _exp,
     _invert,
     _levels_of,
     _log,
     _nonzero,
-    _product,
     _scaled,
-    _sum,
 )
 from .ring import (
     AmbientSpace,
@@ -224,6 +222,16 @@ def hl_invert(a: HbarLaurent) -> HbarLaurent:
     return a.invert()
 
 
+def _check_layout(kind: type, space: AmbientSpace, max_degree: int, other):
+    """Refuse ``other`` unless it is a ``kind`` series on this space and degree."""
+    if type(other) is not kind:
+        raise SpaceMismatch("class-valued and scalar series do not mix")
+    if space != other.space:
+        raise SpaceMismatch("series on different ambient spaces")
+    if max_degree != other.max_degree:
+        raise TruncationMismatch(f"mixed truncation degrees {max_degree} and {other.max_degree}")
+
+
 def _degree(beta) -> int:
     return sum(beta)
 
@@ -271,14 +279,7 @@ class _TruncatedSeries:
         return all_curve_classes(self.space, self.max_degree)
 
     def _check(self, other):
-        if type(other) is not type(self):
-            raise SpaceMismatch("class-valued and scalar series do not mix")
-        if self.space != other.space:
-            raise SpaceMismatch("series on different ambient spaces")
-        if self.max_degree != other.max_degree:
-            raise TruncationMismatch(
-                f"mixed truncation degrees {self.max_degree} and {other.max_degree}"
-            )
+        _check_layout(type(self), self.space, self.max_degree, other)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -463,9 +464,10 @@ class ScalarQSeries(_TruncatedSeries):
 
     def __add__(self, other: "ScalarQSeries") -> "ScalarQSeries":
         self._check(other)
-        if other.is_zero:
-            return self
-        return other if self.is_zero else self._like(_sum(self.levels, other.levels))
+        if other.is_zero or self.is_zero:
+            return other if self.is_zero else self
+        terms = [(1, self.levels, None), (1, other.levels, None)]
+        return self._like(_combine(self.space.nfactors, terms, [1] * len(self.levels)))
 
     def scale(self, k) -> "ScalarQSeries":
         if type(k) is not int:
@@ -478,7 +480,8 @@ class ScalarQSeries(_TruncatedSeries):
             return self
         if other.is_zero or self._is_one():
             return other
-        return self._like(_product(self.space.nfactors, self.levels, other.levels))
+        product = [(1, self.levels, other.levels)]
+        return self._like(_combine(self.space.nfactors, product, [1] * len(self.levels)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -532,9 +535,8 @@ def qs_exp_full(L: QSeries) -> QSeries:
 def _check_dials(space: AmbientSpace, max_degree: int, dials):
     """Refuse dials that are not scalar series on this space and degree with
     zero constant term."""
-    layout = ScalarQSeries.zero(space, max_degree)
     for f in dials:
-        layout._check(f)
+        _check_layout(ScalarQSeries, space, max_degree, f)
         if f.levels[0] is not None:
             raise ValueError("dial series must have zero constant term")
 
@@ -583,7 +585,7 @@ def compose_substitute(f: ScalarQSeries, g1: list[ScalarQSeries], _factors=None)
     table = _factor_table(f, g1, _factors)
     if table is None or f.is_zero:
         return f
-    return f._like(_compose(f.space.nfactors, f.levels, table))
+    return f._like(_combine(f.space.nfactors, [(1, f.levels, table)], [1] * len(f.levels)))
 
 
 def invert_substitution(f1: list[ScalarQSeries]) -> list[ScalarQSeries]:

@@ -20,8 +20,8 @@ ambient factor gets a table of the univariate A_i[d] = prod_{k<=d}
 each summand gets one table of its factors indexed by the pairing n
 (``_summand_table``), an integer polynomial in c1(x) per row
 (``_linear_table``).  Each row or term read is one class, but the counts'
-three hbar layers of I' are built in integers off the degree <= 2 prefixes
-of the same tables (``_count_layers``).  The tables live for one call only.
+three hbar layers of I' are built in integers off the same tables grown to
+degree 2 only (``_count_layers``).  The tables live for one call only.
 """
 
 from __future__ import annotations
@@ -170,19 +170,19 @@ def _fano_index_ok(g: GeometrySpec, convex_lines) -> bool:
     return True
 
 
-def _linear_table(space: AmbientSpace, c: CohClass, first: int, step: int):
+def _linear_table(space: AmbientSpace, c: CohClass, first: int, step: int, top: int):
     """(m -> P_m, weights, den) for prod_{j<m} (c + (first + j*step) hbar), c
     a divisor: with y = c(x), row m is hbar^m P_m(y), P_m = prod_{j<m} (y +
     first + j*step) grown by P_m[j] = k P_{m-1}[j] + P_{m-1}[j-1] up to
-    y^dim; a basis monomial e, which sits in c^|e| alone, reads P_m[|e|] w
-    over den for its pair (|e|, w) in ``weights``."""
+    y^top; a basis monomial e of degree <= top, which sits in c^|e| alone,
+    reads P_m[|e|] w over den for its pair (|e|, w) in ``weights``."""
     powers = [space.unit(), c]
-    while len(powers) <= space.dim:
+    while len(powers) <= top:
         powers.append(powers[-1] * c)
     den = lcm(*(q.den for q in powers))
     cols = [[x * (den // q.den) for x in q.num] for q in powers]
-    weights = [(sum(e), cols[sum(e)][k]) for k, e in enumerate(space.basis)]
-    polys = [[1] + [0] * space.dim]
+    weights = [(sum(e), cols[sum(e)][k]) for k, e in enumerate(space.basis) if sum(e) <= top]
+    polys = [[1] + [0] * top]
 
     def poly(m: int) -> list:
         for k in range(first + (len(polys) - 1) * step, first + m * step, step):
@@ -196,7 +196,7 @@ def _linear_table(space: AmbientSpace, c: CohClass, first: int, step: int):
 def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
     """Return m -> prod_{j<m} (c + (first + j*step) hbar), one class per row
     read off ``_linear_table``, kept; row 0 is 1."""
-    poly, weights, den = _linear_table(space, c, first, step)
+    poly, weights, den = _linear_table(space, c, first, step, space.dim)
     return cache(lambda m: HbarLaurent._of(
         space, m, CohClass(space, [p[j] * w for p in [poly(m)] for j, w in weights], den)))
 
@@ -217,17 +217,18 @@ def _pairing(l, beta) -> int:
     return sum(map(mul, l, beta))
 
 
-def _inverse_products(r: int, max_degree: int) -> list:
+def _inverse_products(r: int, max_degree: int, top: int) -> list:
     """A[d] = prod_{k=1}^{d} (x + k)^-(r+1) for d = 0..max_degree, kept up to
-    x^r, each as integer numerators over one denominator in lowest terms.
-    Each factor is the binomial series (x + k)^-n = sum_j (-1)^j
-    C(n+j-1, j) x^j / k^(n+j), here over k^(n+r)."""
-    n, rows = r + 1, [([1] + [0] * r, 1)]
+    x^top, top <= r, each as integer numerators over one denominator in lowest
+    terms.  Each factor is the binomial series (x + k)^-n = sum_j (-1)^j
+    C(n+j-1, j) x^j / k^(n+j), here over k^(n+top)."""
+    n, rows = r + 1, [([1] + [0] * top, 1)]
     for k in range(1, max_degree + 1):
-        f = [(-1) ** j * comb(n + j - 1, j) * k ** (r - j) for j in range(n)][::-1]  # f[r - j] is term j
+        # f[top - j] is term j
+        f = [(-1) ** j * comb(n + j - 1, j) * k ** (top - j) for j in range(top + 1)][::-1]
         a, den = rows[-1]
-        num = [sum(map(mul, a, f[r - j :])) for j in range(n)]
-        den *= k ** (n + r)
+        num = [sum(map(mul, a, f[top - j :])) for j in range(top + 1)]
+        den *= k ** (n + top)
         g = gcd(den, *num)
         rows.append(([x // g for x in num], den // g))
     return rows
@@ -243,7 +244,7 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     product of the A_i[beta_i] over the monomial basis.
     """
     empty = QSeries(space, max_degree)  # refuses a degree that is not a non-negative integer
-    tables = [_inverse_products(r, empty.max_degree) for r in space.factors]
+    tables = [_inverse_products(r, empty.max_degree, r) for r in space.factors]
     terms = {}
     for beta in empty.curve_classes():
         rows = [table[d] for table, d in zip(tables, beta)]
@@ -324,15 +325,15 @@ def _count_layers(g: GeometrySpec, max_degree: int) -> _Layers:
     positivity, has them as c's parts of degree delta..delta + 2, so c is kept
     on the degree <= 2 basis prefix, and left out at delta < -2.  It is J_beta
     times a ``_linear_table`` row per summand at |<L, beta>|, a concave one's
-    with its c1 (k = n+1..0), on the prefixes of those rows, of the
-    ``_inverse_products`` rows and of ``ring._mul_table``, which are exact:
-    no coefficient reads one of higher degree."""
+    with its c1 (k = n+1..0); those rows and the ``_inverse_products`` rows
+    are grown to degree 2 only and ``ring._mul_table`` is read on the prefix,
+    which is exact: no coefficient reads one of higher degree."""
     space = g.space
     D = QSeries(space, max_degree).max_degree  # refuses a degree that is not a non-negative integer
     size = sum(sum(e) <= 2 for e in space.basis)
     pairs = [(i, j, k) for i, row in enumerate(_mul_table(space.factors)[:size]) for j, k in row if k < size]
-    tables = [_inverse_products(r, D) for r in space.factors]
-    rows = [(l, *_linear_table(space, space.divisor(l), *((1, 1) if k == CONVEX else (0, -1))))
+    tables = [_inverse_products(r, D, min(r, 2)) for r in space.factors]
+    rows = [(l, *_linear_table(space, space.divisor(l), *((1, 1) if k == CONVEX else (0, -1)), 2))
             for l, k in zip(g.bundle.lines, g._kinds)]
     combined, terms = _combined_degrees(g), {}
     for beta in all_curve_classes(space, D)[1:]:
@@ -343,7 +344,7 @@ def _count_layers(g: GeometrySpec, max_degree: int) -> _Layers:
         den = prod(d for _, d in a)
         for l, poly, weights, d in rows:
             p, out = poly(abs(_pairing(l, beta))), [0] * size
-            row = [p[j] * w for j, w in weights[:size]]
+            row = [p[j] * w for j, w in weights]
             for i, j, k in pairs:
                 out[k] += num[i] * row[j]
             num, den = out, den * d

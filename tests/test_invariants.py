@@ -375,6 +375,114 @@ def test_class_kernel_probe_sees_the_serre_factorization(monkeypatch, capsys):
     assert calls
 
 
+def _reference_paired_layers(S, m, rows) -> list:
+    """The count read by ScalarQSeries arithmetic, one series per step:
+    Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b) over ordered pairs
+    (a, b), with p_0 = 1, c_0 = s/g and c_i = div_i/g; P(S_-2) under the
+    zero map."""
+    S = series._Layers.of(S)
+    space, n = S.space, S.space.nfactors
+    units = [(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    out = []
+    for row, den in rows:
+        weights = [(k, w, sum(e)) for k, (w, e) in enumerate(zip(row, space.basis))]
+        y = ScalarQSeries(space, S.max_degree, {
+            b: Fraction(sum(w * num[k] for k, w, e in weights if e == delta + 2), den * d)
+            for b, (delta, num, d) in S.terms.items()
+        })
+        if not m.is_zero:
+            inv_g, (_, *c) = m._source._over_g
+            y, weight_of = y * inv_g, dict(zip(space.basis, row))
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    if w := weight_of.get(tuple(x + z for x, z in zip(units[a], units[b]))):
+                        y = y - (c[a] * c[b]).scale(Fraction(w, 2 * den))
+        out.append(y)
+    return out
+
+
+def _reference_check_rows(m) -> list:
+    """f + x(q e^{f1}) for each dial f and the series x it cancels, by
+    ScalarQSeries arithmetic, the substitution on a table built anew."""
+    dials = zip((m.f0, m.string, *m.f1), m._source._over_g[1])
+    return [f + compose_substitute(x, list(m.f1)) for f, x in dials]
+
+
+def _tampered(m, dial: str, beta):
+    """m with one dial off by one at beta, keeping its normal form and table."""
+    f = getattr(m, dial)
+    dials = {"f0": m.f0, "f1": m.f1, "string": m.string, dial: f.set_coeff(beta, f.coeff(beta) + 1)}
+    out = MirrorMap(**dials)
+    object.__setattr__(out, "_source", m._source)
+    object.__setattr__(out, "_factors", m._factors)
+    return out
+
+
+FUSED_CASES = COUNT_CASES + [
+    ((1,), ((-1,), (-1,))),
+    ((5,), ((-1,), (-5,))),
+    ((2, 1, 1), ((3, 2, 2),)),
+    ((3,), ((3,),)),
+]
+FUSED_IDS = COUNT_IDS + ["local P1", "P5 O(-1)+O(-5)", "P2xP1xP1 O(3,2,2)", "cubic surface"]
+
+
+@pytest.mark.parametrize("factors, lines", FUSED_CASES, ids=FUSED_IDS)
+def test_fused_count_read_matches_series_arithmetic(factors, lines):
+    # _paired_layers and _check_normalized sum each level of their whole
+    # expressions into one accumulator; plain series arithmetic, one series
+    # per step, must give the same Y on every row (the concave refusal rows
+    # of P5 O(-1)+O(-5) included) and the same verdict; the cubic surface
+    # has a string dial and f1 = 0, so no factor table
+    g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+    D = 4
+    m, S = invariants._solve(g, D)
+    rows = invariants._pairing(g)
+    assert mirror._paired_layers(S, m, rows) == _reference_paired_layers(S, m, rows)
+    _check_normalized(S, m)
+    if m._source is None:
+        assert m.is_zero
+        return
+    assert all(row.is_zero for row in _reference_check_rows(m))
+    # a map off by one at q^2 in f0 or in the string dial is refused, naming
+    # the class the reference rows find first
+    beta = (2,) + (0,) * (len(factors) - 1)
+    for dial in ("f0", "string"):
+        bad = _tampered(m, dial, beta)
+        want = min((b for row in _reference_check_rows(bad) for b in row.terms), key=series._graded)
+        assert want == beta
+        with pytest.raises(StructureViolation, match="not normalized") as info:
+            _check_normalized(S, bad)
+        assert info.value.context == {"beta": list(beta)}
+        with pytest.raises(StructureViolation, match="not normalized"):
+            mirror._paired_layers(S, bad, rows)
+
+
+@pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
+def test_count_read_runs_no_scalar_series_arithmetic(monkeypatch, factors, lines):
+    # after the solve, the check and the pairing build no intermediate
+    # series: no product, sum, difference or scaling of ScalarQSeries
+    g = GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+    m, S = invariants._solve(g, 3)
+    rows, calls = invariants._pairing(g), []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("__mul__", "__add__", "__sub__", "scale"):
+        monkeypatch.setattr(ScalarQSeries, name, counting(name, getattr(ScalarQSeries, name)))
+    _check_normalized(S, m)
+    mirror._paired_layers(S, m, rows)
+    assert calls == []
+    # the probe is live
+    (m.f0 * m.f0 + m.f0 - m.f0).scale(2)
+    assert set(calls) == {"__mul__", "__add__", "__sub__", "scale"}
+
+
 def _counts_via_euler_times_i_prime(g, D):
     """Counts by the former route: the map read off I' and applied to
     e(E) I' for a convex bundle, to I' where e(E_conc) != 0 (then
