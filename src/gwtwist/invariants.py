@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import Infeasible, StructureViolation, Unsupported
-from .mirror import MirrorMap, _check_normalized, _paired_layers, _solve_relative_map, apply_transform
-from .mirror import normal_form, solve_mirror_map
-from .ring import ZERO, BundleSpec, euler_class, format_fraction
+from .mirror import MirrorMap, _check_normalized, _exp_f0, _hyperplane_slots, _paired_layers, _solve_relative_map
+from .mirror import apply_transform, normal_form, solve_mirror_map
+from .ring import ZERO, BundleSpec, _mul_table, euler_class, format_fraction
 from .levels import _combine
 from .series import QSeries, ScalarQSeries, _factor_table, _graded, _Layers, qseries_to_obj
 from .series import all_curve_classes, scalar_to_obj
@@ -80,16 +80,29 @@ def _pairing(g: GeometrySpec) -> list:
     positive denominator, then a unit row per slot it refuses.  Where
     e(E_conc) = c H^k != 0 on one projective space, P pairs c / e(E_conc),
     dividing before the product overflows the top degree: P(H^m) reads
-    D e(E_conv) at the top over H^(m-k), over c, and H^m for m < k is refused."""
-    space = g.space
-    pairing = space.divisor_sum() * euler_class(space, BundleSpec(g.convex_lines()))
-    conc = euler_class(space, BundleSpec(g.concave_lines()))  # 1 for a convex bundle
-    [(shift, c)] = list(conc.items()) or [((0,) * space.nfactors, 1)]
-    top = [r + k for r, k in zip(space.factors, shift)]
-    slots = [space.basis_index.get(tuple(t - x for t, x in zip(top, e))) for e in space.basis]
-    weights = [0 if j is None else pairing.num[j] * c.denominator * (1 if c > 0 else -1) for j in slots]
-    units = [([int(j == k) for j in range(len(slots))], 1) for k in range(sum(shift))]
-    return [(weights, pairing.den * abs(c.numerator))] + units
+    D e(E_conv) at the top over H^(m-k), over c, and H^m for m < k is refused.
+    D e(E_conv) is one integer list, a product of divisors over
+    ``ring._mul_table``, and c H^k is read off the concave degrees."""
+    space, slots = g.space, _hyperplane_slots(g.space)
+    table = _mul_table(space.factors)
+    pairing = [int(j in slots) for j in range(len(space.basis))]
+    for line in g.convex_lines():
+        divisor, out = dict(zip(slots, line)), [0] * len(pairing)
+        for x, row in zip(pairing, table):
+            if x:
+                for j, k in row:
+                    if divisor.get(j):
+                        out[k] += x * divisor[j]
+        pairing = out
+    conc = [l for (l,) in g.concave_lines()]  # one factor wherever there are any
+    if len(conc) > space.factors[0]:
+        conc = []  # H^k = 0, so e(E_conc) = 0: read as 1, the series being I
+    c, top = prod(conc), list(space.factors)  # c = 1 for a convex bundle
+    top[0] += len(conc)
+    index = [space.basis_index.get(tuple(t - x for t, x in zip(top, e))) for e in space.basis]
+    weights = [0 if j is None else pairing[j] * (1 if c > 0 else -1) for j in index]
+    units = [([int(j == k) for j in range(len(index))], 1) for k in range(len(conc))]
+    return [(weights, abs(c))] + units
 
 
 def n_numbers(g: GeometrySpec, max_degree: int) -> dict:
@@ -229,7 +242,9 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
         f1 + h(q e^{f1}) = k,  f0 = log g_b - log g_a(q e^{f1})  and
         string = s_b/g_b - (s_a/g_a)(q e^{f1}),
 
-    the first solved by one shifted inversion (``mirror._solve_relative_map``).
+    the first solved by one shifted inversion and the others each summed per
+    level on its table (``mirror._solve_relative_map``); phi is the one exp
+    taken (``mirror._exp_f0``).
 
     A dial at degree n touches only degrees >= n, and those two layers of a
     transform depend only on those layers, so these are the only candidate
@@ -245,7 +260,7 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     """
     space, D = pair.i_prime.space, pair.i_prime.max_degree
     target = pair.i_prime_dual.scale(pair.sign)
-    m, ratio = _solve_relative_map(*(normal_form(S, space.unit()) for S in (pair.i_prime, target)))
+    m = _solve_relative_map(*(normal_form(S, space.unit()) for S in (pair.i_prime, target)))
     current = apply_transform(pair.i_prime, m).scale(pair.sign)
     residual = pair.i_prime_dual - current
     if not residual.is_zero:
@@ -262,5 +277,5 @@ def solve_serre_factor(pair: SerrePair) -> SerreFactorSolution:
     # the reported map carries f1 alone; phi and string are reported apart
     dials = MirrorMap(f0=ScalarQSeries.zero(space, D), f1=m.f1)
     return SerreFactorSolution(
-        phi=ratio.scale(pair.sign), map=dials, string=m.string, residual=residual
+        phi=_exp_f0(m).scale(pair.sign), map=dials, string=m.string, residual=residual
     )

@@ -4,11 +4,13 @@ Level n of a scalar series truncated at degree D is None when all its terms
 vanish, else a pair (numerators, den): the integer numerators of the curve
 classes of total degree n, in lex order, over one positive denominator, in
 lowest terms.  So equal series have equal levels, and products, exp, log,
-the substitution q -> q e^g and its inverse are integer dot products with one
-gcd per level (``_settle``).  While a level is summed it is held as one
-accumulator, a list [numerators, den] written in place: its first term sets
-den, a term over a divisor of den is scaled into it, and any other rescales
-it once to the lcm (``_merge``; inline in the two hot loops).  One
+quotients, the substitution q -> q e^g and its inverse are integer dot
+products with one gcd per level (``_settle``); a quotient x/g by a series
+with constant term 1 is the division form of the same one-pass recurrence,
+so 1/g is never formed (``_divide``).  While a level is summed it is held
+as one accumulator, a list [numerators, den] written in place: its first
+term sets den, a term over a divisor of den is scaled into it, and any other
+rescales it once to the lcm (``_merge``; inline in the two hot loops).  One
 accumulator holds a level of a whole expression, an integer combination of
 levels, products and substitutions, with no series between (``_combine``;
 van der Hoeven's relaxed evaluation, JSC 2002).  The class tables
@@ -104,7 +106,7 @@ def _levels_of(nfactors: int, max_degree: int, entries) -> list:
 def _convolve_level(nfactors: int, n: int, theta, levels, acc: list, k: int = 1):
     """Add k sum_m theta_m levels[n - m] to the level-n accumulator, theta a
     list of (m, level) by increasing m: one level of a product and one step
-    of the exp and log recurrences."""
+    of the exp, log and division recurrences."""
     vec, den = acc
     tables = _sum_tables(nfactors, n)
     for m, (xn, dx) in theta:
@@ -214,6 +216,20 @@ def _log(nfactors: int, levels: list) -> list:
         out[n] = level = _settle(acc, n)
         if level is not None:
             theta.append((n, (tuple(n * x for x in level[0]), level[1])))
+    return out
+
+
+def _divide(nfactors: int, x: list, g: list) -> list:
+    """x/g for g with constant term 1: (x/g) g = x gives
+    q_n = x_n - sum_{0<m<=n} g_m q_{n-m}, so 1/g is never formed."""
+    out = [None] * len(x)
+    tail = [(m, lv) for m, lv in enumerate(g) if m and lv]
+    for n in range(len(x) if any(x) else 0):  # 0/g = 0 at once
+        acc = [None, 0]
+        if x[n] is not None:
+            _add_level(acc, x[n])
+        _convolve_level(nfactors, n, tail, out, acc, -1)
+        out[n] = _settle(acc)
     return out
 
 

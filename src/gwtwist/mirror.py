@@ -27,7 +27,7 @@ from functools import cached_property
 from operator import add
 
 from .errors import SpaceMismatch, StructureViolation
-from .levels import _ONE, _combine, _levels_of, _nonzero, _scaled
+from .levels import _ONE, _combine, _divide, _levels_of, _nonzero, _scaled
 from .ring import AmbientSpace, CohClass, coh_to_obj
 from .series import (
     HbarLaurent,
@@ -41,7 +41,6 @@ from .series import (
     _graded,
     _invert_with_factors,
     _settle_class,
-    compose_substitute,
     qs_exp,
     qs_exp_full,
     qs_log,
@@ -100,10 +99,15 @@ class NormalForm:
     divisor_part: tuple[ScalarQSeries, ...]
 
     @cached_property
-    def _over_g(self):
-        """1/g, and what the dials f0, string and f1 cancel: log g, s/g and div/g."""
-        inv = qs_exp((log_g := qs_log(self.g)).scale(-1))
-        return inv, (log_g, *(x * inv for x in (self.string, *self.divisor_part)))
+    def _over_g(self) -> tuple:
+        """What the dials f0, string and f1 cancel: log g, s/g and each
+        div_i/g, the quotients by ``levels._divide``, so 1/g is never formed."""
+        log_g, n = qs_log(self.g), self.g.space.nfactors
+        quotients = []
+        for x in (self.string, *self.divisor_part):
+            self.g._check(x)
+            quotients.append(x._like(_divide(n, x.levels, self.g.levels)))
+        return (log_g, *quotients)
 
 
 def _hyperplane_slots(space: AmbientSpace) -> list[int]:
@@ -207,40 +211,50 @@ def solve_mirror_map(S: QSeries | _Layers, start: CohClass) -> MirrorMap:
     Normalized means matching 1 in the hbar^0 and hbar^-1 layers, so this is
     ``_solve_relative_map`` against the trivial target g = 1, s = 0, div = 0,
     handed over as a normal form: f1 + (div/g)(q e^{f1}) = 0,
-    f0 = -log g(q e^{f1}) and string = -(s/g)(q e^{f1}).  A start other than 1
-    gives the zero map or a refusal (see ``normal_form``).  The map keeps the
-    normal form of S, which the count read reuses (``_paired_layers``).
+    f0 = -(log g)(q e^{f1}) and string = -(s/g)(q e^{f1}).  A start other
+    than 1 gives the zero map or a refusal (see ``normal_form``).  The map
+    keeps the normal form of S, which the count read reuses
+    (``_paired_layers``).
     """
     zero = ScalarQSeries.zero(S.space, S.max_degree)
     one = zero._like([_ONE] + zero.levels[1:])
     trivial = NormalForm(one, zero, (zero,) * S.space.nfactors)
-    m = _solve_relative_map(a := normal_form(S, start), trivial)[0]
+    m = _solve_relative_map(a := normal_form(S, start), trivial)
     object.__setattr__(m, "_source", a)
     return m
 
 
-def _solve_relative_map(a: NormalForm, b: NormalForm) -> tuple[MirrorMap, ScalarQSeries]:
+def _solve_relative_map(a: NormalForm, b: NormalForm) -> MirrorMap:
     """The map m taking a series of normal form a to one that matches
-    normal form b in the hbar^0 and hbar^-1 layers, and e^{f0}, in closed
-    form.
+    normal form b in the hbar^0 and hbar^-1 layers, in closed form.
 
     With h = div_a/g_a and k = div_b/g_b, the divisor layer asks for
     f1 + h(q e^{f1}) = k, which one shifted inversion solves; the others give
-    e^{f0} = g_b (1/g_a)(q e^{f1}) and string = s_b/g_b - (s_a/g_a)(q e^{f1}),
-    each level of the string dial summed into one accumulator.
+    f0 = log g_b - (log g_a)(q e^{f1}) and
+    string = s_b/g_b - (s_a/g_a)(q e^{f1}), each level of a dial summed into
+    one accumulator (``levels._combine``).  No 1/g is formed, and e^{f0}
+    only where a caller asks for it (``_exp_f0``).
     The dials vanishing at q = 0 make the solution unique.  The inversion
     builds each exp(beta . f1) once; both substitutions here and
     ``apply_transform`` read them off its table, which the map keeps.
     """
-    (inv_ga, (_, s_a, *h)), (inv_gb, (_, s_b, *k)) = a._over_g, b._over_g
+    (log_ga, s_a, *h), (log_gb, s_b, *k) = a._over_g, b._over_g
     f1, factors = _invert_with_factors(h, k)
-    ratio = b.g * compose_substitute(inv_ga, f1, factors)
-    terms = [(1, s_b.levels, None), (-1, s_a.levels, _factor_table(s_a, f1, factors))]
-    s_b._check(s_a)
-    string = s_b._like(_combine(s_b.space.nfactors, terms, [1] * len(s_b.levels)))
-    m = MirrorMap(f0=qs_log(ratio), f1=tuple(f1), string=string)
+
+    def relative(x: ScalarQSeries, y: ScalarQSeries) -> ScalarQSeries:  # x - y(q e^{f1})
+        terms = [(1, x.levels, None), (-1, y.levels, _factor_table(y, f1, factors))]
+        x._check(y)
+        return x._like(_combine(x.space.nfactors, terms, [1] * len(x.levels)))
+
+    m = MirrorMap(f0=relative(log_gb, log_ga), f1=tuple(f1), string=relative(s_b, s_a))
     object.__setattr__(m, "_factors", factors)
-    return m, ratio
+    return m
+
+
+def _exp_f0(m: MirrorMap) -> ScalarQSeries:
+    """e^{f0}, the scalar factor of the map's prefactor: for a map solved
+    against a target of normal form b, g_b / g_a(q e^{f1})."""
+    return qs_exp(m.f0)
 
 
 def _check_normalized(S: QSeries | _Layers, m: MirrorMap) -> None:
@@ -256,7 +270,7 @@ def _check_normalized(S: QSeries | _Layers, m: MirrorMap) -> None:
         bad = [b for b, (delta, x, _) in terms if any(c and d - delta in (0, 1) for d, c in zip(degrees, x))]
     else:
         n, bad = S.space.nfactors, []
-        for f, x in zip((m.f0, m.string, *m.f1), m._source._over_g[1]):
+        for f, x in zip((m.f0, m.string, *m.f1), m._source._over_g):
             terms = [(1, f.levels, None), (1, x.levels, _factor_table(x, m.f1, m._factors))]
             f._check(x)
             bad += [b for b, _, _ in _nonzero(n, _combine(n, terms, [1] * len(x.levels)))]
@@ -270,17 +284,18 @@ def _paired_layers(S: QSeries | _Layers, m: MirrorMap, rows: list) -> list[Scala
     on the monomial basis, P(c) = sum_k w_k c_k / den, and read before
     q -> q e^{f1}: as Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b), with
     p_0 = 1, c_0 = s/g and c_i = div_i/g, or as P(S_-2) under the zero map.
-    Each level of 2 den Y = 2 y (1/g) - sum_{a<=b} w_ab (2 - [a = b]) c_a c_b,
+    Each level of 2 den Y = 2 y/g - sum_{a<=b} w_ab (2 - [a = b]) c_a c_b,
     y = den P(S_-2) and w_ab = den P(p_a p_b) integers, is one accumulator
-    settled once over 2 den (``levels._combine``), with no series between.
-    The map is checked first (``_check_normalized``)."""
+    settled once over 2 den (``levels._combine``), with no series between;
+    y/g comes from the division recurrence (``levels._divide``), so 1/g is
+    never formed.  The map is checked first (``_check_normalized``)."""
     S = _Layers.of(S)
     _check_normalized(S, m)
     space, D, n = S.space, S.max_degree, S.space.nfactors
     units = [space.basis[i] for i in [0] + _hyperplane_slots(space)]
     if not m.is_zero:
-        inv_g, (_, *c) = m._source._over_g
-        for x in (inv_g, *c):
+        g, (_, *c) = m._source.g, m._source._over_g
+        for x in (g, *c):
             _check_layout(ScalarQSeries, space, D, x)
         pairs = [(a, b, tuple(map(add, units[a], units[b]))) for a in range(n + 1) for b in range(a, n + 1)]
     out = []
@@ -294,7 +309,7 @@ def _paired_layers(S: QSeries | _Layers, m: MirrorMap, rows: list) -> list[Scala
             y = _levels_of(n, D, [(b, x, den * d) for b, x, d in entries])
         else:
             weight_of = dict(zip(space.basis, row))
-            terms = [(2, _levels_of(n, D, entries), inv_g.levels)]
+            terms = [(2, _divide(n, _levels_of(n, D, entries), g.levels), None)]
             terms += [(-w * (2 - (a == b)), c[a].levels, c[b].levels)
                       for a, b, e in pairs if (w := weight_of.get(e))]
             y = _combine(n, terms, [2 * den] * (D + 1))

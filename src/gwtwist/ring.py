@@ -106,12 +106,14 @@ class AmbientSpace:
         return self.monomial(exps)
 
     def divisor(self, multidegree) -> "CohClass":
-        """The divisor class sum_i l_i p_i."""
-        out = self.zero()
-        for i, l in enumerate(multidegree):
-            if l:
-                out = out + self.hyperplane(i).scale(l)
-        return out
+        """The divisor class sum_i l_i p_i, one exact rational l_i per factor.
+        p_i sits at basis position N - i, the degree-1 monomials coming in
+        lex order."""
+        l = tuple(multidegree)
+        if len(l) != self.nfactors:
+            raise SpaceMismatch(f"multidegree {l} does not match {self.nfactors} ambient factors")
+        coeffs = [0, *l[::-1]] + [0] * (len(self.basis) - len(l) - 1)
+        return CohClass(self, coeffs, 1) if all(type(x) is int for x in l) else CohClass(self, coeffs)
 
     def divisor_sum(self) -> "CohClass":
         return self.divisor((1,) * self.nfactors)

@@ -2,7 +2,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -35,7 +35,7 @@ from gwtwist.cli import main
 from gwtwist.invariants import SerreFactorSolution, SerrePair
 from gwtwist.mirror import _check_normalized, apply_transform
 from gwtwist.ring import format_fraction
-from gwtwist.series import HbarLaurent, compose_substitute, qs_exp
+from gwtwist.series import HbarLaurent, compose_substitute, qs_exp, qs_log
 from gwtwist.twist import CONVEX, classify
 from test_mirror import _naive_class_mul, _promote, _reference_apply_transform, _scalar_one
 from test_series import _assert_table_is_truncated_exps, _count_tables, _truncate
@@ -149,6 +149,53 @@ def test_concave_count_refuses_a_layer_e_conc_does_not_divide(monkeypatch):
     assert info.value.context == {"beta": [1]}
 
 
+def _reference_pairing(g, sympy) -> list:
+    """The rows of ``invariants._pairing`` as rationals, by sympy: D e(E_conv)
+    expanded as a product of linear forms with every monomial past some
+    p_i^{r_i} dropped, P(p^e) its coefficient at the complement of e, over c
+    where e(E_conc) = c H^k is not zero on one P^r, with a unit row per
+    H^m, m < k."""
+    space = g.space
+    p = sympy.symbols(f"p0:{space.nfactors}")
+
+    def truncated(form) -> dict:
+        terms = sympy.Poly(sympy.expand(form), *p).terms()
+        return {e: int(c) for e, c in terms if c and all(x <= r for x, r in zip(e, space.factors))}
+
+    linear = [sum(l * x for l, x in zip(line, p)) for line in g.bundle.lines]
+    kinds = [classify(line) for line in g.bundle.lines]
+    conv = truncated(sum(p) * sympy.prod([f for f, k in zip(linear, kinds) if k == CONVEX]))
+    conc = truncated(sympy.prod([f for f, k in zip(linear, kinds) if k != CONVEX]))
+    [(shift, c)] = list(conc.items()) or [((0,) * space.nfactors, 1)]
+    top = tuple(r + k for r, k in zip(space.factors, shift))
+    row = [Fraction(conv.get(tuple(t - x for t, x in zip(top, e)), 0), c) for e in space.basis]
+    units = [[Fraction(int(j == m)) for j in range(len(space.basis))] for m in range(sum(shift))]
+    return [row] + units
+
+
+def test_pairing_matches_the_product_of_linear_forms():
+    sympy = pytest.importorskip("sympy")
+    geometries = [
+        GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
+        for r in range(1, 6)
+        for rank in range(3)
+        for lines in combinations_with_replacement((-3, -2, -1, 1, 2, 3), rank)
+    ]
+    for factors, entries in (((1, 1), 3), ((2, 1), 3), ((2, 2), 3), ((1, 1, 1), 2), ((2, 1, 1), 2)):
+        degrees = [l for l in product(range(entries), repeat=len(factors)) if any(l)]
+        geometries += [
+            GeometrySpec(AmbientSpace(factors), BundleSpec(lines))
+            for rank in range(3)
+            for lines in combinations_with_replacement(degrees, rank)
+        ]
+    refused = 0
+    for g in geometries:
+        rows = [[Fraction(x, den) for x in row] for row, den in invariants._pairing(g)]
+        assert rows == _reference_pairing(g, sympy), g
+        refused += len(rows) > 1
+    assert refused  # some e(E_conc) = c H^k != 0 refuses its k lowest slots
+
+
 @pytest.mark.parametrize(
     "r, lines, D, n1",
     [
@@ -233,7 +280,7 @@ def test_counts_match_lagrange_buermann_inversion(r, lines, D):
     g = GeometrySpec(AmbientSpace((r,)), BundleSpec(tuple((l,) for l in lines)))
     m, S = invariants._solve(g, D)
     [Y, *_] = mirror._paired_layers(S, m, invariants._pairing(g))
-    h = m._source._over_g[1][2] if not m.is_zero else ScalarQSeries.zero(g.space, D)
+    h = m._source._over_g[2] if not m.is_zero else ScalarQSeries.zero(g.space, D)
     y, h = ([f.coeff((d,)) for d in range(D + 1)] for f in (Y, h))
     N = n_numbers(g, D)
     for n in range(1, D + 1):
@@ -329,10 +376,10 @@ def test_counts_pair_i_prime_without_transforming_it(monkeypatch, factors, lines
     assert detours == []
 
 
-def _counting_class_kernels(monkeypatch) -> list:
-    """Wrap ``QSeries.__mul__``, and ``qs_exp_full`` and ``qs_substitute``
-    in every gwtwist module that binds them, by wrappers that record the
-    name of each call; return the record."""
+def _counting(monkeypatch, method, names) -> list:
+    """Wrap the method (class, name) once, and each function of ``series``
+    named in names in every gwtwist module that binds it, by wrappers that
+    record the name of each call; return the record."""
     calls = []
 
     def counting(name, fn):
@@ -342,13 +389,19 @@ def _counting_class_kernels(monkeypatch) -> list:
 
         return wrapper
 
-    monkeypatch.setattr(QSeries, "__mul__", counting("QSeries.__mul__", QSeries.__mul__))
-    for name in ("qs_exp_full", "qs_substitute"):
+    cls, attr = method
+    monkeypatch.setattr(cls, attr, counting(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+    for name in names:
         fn = getattr(series, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "gwtwist" and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     return calls
+
+
+def _counting_class_kernels(monkeypatch) -> list:
+    """Count calls of ``QSeries.__mul__``, ``qs_exp_full`` and ``qs_substitute``."""
+    return _counting(monkeypatch, (QSeries, "__mul__"), ("qs_exp_full", "qs_substitute"))
 
 
 @pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
@@ -375,6 +428,25 @@ def test_class_kernel_probe_sees_the_serre_factorization(monkeypatch, capsys):
     assert calls
 
 
+@pytest.mark.parametrize("factors, lines", COUNT_CASES, ids=COUNT_IDS)
+def test_count_path_forms_no_inverse_of_g(monkeypatch, tmp_path, capsys, factors, lines):
+    # the quotients by g come from the division recurrence and f0 from
+    # log g, so no count or mirror-map run takes an exp of a scalar series
+    # or multiplies two; the Serre factorization's phi = sign e^{f0} is the
+    # one exp left, which shows the probe is live
+    calls = _counting(monkeypatch, (ScalarQSeries, "__mul__"), ("qs_exp",))
+    n_numbers(GeometrySpec(AmbientSpace(factors), BundleSpec(lines)), 3)
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps({"ambient": list(factors), "bundle": [{"l": list(l)} for l in lines]}))
+    assert main(["--geometry", str(path), "--cmd", "mirror-map", "--max-degree", "3"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    serre = os.path.join(_ROOT, "perfbench", "geometries", "p1-o1.json")
+    assert main(["--geometry", serre, "--cmd", "serre", "--max-degree", "3"]) == 0
+    capsys.readouterr()
+    assert "qs_exp" in calls
+
+
 def _reference_paired_layers(S, m, rows) -> list:
     """The count read by ScalarQSeries arithmetic, one series per step:
     Y = P(S_-2)/g - 1/2 sum_{a,b} c_a c_b P(p_a p_b) over ordered pairs
@@ -391,7 +463,7 @@ def _reference_paired_layers(S, m, rows) -> list:
             for b, (delta, num, d) in S.terms.items()
         })
         if not m.is_zero:
-            inv_g, (_, *c) = m._source._over_g
+            (_, *c), inv_g = m._source._over_g, qs_exp(qs_log(m._source.g).scale(-1))
             y, weight_of = y * inv_g, dict(zip(space.basis, row))
             for a in range(n + 1):
                 for b in range(n + 1):
@@ -404,7 +476,7 @@ def _reference_paired_layers(S, m, rows) -> list:
 def _reference_check_rows(m) -> list:
     """f + x(q e^{f1}) for each dial f and the series x it cancels, by
     ScalarQSeries arithmetic, the substitution on a table built anew."""
-    dials = zip((m.f0, m.string, *m.f1), m._source._over_g[1])
+    dials = zip((m.f0, m.string, *m.f1), m._source._over_g)
     return [f + compose_substitute(x, list(m.f1)) for f, x in dials]
 
 
@@ -549,9 +621,9 @@ def test_every_pipeline_path_checks_the_normalized_series(monkeypatch, tmp_path,
     solve = mirror._solve_relative_map
 
     def off_by_one(a, b):
-        m, ratio = solve(a, b)
+        m = solve(a, b)
         f1 = m.f1[0]
-        return MirrorMap(f0=m.f0, f1=(f1.set_coeff((1,), f1.coeff((1,)) + 1),)), ratio
+        return MirrorMap(f0=m.f0, f1=(f1.set_coeff((1,), f1.coeff((1,)) + 1),))
 
     monkeypatch.setattr(mirror, "_solve_relative_map", off_by_one)
     with pytest.raises(StructureViolation):
@@ -571,11 +643,11 @@ def test_counts_check_the_divisor_dial_on_its_own(monkeypatch, r, l):
     solve = mirror._solve_relative_map
 
     def off_in_f1(a, b):
-        m, ratio = solve(a, b)
+        m = solve(a, b)
         f1 = [m.f1[0].set_coeff((1,), m.f1[0].coeff((1,)) + 1)]
-        _, (log_g, s_over_g, _) = a._over_g
+        log_g, s_over_g, _ = a._over_g
         f0, string = (compose_substitute(x, f1).scale(-1) for x in (log_g, s_over_g))
-        return MirrorMap(f0=f0, f1=f1, string=string), ratio
+        return MirrorMap(f0=f0, f1=f1, string=string)
 
     monkeypatch.setattr(mirror, "_solve_relative_map", off_in_f1)
     g = GeometrySpec(AmbientSpace((r,)), BundleSpec(((l,),)))

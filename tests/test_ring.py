@@ -104,6 +104,26 @@ def test_bundle_factor_length_checked():
         BundleSpec(((1,),)).validate_for(sp)
 
 
+def test_divisor_refuses_a_multidegree_of_another_length():
+    # too long raised a bare IndexError, too short was padded with zeros
+    with pytest.raises(SpaceMismatch, match=re.escape("multidegree (1, 2) does not match 1 ambient factors")):
+        AmbientSpace((4,)).divisor((1, 2))
+    with pytest.raises(SpaceMismatch, match=re.escape("multidegree (1,) does not match 2 ambient factors")):
+        AmbientSpace((2, 2)).divisor((1,))
+
+
+def test_divisor_is_the_sum_of_scaled_hyperplanes():
+    rng = random.Random(13)
+    for factors in ((1,), (4,), (2, 2), (2, 1, 3)):
+        sp = AmbientSpace(factors)
+        for _ in range(10):
+            l = [rng.choice([0, 1, -2, 5, Fraction(-3, 4), "2/5"]) for _ in factors]
+            want = sp.zero()
+            for i, x in enumerate(l):
+                want = want + sp.hyperplane(i).scale(x)
+            assert sp.divisor(l) == want
+
+
 def test_lift_p3_into_p4():
     small = AmbientSpace((3,))
     big = AmbientSpace((4,))

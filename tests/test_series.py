@@ -532,6 +532,29 @@ def test_exp_log_match_power_sums(case):
         assert qs_log(a) == _reference_qs_log(a)
 
 
+@pytest.mark.parametrize("factors", [(1,), (1, 1), (2, 1, 1)], ids=str)
+def test_division_kernel_matches_product_with_inverse(factors):
+    # x/g by the division recurrence against x exp(-log g) in ScalarQSeries
+    # arithmetic: levels dropped to None, g = 1 and x = 0 included
+    sp = AmbientSpace(factors)
+    rng = random.Random(6000 + 10 * len(factors) + sum(factors))
+    gaps = 0
+    for D in range(5 if len(factors) < 3 else 4):
+        one = _scalar_one(sp, D)
+
+        def sparse(f):
+            return f._like([lv if n == 0 or rng.random() < 0.6 else None for n, lv in enumerate(f.levels)])
+
+        for density in (0.0, 0.3, 0.8):
+            g = one + sparse(_random_scalar(rng, sp, D, density))
+            x = sparse(_random_scalar(rng, sp, D, density).scale(rng.choice([0, 1])))
+            x = x + one.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            gaps += None in g.levels[1:] and any(g.levels[1:])
+            got = x._like(levels._divide(sp.nfactors, x.levels, g.levels))
+            assert got == x * qs_exp(qs_log(g).scale(-1))
+    assert gaps  # some divisor has a None level between non-zero ones
+
+
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=_case_id)
 def test_class_exp_matches_power_sum(case):
     sp, D = case
