@@ -15,20 +15,19 @@ from math import lcm, prod
 from .errors import Infeasible, StructureViolation, Unsupported
 from .mirror import MirrorMap, _check_normalized, _exp_f0, _hyperplane_slots, _paired_layers, _solve_relative_map
 from .mirror import apply_transform, normal_form, solve_mirror_map
-from .ring import ZERO, BundleSpec, _mul_table, euler_class, format_fraction
+from .ring import ZERO, _mul_table, format_fraction
 from .levels import _combine
 from .series import QSeries, ScalarQSeries, _factor_table, _graded, _Layers, qseries_to_obj
 from .series import all_curve_classes, scalar_to_obj
 from .twist import (
     GeometrySpec,
     _combined_degrees,
+    _concave_euler_vanishes,
     _count_layers,
-    _linear_products,
-    _twisted,
+    _series,
     check_conditions,
     i_function,
     i_prime,
-    j_ambient,
 )
 
 
@@ -48,8 +47,7 @@ def _solve(g: GeometrySpec, max_degree: int) -> tuple[MirrorMap, _Layers | QSeri
     of I' that the counts read (``twist._count_layers``), or, where
     e(E_conc) = 0 and so I' = 1, the zero map and ``i_function``."""
     _require_nonneg(g)
-    conc = g.concave_lines()
-    if conc and euler_class(g.space, BundleSpec(conc)).is_zero:
+    if _concave_euler_vanishes(g):
         return MirrorMap.zero(g.space, max_degree), i_function(g, max_degree)
     S = _count_layers(g, max_degree)
     return solve_mirror_map(S, g.space.unit()), S
@@ -94,9 +92,8 @@ def _pairing(g: GeometrySpec) -> list:
                     if divisor.get(j):
                         out[k] += x * divisor[j]
         pairing = out
-    conc = [l for (l,) in g.concave_lines()]  # one factor wherever there are any
-    if len(conc) > space.factors[0]:
-        conc = []  # H^k = 0, so e(E_conc) = 0: read as 1, the series being I
+    # one factor wherever there are any; read as 1 where e(E_conc) = 0, the series being I
+    conc = [] if _concave_euler_vanishes(g) else [l for (l,) in g.concave_lines()]
     c, top = prod(conc), list(space.factors)  # c = 1 for a convex bundle
     top[0] += len(conc)
     index = [space.basis_index.get(tuple(t - x for t, x in zip(top, e))) for e in space.basis]
@@ -192,21 +189,21 @@ def serre_dual_pair(g: GeometrySpec, max_degree: int) -> SerrePair:
     and so not invertible, followed by an operator of order rk E; neither is
     a change of the dials of ``solve_serre_factor``.
 
-    The first is ``twist.i_prime`` itself.  The dual reads its own table
-    per summand, indexed by d_j: a summand with d_j = 0 contributes 1 there,
-    not a class, so the dual is no Euler class times K.  A geometry that
-    fails the positivity condition is refused first.
+    The first is ``twist.i_prime`` itself; the dual is the same builder
+    (``twist._series``) on each summand's row of -c1 read at d_j, which is 1,
+    not a class, at d_j = 0, so the dual is no Euler class times K.  A
+    geometry that fails the positivity condition is refused first.
     """
     _require_nonneg(g)
     space = g.space
     if g.concave_lines():
         raise Unsupported("dual pair construction needs a convex bundle")
     sign = -1 if g.bundle.rank % 2 else 1
-    # row d of each dual table: prod_{k=-d+1}^{0} (-c1 + k hbar)
-    dual = [(l, _linear_products(space, -space.divisor(l), 0, -1)) for l in g.bundle.lines]
+    # each summand's dual row at d: prod_{k=-d+1}^{0} (-c1 + k hbar)
+    dual = [(l, -space.divisor(l), 0, -1, 0) for l in g.bundle.lines]
     return SerrePair(
         i_prime=i_prime(g, max_degree),
-        i_prime_dual=_twisted(j_ambient(space, max_degree), dual, space.unit(), space.unit()).scale(sign),
+        i_prime_dual=_series(space, max_degree, space.unit(), dual).scale(sign),
         sign=sign,
     )
 

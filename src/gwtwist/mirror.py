@@ -116,6 +116,12 @@ def _hyperplane_slots(space: AmbientSpace) -> list[int]:
     return [space.basis_index[tuple(int(j == i) for j in range(n))] for i in range(n)]
 
 
+def _has_read_layer(degrees: list, delta: int, num) -> bool:
+    """Whether hbar^delta c(p/hbar), numerators ``num`` at ``degrees``, has a
+    non-zero hbar^0 or hbar^-1 layer: an entry at degree delta or delta + 1."""
+    return any(x and d - delta in (0, 1) for d, x in zip(degrees, num))
+
+
 def normal_form(S: QSeries | _Layers, start: CohClass) -> NormalForm:
     """Read the scalar, string and divisor layers of S, or of ``_Layers``.
 
@@ -156,7 +162,7 @@ def normal_form(S: QSeries | _Layers, start: CohClass) -> NormalForm:
                 terms.append((beta, num[i], den))
         elif from_unit and delta == -1:
             s_terms.append((beta, num[0], den))
-        elif any(x and d - delta in (0, 1) for d, x in zip(degrees, num)):
+        elif _has_read_layer(degrees, delta, num):
             want = "a scalar and a scalar plus a divisor" if from_unit else "zero"
             hl = HbarLaurent._of(space, delta, CohClass(space, [*num, *[0] * (len(degrees) - len(num))], den))
             raise StructureViolation(
@@ -267,7 +273,7 @@ def _check_normalized(S: QSeries | _Layers, m: MirrorMap) -> None:
     and the substitution added into it (``levels._combine``)."""
     if m.is_zero:
         terms, degrees = _Layers.of(S).terms.items(), [sum(e) for e in S.space.basis]
-        bad = [b for b, (delta, x, _) in terms if any(c and d - delta in (0, 1) for d, c in zip(degrees, x))]
+        bad = [b for b, (delta, x, _) in terms if _has_read_layer(degrees, delta, x)]
     else:
         n, bad = S.space.nfactors, []
         for f, x in zip((m.f0, m.string, *m.f1), m._source._over_g):

@@ -115,9 +115,6 @@ class AmbientSpace:
         coeffs = [0, *l[::-1]] + [0] * (len(self.basis) - len(l) - 1)
         return CohClass(self, coeffs, 1) if all(type(x) is int for x in l) else CohClass(self, coeffs)
 
-    def divisor_sum(self) -> "CohClass":
-        return self.divisor((1,) * self.nfactors)
-
     def integrate(self, c: "CohClass") -> Fraction:
         """Pair against the fundamental class: the top-monomial coefficient."""
         if c.space != self:

@@ -380,8 +380,9 @@ def _settle_class(space: AmbientSpace, at: dict) -> HbarLaurent:
 
 class _Layers(NamedTuple):
     """A series as its hbar layers are read: beta != 0 -> (delta, numerators,
-    den) for hbar^delta c(p/hbar), c on a prefix of the graded basis: all of
-    a ``QSeries`` (``of``), degree <= 2 of I' (``twist._count_layers``)."""
+    den) for hbar^delta c(p/hbar), c on a prefix of the graded basis, the
+    terms of ``twist._twist_terms``: all of a ``QSeries`` (``of``, which also
+    hands that builder ``j_ambient``), degree <= 2 of I' (``_count_layers``)."""
 
     space: AmbientSpace
     max_degree: int

@@ -14,20 +14,19 @@ k = 1..n for a convex summand and k = n+1..-1 for a concave one, at
 n = <L, beta>.  I starts at e(E) and is the twisted series; I' starts at 1
 (``i_prime``), and the change of variables is read from it.
 
-Both are read off closed forms on integer tables, with x = p/hbar: each
-ambient factor gets a table of the univariate A_i[d] = prod_{k<=d}
-(x_i + k)^-(r_i+1), and J(beta) is the outer product of the A_i[beta_i];
-each summand gets one table of its factors indexed by the pairing n
-(``_summand_table``), an integer polynomial in c1(x) per row
-(``_linear_table``).  Each row or term read is one class, but the counts'
-three hbar layers of I' are built in integers off the same tables grown to
-degree 2 only (``_count_layers``).  The tables live for one call only.
+One integer loop builds every twisted series (``_twist_terms``), in
+x = p/hbar: J(beta) is the outer product of univariate tables A_i[d] =
+prod_{k<=d} (x_i + k)^-(r_i+1), times one row per summand of an integer
+polynomial table in c1(x) (``_linear_table``; the factor c1 included where
+the series takes it), through the ring's product table: on every degree,
+one class per term, for the series, and on the degree <= 2 basis prefix
+for the three hbar layers of I' that the counts read (``_count_layers``).
+The tables live for one call only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb, gcd, lcm, prod
 from operator import getitem, mul
 
@@ -141,6 +140,12 @@ def _combined_degrees(g: GeometrySpec):
     return tuple(out)
 
 
+def _concave_euler_vanishes(g: GeometrySpec) -> bool:
+    """Whether e(E_conc) = 0: k concave summands sit on one P^r, where it is
+    c H^k with c != 0, which vanishes exactly at k > r (never at k = 0)."""
+    return len(g.concave_lines()) > g.space.factors[0]
+
+
 def check_conditions(g: GeometrySpec) -> TheoremReport:
     """Evaluate the positivity condition and detect trivial-transform cases."""
     combined = _combined_degrees(g)
@@ -187,30 +192,10 @@ def _linear_table(space: AmbientSpace, c: CohClass, first: int, step: int, top: 
     def poly(m: int) -> list:
         for k in range(first + (len(polys) - 1) * step, first + m * step, step):
             p = polys[-1]
-            polys.append([k * p[0]] + [k * a + b for a, b in zip(p[1:], p)])
+            polys.append([k * a + b for a, b in zip(p, [0, *p])])
         return polys[m]
 
     return poly, weights, den
-
-
-def _linear_products(space: AmbientSpace, c: CohClass, first: int, step: int):
-    """Return m -> prod_{j<m} (c + (first + j*step) hbar), one class per row
-    read off ``_linear_table``, kept; row 0 is 1."""
-    poly, weights, den = _linear_table(space, c, first, step, space.dim)
-    return cache(lambda m: HbarLaurent._of(
-        space, m, CohClass(space, [p[j] * w for p in [poly(m)] for j, w in weights], den)))
-
-
-def _summand_table(space: AmbientSpace, l, kind: str):
-    """Return n -> K(L) at pairing n = <L, beta> for one summand of ``kind``,
-    its linear factors without the k = 0 factor c1: prod_{k=1}^{n}
-    (c1 + k hbar) if convex, prod_{k=n+1}^{-1} (c1 + k hbar) if concave.
-    An empty range gives 1."""
-    c1 = space.divisor(l)
-    if kind == CONVEX:
-        return _linear_products(space, c1, 1, 1)
-    row = _linear_products(space, c1, -1, -1)
-    return lambda n: row(max(-n - 1, 0))
 
 
 def _pairing(l, beta) -> int:
@@ -234,6 +219,26 @@ def _inverse_products(r: int, max_degree: int, top: int) -> list:
     return rows
 
 
+def _j_terms(space: AmbientSpace, max_degree: int, top: int):
+    """beta -> J_beta = hbar^delta prod_i A_i[beta_i](x_i) as (delta,
+    numerators, den) on the degree <= top basis prefix: the outer product of
+    the ``_inverse_products`` rows, at delta = -sum_i (r_i+1) beta_i."""
+    tables = [_inverse_products(r, max_degree, min(r, top)) for r in space.factors]
+    nums, dens = ([[row[i] for row in table] for table in tables] for i in (0, 1))
+    basis, weights = [e for e in space.basis if sum(e) <= top], [r + 1 for r in space.factors]
+
+    def term(beta):
+        a = list(map(getitem, nums, beta))
+        num = [prod(map(getitem, a, e)) for e in basis]
+        return -_pairing(weights, beta), num, prod(map(getitem, dens, beta))
+
+    return term
+
+
+def _laurent(space: AmbientSpace, delta: int, num, den: int) -> HbarLaurent:
+    return HbarLaurent._of(space, delta, CohClass(space, num, den))
+
+
 def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     """Closed-form ambient series: the beta term inverts
     prod_i prod_{k=1}^{d_i} (p_i + k*hbar)^(r_i + 1), and the beta = 0 term is 1.
@@ -241,115 +246,104 @@ def j_ambient(space: AmbientSpace, max_degree: int) -> QSeries:
     With x_i = p_i/hbar the beta term is hbar^delta prod_i A_i[beta_i](x_i),
     at delta = -sum_i (r_i+1) beta_i, for the univariate integer tables
     A_i of ``_inverse_products``; it is built as one class, the outer
-    product of the A_i[beta_i] over the monomial basis.
+    product of the A_i[beta_i] over the monomial basis (``_j_terms``).
     """
     empty = QSeries(space, max_degree)  # refuses a degree that is not a non-negative integer
-    tables = [_inverse_products(r, empty.max_degree, r) for r in space.factors]
+    term = _j_terms(space, empty.max_degree, space.dim)
+    return empty._new({beta: _laurent(space, *term(beta)) for beta in empty.curve_classes()})
+
+
+# (first, step, shift) of each summand's ``_linear_table`` row, read at
+# |<L, beta>| + shift: (c1 + k hbar) for k = 1..n (convex) or n+1..0
+# (concave) in I', and for k = 0..n or n+1..-1 in I
+_I_PRIME_ROWS = {CONVEX: (1, 1, 0), CONCAVE: (0, -1, 0)}
+_I_ROWS = {CONVEX: (0, 1, 1), CONCAVE: (-1, -1, -1)}
+
+
+def _reads(g: GeometrySpec, rows: dict) -> list:
+    return [(l, g.space.divisor(l), *rows[k]) for l, k in zip(g.bundle.lines, g._kinds)]
+
+
+def _twist_terms(space: AmbientSpace, classes, J, reads, top: int) -> dict:
+    """The one twist builder: for each beta of ``classes``, J(beta) = (delta,
+    numerators, den) on the degree <= top basis prefix times, per read
+    (L, c, first, step, shift), row m = max(|<L, beta>| + shift, 0) of c's
+    ``_linear_table``, prod_{j<m} (c + (first + j step) hbar) at total degree
+    m, through the ``ring._mul_table`` pairs that land in the prefix (exact:
+    no entry there reads one of higher degree); at top = dim, whole classes."""
+    size = sum(sum(e) <= top for e in space.basis)
+    pairs = [(i, j, k) for i, row in enumerate(_mul_table(space.factors)[:size]) for j, k in row if k < size]
+    rows = [(l, shift, *_linear_table(space, c, first, step, top)) for l, c, first, step, shift in reads]
     terms = {}
-    for beta in empty.curve_classes():
-        rows = [table[d] for table, d in zip(tables, beta)]
-        num = [prod(map(getitem, [a for a, _ in rows], m)) for m in space.basis]
-        delta = -sum((r + 1) * d for r, d in zip(space.factors, beta))
-        terms[beta] = HbarLaurent._of(space, delta, CohClass(space, num, prod(d for _, d in rows)))
-    return empty._new(terms)
+    for beta in classes:
+        delta, num, den = J(beta)
+        for l, shift, poly, weights, d in rows:
+            m = max(abs(_pairing(l, beta)) + shift, 0)
+            p, out = poly(m), [0] * size
+            row = [p[j] * w for j, w in weights]
+            for i, j, k in pairs:
+                out[k] += num[i] * row[j]
+            num, den, delta = out, den * d, delta + m
+        terms[beta] = (delta, num, den)
+    return terms
+
+
+def _series(space: AmbientSpace, max_degree: int, start: CohClass, reads) -> QSeries:
+    """``start`` at q^0, then ``j_ambient`` twisted by ``reads``, one class per term."""
+    J = j_ambient(space, max_degree)
+    terms = _twist_terms(space, J.curve_classes()[1:], _Layers.of(J).terms.__getitem__, reads, space.dim)
+    terms = {beta: _laurent(space, *term) for beta, term in terms.items()}
+    return J._new({J.zero_beta: HbarLaurent(space, {0: start}), **terms})
 
 
 def h_factor(space: AmbientSpace, l, beta) -> HbarLaurent:
     """The finite linear-factor product a bundle summand contributes at beta.
 
-    Convex summands multiply (c1 + k*hbar) for k = 0..<c1,beta>, which is c1
-    times their ``_summand_table`` row; concave ones for k = <c1,beta>+1..-1,
-    which is the row itself.  An empty range gives 1.
+    Convex summands multiply (c1 + k*hbar) for k = 0..<c1,beta>; concave
+    ones for k = <c1,beta>+1..-1.  An empty range gives 1.  It is the
+    summand's ``i_function`` row: 1 twisted by ``_twist_terms``.
     """
     l = tuple(_integer(x) for x in l)
     beta = space.check_curve_class(beta)
-    kind = classify(l)
-    row = _summand_table(space, l, kind)(_pairing(l, beta))
-    return row * HbarLaurent(space, {0: space.divisor(l)}) if kind == CONVEX else row
-
-
-def _twisted(J: QSeries, tables, start: CohClass, euler: CohClass) -> QSeries:
-    """``euler`` times J_beta times prod_j table_j(<L_j, beta>) for beta != 0,
-    and ``start`` at hbar^0 for beta = 0; ``tables`` pairs each multidegree
-    L_j with a row function such as ``_summand_table`` or
-    ``_linear_products``.  A unit ``euler`` multiplies nothing."""
-    space = J.space
-    terms = {J.zero_beta: HbarLaurent(space, {0: start})}
-    factor = None if euler == space.unit() else HbarLaurent(space, {0: euler})
-    for beta in J.curve_classes()[1:]:
-        hl = J.terms.get(beta)
-        if hl is not None:
-            for l, table in tables:
-                hl = hl * table(_pairing(l, beta))
-            terms[beta] = hl if factor is None else hl * factor
-    return J._new(terms)
-
-
-def _summand_tables(g: GeometrySpec):
-    """Each summand's multidegree with its ``_summand_table``."""
-    return [(l, _summand_table(g.space, l, k)) for l, k in zip(g.bundle.lines, g._kinds)]
+    rows = _I_ROWS[classify(l)]  # refuses a mixed multidegree before its length is checked
+    read = (l, space.divisor(l), *rows)
+    [term] = _twist_terms(space, [beta], lambda _: (0, space.unit().num, 1), [read], space.dim).values()
+    return _laurent(space, *term)
 
 
 def i_function(g: GeometrySpec, max_degree: int) -> QSeries:
-    """Twisted series: for beta != 0, I_beta = e(E_conv) K_beta, with K_beta
-    J_beta times each summand's ``_summand_table`` row (its linear factors
-    (c1 + k hbar) without k = 0) and E_conv the convex summands.
+    """Twisted series: for beta != 0, I_beta = J_beta times each summand's
+    (c1 + k hbar), k = 0..n if convex and k = n+1..-1 if concave, at
+    n = <L, beta>: e(E_conv) K_beta, each term one class (``_twist_terms``).
 
     The beta = 0 term is the Euler class of the bundle.  For a concave
     summand the degree-zero twist is taken as the Euler factor rather than an
     empty product, so the series starts where the geometry actually starts
     (zero when the Euler class vanishes on the ambient).
-
-    Each row is read from one table indexed by the pairing n = <L, beta>,
-    one class per row read, so the series costs one class product per curve
-    class and summand, and one more for the Euler class.
     """
-    conv = euler_class(g.space, BundleSpec(g.convex_lines()))
-    start = euler_class(g.space, g.bundle)
-    return _twisted(j_ambient(g.space, max_degree), _summand_tables(g), start, conv)
+    return _series(g.space, max_degree, euler_class(g.space, g.bundle), _reads(g, _I_ROWS))
 
 
 def i_prime(g: GeometrySpec, max_degree: int) -> QSeries:
     """The twisted series I' that starts at 1 (Coates-Givental): for
-    beta != 0, I'_beta = e(E_conc) K_beta, with K_beta as in ``i_function``
-    and E_conc the concave summands.  So without concave summands I' is K
-    and e(E) I' is ``i_function`` exactly.  The counts read only three hbar
-    layers of it, which ``_count_layers`` builds with no class per term."""
-    conc = euler_class(g.space, BundleSpec(g.concave_lines()))
-    return _twisted(j_ambient(g.space, max_degree), _summand_tables(g), g.space.unit(), conc)
+    beta != 0, I'_beta = e(E_conc) K_beta, each concave summand's row read
+    through k = 0 (its c1), so without concave summands I' is K and e(E) I'
+    is ``i_function`` exactly.  The counts read only three hbar layers of it,
+    which ``_count_layers`` builds by the same loop."""
+    return _series(g.space, max_degree, g.space.unit(), _reads(g, _I_PRIME_ROWS))
 
 
 def _count_layers(g: GeometrySpec, max_degree: int) -> _Layers:
     """The layers of ``i_prime`` that the counts read, in integers: its q^beta
     term hbar^delta c(p/hbar), delta = -<combined degrees, beta> <= 0 under
     positivity, has them as c's parts of degree delta..delta + 2, so c is kept
-    on the degree <= 2 basis prefix, and left out at delta < -2.  It is J_beta
-    times a ``_linear_table`` row per summand at |<L, beta>|, a concave one's
-    with its c1 (k = n+1..0); those rows and the ``_inverse_products`` rows
-    are grown to degree 2 only and ``ring._mul_table`` is read on the prefix,
-    which is exact: no coefficient reads one of higher degree."""
+    on the degree <= 2 basis prefix (``_twist_terms`` at top = 2), its tables
+    grown to degree 2 only, and a class at delta < -2 is left out unbuilt."""
     space = g.space
     D = QSeries(space, max_degree).max_degree  # refuses a degree that is not a non-negative integer
-    size = sum(sum(e) <= 2 for e in space.basis)
-    pairs = [(i, j, k) for i, row in enumerate(_mul_table(space.factors)[:size]) for j, k in row if k < size]
-    tables = [_inverse_products(r, D, min(r, 2)) for r in space.factors]
-    rows = [(l, *_linear_table(space, space.divisor(l), *((1, 1) if k == CONVEX else (0, -1)), 2))
-            for l, k in zip(g.bundle.lines, g._kinds)]
-    combined, terms = _combined_degrees(g), {}
-    for beta in all_curve_classes(space, D)[1:]:
-        if (delta := -_pairing(combined, beta)) < -2:
-            continue
-        a = [table[d] for table, d in zip(tables, beta)]
-        num = [prod(map(getitem, [x for x, _ in a], e)) for e in space.basis[:size]]
-        den = prod(d for _, d in a)
-        for l, poly, weights, d in rows:
-            p, out = poly(abs(_pairing(l, beta))), [0] * size
-            row = [p[j] * w for j, w in weights]
-            for i, j, k in pairs:
-                out[k] += num[i] * row[j]
-            num, den = out, den * d
-        terms[beta] = (delta, num, den)
-    return _Layers(space, D, terms)
+    combined = _combined_degrees(g)
+    classes = [beta for beta in all_curve_classes(space, D)[1:] if _pairing(combined, beta) <= 2]
+    return _Layers(space, D, _twist_terms(space, classes, _j_terms(space, D, 2), _reads(g, _I_PRIME_ROWS), 2))
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,9 @@ of I' that the counts read, as integer numerators on the degree <= 2
 prefix of the basis.  Read through the same readers, they must give what
 the full ``i_prime`` gives: ``normal_form``'s g, s and div, and the hbar^-2
 entries under every ``invariants._pairing`` row, the refusal rows of a
-concave bundle included.
+concave bundle included.  Both come from one builder, ``twist._twist_terms``
+at top = 2 and at top = dim, so this checks the truncation to the prefix;
+``tests/test_layer_closed_form.py`` is the independent reference.
 """
 
 from fractions import Fraction

@@ -580,7 +580,7 @@ def _counts_via_euler_times_i_prime(g, D):
             assert all(i >= k for (i,), _ in a.items()), beta
             a = sum((space.monomial((i - k,), x / c) for (i,), x in a.items()), space.zero())
             a = a * euler_class(space, BundleSpec(g.convex_lines()))
-        out[beta] = space.integrate(space.divisor_sum() * a) / sum(beta)
+        out[beta] = space.integrate(space.divisor((1,) * space.nfactors) * a) / sum(beta)
     return out
 
 

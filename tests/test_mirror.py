@@ -215,7 +215,7 @@ def test_normal_form_matches_subtraction_on_random_graded_series(factors, unit_s
     # test_laurent draws them: the unit start reads delta = 0 and -1, and
     # positive powers and non-zero layers elsewhere are refused
     sp = AmbientSpace(factors)
-    start = sp.unit() if unit_start else sp.divisor_sum()
+    start = sp.unit() if unit_start else sp.divisor((1,) * len(factors))
     rng = random.Random(17 * len(factors) + sum(factors) + 5 * unit_start)
     reads = refusals = 0
     for i in range(200):

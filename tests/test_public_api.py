@@ -87,6 +87,40 @@ def test_allowlist_names_only_unused_public_names():
     assert _unused_public_names(set(gwtwist.__all__)) >= set(ALLOWED_UNUSED)
 
 
+def _orphaned_private_helpers():
+    """The top-level private functions and classes of the engine, as
+    (module, name), and those that no engine code loads outside their own
+    definition, nor inside another such orphan: a deletion that left a
+    helper behind.  A load refers to its module's own definition, else to
+    the module it imports the name from."""
+    private, source = set(), {}
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                private.add((path.stem, stmt.name))
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level:
+                source.update({(path.stem, a.name): stmt.module or "__init__" for a in stmt.names})
+    uses = [
+        ((module, owner), (module if (module, name) in private else source.get((module, name)), name))
+        for (module, owner), names in _loads_by_owner().items()
+        for name in names
+    ]
+    orphans, changed = set(), True
+    while changed:
+        changed = False
+        for helper in sorted(private - orphans):
+            if not any(target == helper and user != helper and user not in orphans for user, target in uses):
+                orphans.add(helper)
+                changed = True
+    return private, orphans
+
+
+def test_every_private_helper_is_used_by_the_engine():
+    private, orphans = _orphaned_private_helpers()
+    assert len(private) >= 70
+    assert sorted(orphans) == []
+
+
 # -- public methods of the series types ----------------------------------------
 
 SERIES_TYPES = (HbarLaurent, QSeries, ScalarQSeries)

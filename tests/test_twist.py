@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -27,7 +28,7 @@ from gwtwist import (
     serre_dual_pair,
 )
 from gwtwist.series import all_curve_classes
-from gwtwist.twist import _linear_products
+from gwtwist.twist import _concave_euler_vanishes, _linear_table
 
 P1 = AmbientSpace((1,))
 P4 = AmbientSpace((4,))
@@ -385,10 +386,15 @@ def test_linear_product_rows_match_from_scratch_products(name, first, step):
     space, c = ROW_CLASSES[name]()
     rows = range(3 * space.dim + 1)
     want = [_reference_linear_product(space, c, [first + j * step for j in range(m)]) for m in rows]
-    row = _linear_products(space, c, first, step)
+
+    def table():  # row m of the integer table as the class hbar^m P_m(c)
+        poly, weights, den = _linear_table(space, c, first, step, space.dim)
+        return lambda m: HbarLaurent._of(space, m, CohClass(space, [poly(m)[j] * w for j, w in weights], den))
+
+    row = table()
     assert [row(m) for m in rows] == want
     # a fresh table read backwards grows every row it skipped
-    row = _linear_products(space, c, first, step)
+    row = table()
     assert [row(m) for m in reversed(rows)] == want[::-1]
 
 
@@ -396,8 +402,8 @@ def test_linear_product_rows_match_from_scratch_products(name, first, step):
     "factors,lines,D,most", [((4,), ((5,),), 12, 50), ((2, 2), ((3, 3),), 5, 60)]
 )
 def test_start_one_series_builds_one_class_per_term(monkeypatch, factors, lines, D, most):
-    # J_beta, each table row read and each (beta, summand) product is one
-    # class; Laurent product chains and inversions built 402 and 220 here
+    # J_beta and each twisted term are one class each; Laurent product
+    # chains and inversions built 402 and 220 here
     g = _geometry(factors, lines)
     built, laurent = [], []
     init, invert, linear = CohClass.__init__, HbarLaurent.invert, HbarLaurent.linear
@@ -438,3 +444,43 @@ def test_non_integral_multidegree_refused(build):
 def test_non_integral_geometry_is_not_read_as_the_quintic():
     with pytest.raises(ValueError, match=r"4\.7 is not an integer"):
         n_numbers(GeometrySpec(AmbientSpace((4.7,)), BundleSpec(((5.2,),))), 1)
+
+
+@pytest.mark.parametrize("name", ["quintic", "bicubic", "p3-o1-o1", "local-dp5", "p1xp1-zero-pairings"])
+def test_twisted_series_take_no_laurent_product(monkeypatch, name):
+    # every twisted series is built by one integer loop, one class per term
+    make, D = TABLE_CASES[name]
+    g = make()
+    calls = []
+    mul = HbarLaurent.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(HbarLaurent, "__mul__", counted)
+    HbarLaurent.unit(g.space) * HbarLaurent.unit(g.space)
+    assert calls == [1]  # the probe is live
+    calls.clear()
+    i_function(g, D)
+    i_prime(g, D)
+    for l in g.bundle.lines:
+        for beta in all_curve_classes(g.space, D):
+            h_factor(g.space, l, beta)
+    if all(classify(l) == CONVEX for l in g.bundle.lines):
+        serre_dual_pair(g, D)
+    assert calls == []
+
+
+def test_concave_euler_predicate_matches_the_class_on_the_sweep_degree_set():
+    # one P^r, r = 1..6, one to three summands of degree -3..5 as in
+    # tests/test_sweep.py, positivity not required
+    concave = 0
+    for r in range(1, 7):
+        for rank in range(1, 4):
+            for lines in combinations_with_replacement((-3, -2, -1, 1, 2, 3, 4, 5), rank):
+                g = _geometry((r,), tuple((l,) for l in lines))
+                conc = g.concave_lines()
+                concave += bool(conc)
+                assert _concave_euler_vanishes(g) == euler_class(g.space, BundleSpec(conc)).is_zero, g
+    assert concave == 6 * (164 - 55)
