@@ -36,13 +36,26 @@ special; WeightCollision asks the caller to redraw.
 
 Each weight draw is tabulated once.  At the integer weights W_i = c w_i,
 c the lcm of the weights' denominators, each edge's bundle over normal-bundle
-factor per ordered pair (i, j) and degree delta, and the vertex factors per
-label, are integer numerator-denominator pairs.  A graph multiplies its
-entries with its flag, smoothing, ev and psi factors and adds the term, with
-one gcd, to one running numerator over one running denominator, so a draw
-builds one Fraction.  Every term is homogeneous of degree (integrand degree
-- virtual dimension) in the weights, so the sum at the W_i is multiplied
-once by c to minus that degree.
+factor per unordered pair {i, j} and degree delta, and the vertex factors
+per label, are integer numerator-denominator pairs.  The graphs are then
+summed in groups, each group one term added, with one gcd, to one running
+numerator over one running denominator, so a draw builds one Fraction:
+
+* a single edge of degree d contributes one term per unordered pair, its
+  listings marked at either end and in either orientation taken together;
+* at degree 2 the chains (a, j, c) contribute one term per middle label j.
+  Marked at j, a chain's smoothing omega_1 * omega_2 cancels its two end
+  flags, so those chains sum to 1/2 mid_j ev_j (sum_a E(a, j))^2, with
+  E(a, j) the degree-one edge entry and mid_j the two-valent vertex factor.
+  Marked at an end, a chain keeps its own term inside the group, because
+  its smoothing 2 W_j - W_a - W_c couples a and c; the group sums them over
+  the lcm of its edge denominators and the lcm of its smoothings.
+
+Every collision check runs before any term is summed, so a draw is refused
+exactly when one of its graphs would be.  The sum still covers every fixed
+locus that ``enumerate_graphs`` lists.  Every term is homogeneous of degree
+(integrand degree - virtual dimension) in the weights, so the sum at the
+W_i is multiplied once by c to minus that degree.
 
 The sum is weight-independent only when the integrand's degree is at most
 the virtual dimension r + (r+1)d - 2 of the one-pointed moduli space.  The
@@ -58,7 +71,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from math import factorial, gcd, lcm, prod
 from numbers import Integral
 
@@ -120,7 +133,9 @@ def _require_shape(r: int, d: int) -> None:
 @lru_cache(maxsize=None, typed=True)
 def enumerate_graphs(r: int, d: int) -> tuple[FixedGraph, ...]:
     """All decorated graphs for degree d on P^r with one marked point, built
-    once per (r, d) and shared: every weight draw sums over the same tuple.
+    once per (r, d) and shared.  ``localized_invariant`` sums over exactly
+    these fixed loci, in the groups the module docstring describes, and the
+    CLI reports their number as ``graphs_evaluated``.
 
     Degree 1: both orientations of each edge, marking at either position,
     listed with factor 1/2 (every stratum appears twice).  Degree 2: the
@@ -183,16 +198,20 @@ def _require_top_degree(r: int, d: int, lines, psi_power: int, ev_power: int) ->
 def _tables(r: int, d: int, lines, W):
     """The per-draw tables at the integer weights W.
 
-    ``edges[i, j, delta]`` holds the edge's bundle factor over its
-    normal-bundle factor as one numerator and denominator (denominator 0
-    when an edge character hits a fixed-point weight).  ``middle[v]`` holds
-    the numerator and denominator of the bundle factor at a two-valent
-    vertex labeled v, its numerator times prod_{m != v} (W_v - W_m).
+    ``edges[delta][i][j]`` holds the edge's bundle factor over its
+    normal-bundle factor as one numerator and denominator.  The entry is
+    symmetric in i and j, because the bundle product's range is invariant
+    under a -> delta*l - a and the normal product's under a -> delta - a, so
+    each unordered pair is computed once.  An edge character that hits a
+    fixed-point weight raises WeightCollision.  ``middle[v]`` holds the
+    numerator and denominator of the bundle factor at a two-valent vertex
+    labeled v, its numerator times prod_{m != v} (W_v - W_m).
     """
     labels = range(r + 1)
-    edges = {}
+    edges = [None]
     for delta in range(1, d + 1):
-        for i, j in permutations(labels, 2):
+        table = [[None] * (r + 1) for _ in labels]
+        for i, j in combinations(labels, 2):
             wi, wj = W[i], W[j]
             bundle, factors = 1, 0
             for l in lines:
@@ -205,14 +224,48 @@ def _tables(r: int, d: int, lines, W):
                 if m != i and m != j:
                     for a in range(delta + 1):
                         normal *= a * wi + (delta - a) * wj - delta * W[m]
+            if normal == 0:
+                raise WeightCollision("edge character hits a fixed-point weight")
             characters = 2 * delta + (r - 1) * (delta + 1)
-            edges[i, j, delta] = (bundle * delta**characters, delta**factors * normal)
+            table[i][j] = table[j][i] = (bundle * delta**characters, delta**factors * normal)
+        edges.append(table)
     tangent = [prod(W[v] - W[m] for m in labels if m != v) for v in labels]
     middle = [
         (prod(l * w for l in lines if l < 0) * t, prod(l * w for l in lines if l > 0))
         for w, t in zip(W, tangent)
     ]
     return edges, middle
+
+
+def _chains_through(j: int, W, edges, middle, ev, psi_power: int):
+    """The two-edge chains (a, j, c) with middle label j, as one numerator
+    and denominator: the marked-at-j chains as one square, which vanishes
+    with psi > 0, and the end-marked ones one term per (a, c) over the lcm
+    of the group's edge denominators and the lcm of its smoothings."""
+    top, bottom = middle[j]
+    if bottom == 0:
+        raise WeightCollision("bundle vertex weight vanishes")
+    ends = [v for v in range(len(W)) if v != j]
+    smoothings = [[2 * W[j] - W[a] - W[c] for c in ends] for a in ends]
+    # checked as for every end-marked graph, though a vanishing smoothing
+    # puts W_j halfway between W_a and W_c, where the double cover of (a, c)
+    # has already hit an edge character in the tables
+    if any(0 in row for row in smoothings):
+        raise WeightCollision("node-smoothing weight vanishes")
+    # E(v, j) = E(j, v) = t[v] / B
+    pairs = [edges[1][v][j] for v in ends]
+    B = lcm(*(den for _, den in pairs))
+    t = [num * (B // den) for num, den in pairs]
+    S = lcm(*(s for row in smoothings for s in row))
+    # the unmarked end c divides the Euler class by its flag W_c - W_j
+    far = [(W[c] - W[j]) * tc for c, tc in zip(ends, t)]
+    total = 2 * sum(
+        ev[a] * (W[j] - W[a]) ** psi_power * ta * sum(f * (S // s) for f, s in zip(far, row))
+        for a, ta, row in zip(ends, t, smoothings)
+    )
+    if psi_power == 0:
+        total += ev[j] * S * sum(t) ** 2
+    return top * total, 2 * bottom * B * B * S
 
 
 def localized_invariant(
@@ -227,7 +280,7 @@ def localized_invariant(
 
     Exact rational; the same for every admissible weight choice.
     """
-    graphs = enumerate_graphs(r, d)
+    _require_shape(r, d)
     if len(weights) != r + 1:
         raise WeightCollision(f"need {r + 1} weights for P^{r}", got=len(weights))
     excess = _require_top_degree(r, d, lines, psi_power, ev_power)
@@ -237,43 +290,28 @@ def localized_invariant(
     W = [w.numerator * (c // w.denominator) for w in weights.values]
     edges, middle = _tables(r, d, lines, W)
     ev = [w**ev_power for w in W]
+    sign = (-1) ** psi_power
+    # one edge of degree d: its listings (either orientation, marked at
+    # either end) are one term per unordered pair.  Those marked at i add up
+    # to the factor 1/d, times the flag (W_j - W_i)/d once per psi power and
+    # once from the unmarked end; marked at j, the flag changes sign
+    terms = []
+    for i, j in combinations(range(r + 1), 2):
+        top, bottom = edges[d][i][j]
+        flag = W[j] - W[i]
+        terms.append(
+            (top * flag ** (psi_power + 1) * (ev[i] - sign * ev[j]), bottom * d ** (psi_power + 2))
+        )
+    if d == 2:
+        terms += [_chains_through(j, W, edges, middle, ev, psi_power) for j in range(r + 1)]
+    # every collision check has run; total / common += num / den, over the
+    # lcm of the two denominators
     total, common = 0, 1
-    for g in graphs:
-        vs, ds, marked = g.vertices, g.degrees, g.marked
-        last = len(vs) - 1
-        num, den = g.auto.numerator, g.auto.denominator
-        for k, delta in enumerate(ds):
-            top, bottom = edges[vs[k], vs[k + 1], delta]
-            if bottom == 0:
-                raise WeightCollision("edge character hits a fixed-point weight")
-            num, den = num * top, den * bottom
-        if last == 2:
-            top, bottom = middle[vs[1]]
-            if bottom == 0:
-                raise WeightCollision("bundle vertex weight vanishes")
-            # both edges of a two-edge graph have degree 1
-            om1, om2 = W[vs[1]] - W[vs[0]], W[vs[1]] - W[vs[2]]
-            smoothing = om1 * om2 if marked == 1 else om1 + om2
-            if smoothing == 0:
-                raise WeightCollision("node-smoothing weight vanishes")
-            num, den = num * top, den * bottom * smoothing
-        num *= ev[vs[marked]]
-        if psi_power:
-            # minus the flag weight at an end marking, 0 at the middle one
-            nbr, delta = (1, ds[0]) if marked == 0 else (last - 1, ds[-1])
-            flag = W[vs[nbr]] - W[vs[marked]] if marked in (0, last) else 0
-            num, den = num * flag**psi_power, den * delta**psi_power
-        if num == 0:
-            # skipped only once the draw's Euler-class checks have passed
-            continue
-        for v, nbr, delta in ((0, 1, ds[0]), (last, last - 1, ds[-1])):
-            if v != marked:
-                # an unmarked end divides the Euler class by its flag weight
-                num, den = num * (W[vs[v]] - W[vs[nbr]]), den * delta
-        # total / common += num / den, over the lcm of the two denominators
-        shared = gcd(common, den)
-        total = total * (den // shared) + num * (common // shared)
-        common *= den // shared
+    for num, den in terms:
+        if num:
+            shared = gcd(common, den)
+            total = total * (den // shared) + num * (common // shared)
+            common *= den // shared
     return Fraction(total * c**excess, common)
 
 

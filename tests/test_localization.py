@@ -2,7 +2,7 @@ import ast
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -46,7 +46,7 @@ def test_graph_count_closed_form(d):
 
 
 def test_graphs_are_enumerated_once_per_shape():
-    # every weight draw of an oracle call sums over the same frozen tuple
+    # the listing is built once per (r, d) and shared as a frozen tuple
     graphs = enumerate_graphs(4, 2)
     assert isinstance(graphs, tuple)
     assert enumerate_graphs(4, 2) is graphs
@@ -322,7 +322,9 @@ def _outcome(fn, *args):
 
 
 # the five shipped bundles, then O(3) on P2, O(3)+O(3) on P5, O(2)+O(-1) on
-# P4, the empty bundle and a zero twist
+# P4, the empty bundle, a zero twist, and the two shipped geometries with
+# the largest r, where grouping the chains by middle vertex removes the most
+# terms
 TABLE_CASES = [
     (4, (5,)),
     (4, (1,)),
@@ -335,6 +337,8 @@ TABLE_CASES = [
     (1, ()),
     (3, ()),
     (2, (1, 0)),
+    (6, (3, 2, 2)),
+    (7, (2, 2, 2, 2)),
 ]
 PSI_EV = [(0, 1), (0, 0), (1, 0), (1, 1), (0, 2)]
 
@@ -347,7 +351,7 @@ def _weight_vectors(r: int):
     yield tuple(Fraction(2**k - 1) for k in range(r + 1))
     # a symmetric arithmetic progression: edge characters collide
     yield tuple(Fraction(v) for v in range(-r, r + 2, 2))
-    yield tuple(Fraction(v) for v in (5, -3, 7, -11, 2, -6)[: r + 1])
+    yield tuple(Fraction(v) for v in (5, -3, 7, -11, 2, -6, 13, -1)[: r + 1])
 
 
 @pytest.mark.parametrize("r, lines", TABLE_CASES)
@@ -502,6 +506,45 @@ def test_draw_sums_its_graphs_into_one_accumulator(monkeypatch):
     monkeypatch.undo()
     assert value == Fraction(4876875, 4)
     assert len(built) <= 4 + 2
+
+
+@pytest.mark.parametrize(
+    "d, psi, ev, terms",
+    [
+        # the 10 unordered edges, where the 40 graphs each added a term
+        (1, 0, 1, 10),
+        (1, 1, 0, 10),
+        # the 10 double covers, one per unordered pair, and one term per
+        # middle vertex j: the 160 chains (a, j, c) are summed inside it
+        (2, 0, 1, 15),
+        (2, 1, 0, 15),
+    ],
+)
+def test_draw_adds_one_term_per_edge_pair_and_middle_vertex(monkeypatch, d, psi, ev, terms):
+    added = []
+
+    def counting(a, b):
+        added.append((a, b))
+        return gcd(a, b)
+
+    want = _reference_localized_invariant(4, d, (5,), psi, ev, W5)
+    monkeypatch.setattr(localization, "gcd", counting)
+    value = localized_invariant(4, d, (5,), psi, ev, W5)
+    monkeypatch.undo()
+    assert value == want
+    assert len(added) == terms
+
+
+def test_chain_group_refuses_a_vanishing_smoothing_on_its_own():
+    # 3 lies halfway between 1 and 5, so the chains (0, 1, 2) have smoothing
+    # 2*3 - 1 - 5 = 0.  In a draw the double cover of (0, 2) hits an edge
+    # character first, so the group is handed degree-one tables here
+    W = [1, 3, 5]
+    with pytest.raises(WeightCollision, match="edge character"):
+        localization._tables(2, 2, (), W)
+    edges, middle = localization._tables(2, 1, (), W)
+    with pytest.raises(WeightCollision, match="node-smoothing"):
+        localization._chains_through(1, W, edges, middle, W, 0)
 
 
 @pytest.mark.parametrize(
